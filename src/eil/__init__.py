@@ -10,7 +10,6 @@ from .checks import (
     CheckOutcome,
     DepthComputer,
     check_colon_intersection,
-    check_colon_intersection_depth,
     check_even_connection_depth,
     check_first_power,
     check_generator_order_decomposition,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .depth import GF2, FieldChoice, depth_ideal, depth_ideal_both
 from .graphs import (
     Graph,
+    _admissible_pool,
     delete_vertices,
     emit_graph6,
     even_connection_graph,
@@ -39,7 +40,6 @@ __all__ = [
     "check_first_power",
     "check_triangle_neighborhood_packing",
     "check_colon_intersection",
-    "check_colon_intersection_depth",
     "check_even_connection_depth",
     "check_square_colon_depth",
     "check_square_colon_formula",
@@ -217,36 +217,11 @@ def check_colon_intersection(G: Graph, edge: tuple[str, str]) -> CheckOutcome:
     )
 
 
-def _admissible_pool(G: Graph, u: str, v: str) -> list[str]:
-    i, j = G.index(u), G.index(v)
-    pool_mask = (G.adj[i] | G.adj[j]) & ~(1 << i) & ~(1 << j)
-    return [G.labels[k] for k in range(G.n) if pool_mask & (1 << k)]
-
-
-def check_colon_intersection_depth(G: Graph, edge, A, field=GF2) -> CheckOutcome:
-    """depth of (I(G-A):u) meet (I(G-A):v) over the shrunken ring is at least
-    the packing number of the original graph."""
-    t0 = time.perf_counter()
-    u, v = edge
-    gid = emit_graph6(G)
-    computer = _as_computer(field)
-    _validate_admissible(G, u, v, A)
-    GA = delete_vertices(G, A)
-    IA = edge_ideal(GA)
-    J = IA.colon(IA.var(u)).intersect(IA.colon(IA.var(v)))
-    lhs = computer.ideal_depth(J)
-    rhs = star_packing_number(G).size
-    status = HOLDS if lhs >= rhs else FAILS
-    witness = {"edge": [u, v], "A": sorted(A)}
-    return _finish(
-        CheckOutcome("colon_intersection_depth", gid, status, lhs, rhs, witness,
-                     computer.field.characteristic), t0
-    )
-
-
 def check_even_connection_depth(G: Graph, edge, A, field=GF2) -> CheckOutcome:
-    """Same depth bound, routed through the contracted-graph construction, and
-    the identity between the two routes asserted on the way."""
+    """depth of K = I(G'_A) + (L), from the contracted graph, over the
+    shrunken ring is at least the packing number of the original graph, and K
+    equals J = (I(G-A):u) meet (I(G-A):v).  So whenever this holds, depth(J) =
+    depth(K) clears the same bound: the colon-intersection depth statement."""
     t0 = time.perf_counter()
     u, v = edge
     gid = emit_graph6(G)
@@ -275,7 +250,7 @@ def check_square_colon_depth(G: Graph, edge, A, field=GF2) -> CheckOutcome:
     u, v = edge
     gid = emit_graph6(G)
     computer = _as_computer(field)
-    _validate_admissible(G, u, v, A)
+    _admissible_pool(G, u, v, A)
     GA = delete_vertices(G, A)
     IA = edge_ideal(GA)
     colon = (IA ** 2).colon(_edge_monomial(IA, u, v))
@@ -297,7 +272,7 @@ def check_square_colon_formula(G: Graph, edge, A) -> CheckOutcome:
     t0 = time.perf_counter()
     u, v = edge
     gid = emit_graph6(G)
-    _validate_admissible(G, u, v, A)
+    _admissible_pool(G, u, v, A)
     GA = delete_vertices(G, A)
     IA = edge_ideal(GA)
     lhs_ideal = (IA ** 2).colon(_edge_monomial(IA, u, v))
@@ -449,14 +424,8 @@ def check_generator_order_decomposition(G: Graph, max_edges: int = 8) -> CheckOu
     I = edge_ideal(G)
     I2 = I ** 2
     gens = list(I.gens)
-    gen_of_edge = {}
-    for u, v in edges:
-        gen_of_edge[(u, v)] = _edge_monomial(I, u, v)
-    order_of_gen = {g: e for e, g in gen_of_edge.items()}
-    pool_of = {}
-    for k, g in enumerate(gens):
-        u, v = order_of_gen[g]
-        pool_of[k] = set(_admissible_pool(G, u, v))
+    order_of_gen = {_edge_monomial(I, u, v): (u, v) for u, v in edges}
+    pool_of = {k: set(_admissible_pool(G, *order_of_gen[g])) for k, g in enumerate(gens)}
     base_colon = [I2.colon(g) for g in gens]
     width = len(I.ambient)
 
@@ -504,7 +473,7 @@ def check_packing_deletion_bound(G: Graph, edge, A) -> CheckOutcome:
     t0 = time.perf_counter()
     u, v = edge
     gid = emit_graph6(G)
-    _validate_admissible(G, u, v, A)
+    _admissible_pool(G, u, v, A)
     i, j = G.index(u), G.index(v)
     base = star_packing_number(G).size
     rhs = base - 2
@@ -525,13 +494,3 @@ def check_packing_deletion_bound(G: Graph, edge, A) -> CheckOutcome:
     return _finish(
         CheckOutcome("deletion_bound", gid, status, lhs, rhs, witness), t0
     )
-
-
-def _validate_admissible(G: Graph, u: str, v: str, A):
-    i, j = G.index(u), G.index(v)
-    if not G.has_edge(i, j):
-        raise ValueError(f"{u!r} {v!r} is not an edge")
-    pool = set(_admissible_pool(G, u, v))
-    bad = set(A) - pool
-    if bad:
-        raise ValueError(f"inadmissible deletion set, {sorted(bad)} outside the neighborhood pool")

@@ -13,7 +13,7 @@ import os
 import sys
 
 from .catalog import all_graphs
-from .depth import GF2, QQ, depth_ideal
+from .depth import GF2, QQ, depth_ideal, depth_ideal_both
 from .graphs import (
     Graph,
     Graph6Error,
@@ -25,7 +25,7 @@ from .graphs import (
     triangles,
 )
 from .ideals import edge_ideal, symbolic_square_edge_ideal
-from .suite import hunt_counterexamples, resolve_checks, run_suite
+from .suite import CHECKS, hunt_counterexamples, resolve_checks, run_suite
 
 DEFAULT_POLARIZED_CAP = 24
 
@@ -145,17 +145,18 @@ def _cmd_depth(args) -> int:
             bound, rule = alpha2 - 1, "wk3_free"
         else:
             bound, rule = alpha2 - 2, "general"
-        depth = depth_ideal(target, field)
+        if cross:
+            depth, other = depth_ideal_both(target)
+        else:
+            depth = depth_ideal(target, field)
         line = (
             f"graph={emit_graph6(G)} alpha2={alpha2} depth={depth} "
             f"bound={bound} slack={depth - bound} rule={rule} field={field}"
         )
-        if cross:
-            other = depth_ideal(target, QQ)
-            if other != depth:
-                line += f" finding=field_disagreement char0={other}"
-            else:
-                line += " field_agreement=ok"
+        if cross and other != depth:
+            line += f" finding=field_disagreement char0={other}"
+        elif cross:
+            line += " field_agreement=ok"
         print(line)
     return 0
 
@@ -163,7 +164,7 @@ def _cmd_depth(args) -> int:
 def _cmd_verify(args) -> int:
     checks = resolve_checks(name for arg in args.suite for name in arg.split(","))
     field, cross = _field_mode(args.field)
-    corpus_free = set(checks) <= {"sharp_examples"}
+    corpus_free = all(CHECKS[c].kind == "global" for c in checks)
     if args.corpus is not None and args.max_n is not None:
         raise CliError("give at most one of --corpus FILE or --max-n N")
     if args.corpus is None and args.max_n is None and not corpus_free:
@@ -192,9 +193,7 @@ def _cmd_hunt(args) -> int:
     checks = resolve_checks([args.check])
     field, cross = _field_mode(args.field)
     _warn_cap(args.max_polarized)
-    depth_free = {"colon_intersection", "square_colon_formula", "deletion_bound",
-                  "triangle_deletion_packing", "order_decomposition"}
-    worst = args.n if set(checks) <= depth_free.union({"first_power"}) else 2 * args.n
+    worst = args.n * max([1] + [CHECKS[c].depth for c in checks])
     if worst > args.max_polarized:
         raise CliError(
             f"n={args.n} needs up to {worst} polarized variables, beyond the cap "

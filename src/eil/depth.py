@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .graphs import _bits
 from .ideals import MonomialIdeal, polarize
 
 __all__ = [
@@ -73,13 +74,7 @@ class ComplexView:
     def from_ideal(cls, I: MonomialIdeal) -> "ComplexView":
         if not I.is_squarefree:
             raise ValueError("Stanley-Reisner complex needs a squarefree ideal")
-        masks = []
-        for g in I.gens:
-            m = 0
-            for i, e in enumerate(g):
-                if e:
-                    m |= 1 << i
-            masks.append(m)
+        masks = (sum(1 << i for i, e in enumerate(g) if e) for g in I.gens)
         return cls(tuple(I.ambient), tuple(masks))
 
 
@@ -101,13 +96,6 @@ class DepthResult:
 
 # ---------------------------------------------------------------------------
 # faces and boundary ranks
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _faces_by_size(W: int, nonfaces) -> list[list[int]]:
@@ -230,59 +218,51 @@ def _boundary_rank(prev_faces: list[int], cur_faces: list[int], characteristic: 
     return _rank_exact(cols_q)
 
 
-def _homology_by_size(faces, characteristic: int, stop_at_first: bool):
+def _homology_by_size(faces, characteristic: int, stop_at_first: bool,
+                      lo: int = 0, hi: int | None = None):
     """Reduced homology ranks indexed by face size s (dimension s-1).
 
-    With stop_at_first, returns (s_min, rank) for the smallest nonvanishing
-    size, or None when the complex is acyclic.
+    Only sizes in the window [lo, hi] (default: all) are computed; callers
+    guarantee homology vanishes outside it, and those entries read 0.  With
+    stop_at_first, returns the smallest nonvanishing size, or None when the
+    complex is acyclic.
     """
     S = len(faces) - 1
     if S < 0:
         return None if stop_at_first else []
-    prev_bd = 0  # rank of the boundary map out of size-s faces
-    out = []
-    for s in range(S + 1):
+    out = [0] * (S + 1)
+    prev_bd = _boundary_rank(faces[lo - 1], faces[lo], characteristic) if lo else 0
+    for s in range(lo, S + 1 if hi is None else hi + 1):
         next_bd = _boundary_rank(faces[s], faces[s + 1], characteristic) if s < S else 0
         h = len(faces[s]) - prev_bd - next_bd
         if stop_at_first and h:
-            return (s, h)
-        out.append(h)
-        prev_bd = next_bd
-    return None if stop_at_first else out
-
-
-def _rational_homology_window(faces, lo: int, hi: int, stop_at_first: bool):
-    """Rational reduced homology for face sizes in [lo, hi] only.
-
-    Callers guarantee homology vanishes outside the window (mod-2 homology
-    bounds rational homology dimension by dimension, so the window is the
-    mod-2 support).  Returns (s, rank) of the first hit or None when
-    stop_at_first, else a full list with zeros outside the window.
-    """
-    S = len(faces) - 1
-    out = [0] * (S + 1)
-    prev_bd = _boundary_rank(faces[lo - 1], faces[lo], 0) if lo >= 1 else 0
-    for s in range(lo, hi + 1):
-        next_bd = _boundary_rank(faces[s], faces[s + 1], 0) if s < S else 0
-        h = len(faces[s]) - prev_bd - next_bd
-        if h and stop_at_first:
-            return (s, h)
+            return s
         out[s] = h
         prev_bd = next_bd
     return None if stop_at_first else out
 
 
-def _mask_homology(faces, characteristic: int, stop_at_first: bool):
-    """Homology of one induced subcomplex, with the mod-2 shortcut for the
-    rational path: masks and dimensions that are mod-2 acyclic are skipped
-    because their rational homology vanishes too (universal coefficients)."""
-    if characteristic == 2:
-        return _homology_by_size(faces, 2, stop_at_first)
+def _mask_homology(faces, characteristics: tuple[int, ...], stop_at_first: bool) -> tuple:
+    """Homology of one induced subcomplex in each characteristic, in order.
+
+    Characteristic 2 alone is one plain scan.  Otherwise the full mod-2
+    profile comes first: rational homology vanishes wherever mod-2 homology
+    does (universal coefficients), so rational ranks are taken only inside
+    the window of mod-2-alive sizes, and mod-2-acyclic masks skip them.
+    """
+    if characteristics == (2,):
+        return (_homology_by_size(faces, 2, stop_at_first),)
     mod2 = _homology_by_size(faces, 2, stop_at_first=False)
     alive = [s for s, h in enumerate(mod2) if h]
-    if not alive:
-        return None if stop_at_first else [0] * len(mod2)
-    return _rational_homology_window(faces, alive[0], alive[-1], stop_at_first)
+    out = []
+    for c in characteristics:
+        if c == 2:
+            out.append((alive[0] if alive else None) if stop_at_first else mod2)
+        elif alive:
+            out.append(_homology_by_size(faces, 0, stop_at_first, alive[0], alive[-1]))
+        else:
+            out.append(None if stop_at_first else mod2)  # all zero, as the rational ranks
+    return tuple(out)
 
 
 def reduced_homology_dims(C: ComplexView, W: int, field: FieldChoice) -> dict[int, int]:
@@ -302,23 +282,16 @@ def reduced_homology_dims(C: ComplexView, W: int, field: FieldChoice) -> dict[in
 # Hochster scan over the lcm lattice
 
 
-def _support_masks(I: MonomialIdeal) -> list[int]:
-    masks = []
-    for g in I.gens:
-        m = 0
-        for i, e in enumerate(g):
-            if e:
-                m |= 1 << i
-        masks.append(m)
-    return masks
-
-
-def _lcm_lattice(supports) -> list[int]:
-    """All unions of subsets of the supports, the empty union included."""
-    closed = {0}
-    for s in supports:
-        closed |= {r | s for r in closed}
-    return sorted(closed)
+def _lattice_homology(nonfaces, characteristics: tuple[int, ...], stop_at_first: bool):
+    """The Hochster sweep: (W, homology per characteristic) for every nonempty
+    mask W of the lcm lattice (the unions of nonfaces), the only masks that
+    can carry homology."""
+    lattice = {0}
+    for s in nonfaces:
+        lattice |= {r | s for r in lattice}
+    for W in sorted(lattice):
+        if W:
+            yield W, _mask_homology(_faces_by_size(W, nonfaces), characteristics, stop_at_first)
 
 
 def betti_numbers(I: MonomialIdeal, field: FieldChoice) -> dict[tuple[int, int], int]:
@@ -329,62 +302,14 @@ def betti_numbers(I: MonomialIdeal, field: FieldChoice) -> dict[tuple[int, int],
     """
     if I.is_unit:
         raise ValueError("Betti numbers of the unit quotient are not defined here")
-    if not I.is_squarefree:
-        raise ValueError("betti_numbers expects a squarefree ideal (polarize first)")
     out = {(0, 0): 1}
-    supports = _support_masks(I)
-    for W in _lcm_lattice(supports):
-        if not W:
-            continue
-        faces = _faces_by_size(W, supports)
-        dims = _mask_homology(faces, field.characteristic, stop_at_first=False)
+    nonfaces = ComplexView.from_ideal(I).nonfaces
+    for W, (dims,) in _lattice_homology(nonfaces, (field.characteristic,), stop_at_first=False):
         size = W.bit_count()
         for s, h in enumerate(dims):
             if h:
                 out[(size - s, W)] = h
     return out
-
-
-def _pd_squarefree(supports, characteristic: int) -> int:
-    """Projective dimension of the squarefree quotient, homology scan with
-    early exit per mask (the smallest nonvanishing dimension carries the
-    largest homological degree)."""
-    pd = 0
-    for W in _lcm_lattice(supports):
-        if not W:
-            continue
-        faces = _faces_by_size(W, supports)
-        hit = _mask_homology(faces, characteristic, stop_at_first=True)
-        if hit is not None:
-            i = W.bit_count() - hit[0]
-            if i > pd:
-                pd = i
-    return pd
-
-
-def _pd_squarefree_both(supports) -> tuple[int, int]:
-    """Projective dimension in characteristics 2 and 0 in one lattice sweep.
-
-    The mod-2 homology profile per mask settles the characteristic-2 answer
-    and bounds where rational homology can live, so the rational pass only
-    touches the masks and dimensions that are mod-2 alive.
-    """
-    pd2 = pd0 = 0
-    for W in _lcm_lattice(supports):
-        if not W:
-            continue
-        faces = _faces_by_size(W, supports)
-        mod2 = _homology_by_size(faces, 2, stop_at_first=False)
-        alive = [s for s, h in enumerate(mod2) if h]
-        if not alive:
-            continue
-        size = W.bit_count()
-        if size - alive[0] > pd2:
-            pd2 = size - alive[0]
-        hit = _rational_homology_window(faces, alive[0], alive[-1], stop_at_first=True)
-        if hit is not None and size - hit[0] > pd0:
-            pd0 = size - hit[0]
-    return pd2, pd0
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +326,38 @@ def clear_depth_cache():
     _PD_CACHE.clear()
 
 
-def _pd_cache_key(gens, characteristic: int):
-    used = [j for j in range(len(gens[0]))] if gens else []
-    used = [j for j in used if any(g[j] for g in gens)]
+def _normalized_gens(gens) -> tuple:
+    """Generator matrix without unused columns, rows and columns sorted, so
+    ideals that differ by a relabeling of variables often share it."""
+    used = [j for j in range(len(gens[0])) if any(g[j] for g in gens)]
     rows = sorted(tuple(g[j] for j in used) for g in gens)
     for _ in range(2):
         if not rows:
             break
         order = sorted(range(len(rows[0])), key=lambda j: tuple(r[j] for r in rows))
         rows = sorted(tuple(r[j] for j in order) for r in rows)
-    return (characteristic, tuple(rows))
+    return tuple(rows)
+
+
+def _pd(I: MonomialIdeal, characteristics: tuple[int, ...]) -> list[int]:
+    """pd of S/I for a proper nonzero I, in each characteristic.
+
+    The memo is read before polarizing; one sweep fills every missing
+    characteristic.  Per mask the smallest nonvanishing dimension carries the
+    largest homological degree, so the sweep stops at it.
+    """
+    rows = _normalized_gens(I.gens)
+    missing = tuple(c for c in characteristics if (c, rows) not in _PD_CACHE)
+    if missing:
+        pd = dict.fromkeys(missing, 0)
+        nonfaces = ComplexView.from_ideal(polarize(I).ideal).nonfaces
+        for W, firsts in _lattice_homology(nonfaces, missing, stop_at_first=True):
+            for c, s in zip(missing, firsts):
+                if s is not None:
+                    pd[c] = max(pd[c], W.bit_count() - s)
+        for c in missing:
+            _PD_CACHE[(c, rows)] = pd[c]
+    return [_PD_CACHE[(c, rows)] for c in characteristics]
 
 
 def depth_quotient(I: MonomialIdeal, field: FieldChoice = GF2, want_betti: bool = False) -> DepthResult:
@@ -427,25 +374,24 @@ def depth_quotient(I: MonomialIdeal, field: FieldChoice = GF2, want_betti: bool 
     n = len(I.ambient)
     if I.is_zero:
         return DepthResult(n, 0, n, None, field, {(0, 0): 1} if want_betti else None)
-    pol = polarize(I)
     betti = None
     if want_betti:
-        betti = betti_numbers(pol.ideal, field)
+        betti = betti_numbers(polarize(I).ideal, field)
         pd = max(i for i, _ in betti)
     else:
-        key = _pd_cache_key(I.gens, field.characteristic)
-        pd = _PD_CACHE.get(key)
-        if pd is None:
-            pd = _pd_squarefree(_support_masks(pol.ideal), field.characteristic)
-            _PD_CACHE[key] = pd
+        (pd,) = _pd(I, (field.characteristic,))
     return DepthResult(n, pd, n - pd, n - pd + 1, field, betti)
+
+
+def _module_depths(I: MonomialIdeal, characteristics: tuple[int, ...]) -> tuple[int, ...]:
+    if I.is_zero or I.is_unit:
+        raise ValueError("module depth needs a proper nonzero ideal")
+    return tuple(len(I.ambient) - pd + 1 for pd in _pd(I, characteristics))
 
 
 def depth_ideal(I: MonomialIdeal, field: FieldChoice = GF2) -> int:
     """Module depth of a proper nonzero ideal: depth of the quotient plus one."""
-    if I.is_zero or I.is_unit:
-        raise ValueError("module depth needs a proper nonzero ideal")
-    return depth_quotient(I, field).depth_quotient + 1
+    return _module_depths(I, (field.characteristic,))[0]
 
 
 def depth_ideal_both(I: MonomialIdeal) -> tuple[int, int]:
@@ -453,18 +399,7 @@ def depth_ideal_both(I: MonomialIdeal) -> tuple[int, int]:
 
     Cheaper than two depth_ideal calls; used by the cross-checking harness.
     """
-    if I.is_zero or I.is_unit:
-        raise ValueError("module depth needs a proper nonzero ideal")
-    n = len(I.ambient)
-    key2 = _pd_cache_key(I.gens, 2)
-    key0 = _pd_cache_key(I.gens, 0)
-    pd2 = _PD_CACHE.get(key2)
-    pd0 = _PD_CACHE.get(key0)
-    if pd2 is None or pd0 is None:
-        pd2, pd0 = _pd_squarefree_both(_support_masks(polarize(I).ideal))
-        _PD_CACHE[key2] = pd2
-        _PD_CACHE[key0] = pd0
-    return n - pd2 + 1, n - pd0 + 1
+    return _module_depths(I, (2, 0))
 
 
 def betti_table_rows(betti: dict[tuple[int, int], int]) -> list[tuple[int, int, str, int]]:

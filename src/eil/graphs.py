@@ -422,6 +422,20 @@ def is_wk3_free(G: Graph) -> bool:
     return True
 
 
+def _admissible_pool(G: Graph, u: str, v: str, A=()) -> list[str]:
+    """Vertices an edge-parameterized statement may delete at the edge uv:
+    the neighbors of u or v, minus u and v, in vertex order.  Raises
+    ValueError when uv is not an edge or A leaves the pool."""
+    i, j = G.index(u), G.index(v)
+    if not G.has_edge(i, j):
+        raise ValueError(f"{u!r} {v!r} is not an edge")
+    pool = [G.labels[k] for k in _bits((G.adj[i] | G.adj[j]) & ~(1 << i) & ~(1 << j))]
+    bad = set(A) - set(pool)
+    if bad:
+        raise ValueError(f"inadmissible deletion set, {sorted(bad)} outside the neighborhood pool")
+    return pool
+
+
 def even_connection_graph(G: Graph, u: str, v: str, A=()) -> tuple[Graph, tuple[str, ...]]:
     """Contracted graph describing the colon-intersection ideal at an edge.
 
@@ -430,16 +444,11 @@ def even_connection_graph(G: Graph, u: str, v: str, A=()) -> tuple[Graph, tuple[
     common neighbors L of u and v, and joins every remaining neighbor of u to
     every remaining neighbor of v.  Returns the new graph together with L.
     """
+    _admissible_pool(G, u, v, A)
     i, j = G.index(u), G.index(v)
-    if not G.has_edge(i, j):
-        raise ValueError(f"{u!r} {v!r} is not an edge")
     a_mask = 0
-    pool = (G.adj[i] | G.adj[j]) & ~(1 << i) & ~(1 << j)
     for name in A:
-        k = G.index(name)
-        if not pool & (1 << k):
-            raise ValueError(f"vertex {name!r} is not an allowed deletion for edge {u}{v}")
-        a_mask |= 1 << k
+        a_mask |= 1 << G.index(name)
     l_mask = (G.adj[i] & G.adj[j]) & ~a_mask
     keep = ((1 << G.n) - 1) & ~a_mask & ~l_mask
     base = G.induced(keep)

@@ -18,34 +18,20 @@ import json
 import os
 import random
 import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field
 from itertools import islice
 from multiprocessing import Pool
+from typing import NamedTuple
 
-from .checks import (
-    FAILS,
-    HOLDS,
-    NOT_APPLICABLE,
-    CheckOutcome,
-    DepthComputer,
-    check_colon_intersection,
-    check_colon_intersection_depth,
-    check_even_connection_depth,
-    check_first_power,
-    check_generator_order_decomposition,
-    check_packing_deletion_bound,
-    check_sharp_examples,
-    check_square_colon_depth,
-    check_square_colon_formula,
-    check_square_depth_bounds,
-    check_symbolic_square,
-    check_triangle_neighborhood_packing,
-)
+from . import checks as _checks
+from .checks import FAILS, HOLDS, NOT_APPLICABLE, CheckOutcome, DepthComputer
 from .depth import GF2, FieldChoice
-from .graphs import Graph, emit_graph6, parse_graph6, random_graph
+from .graphs import Graph, _admissible_pool, emit_graph6, parse_graph6, random_graph
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
+    "CHECKS",
     "CHECK_IDS",
     "SUITE_ALIASES",
     "VerificationReport",
@@ -57,31 +43,34 @@ __all__ = [
 EXHAUSTIVE_LIMIT = 1024  # deletion-set spaces up to 2^10 are swept fully
 DEFAULT_SAMPLE_SIZE = 64
 
-# check id -> quantification kind
-_GRAPH = "graph"          # one call per graph
-_EDGE = "edge"            # per edge
-_EDGE_SET = "edge_set"    # per edge and admissible deletion set
-_GLOBAL = "global"        # corpus-independent fixed instances
+class _Check(NamedTuple):
+    kind: str     # graph: once per graph; edge: per edge; edge_set: per edge and
+                  # admissible deletion set; global: once per run, corpus-free
+    fn: str       # name of the check function in eil.checks
+    depth: int    # polarized variables per vertex its depths need; 0: no depth
+    options: dict | None = None  # extra keyword arguments of fn
 
-_CHECKS: dict[str, tuple[str, bool]] = {
-    # name: (kind, needs depth computer)
-    "first_power": (_GRAPH, True),
-    "triangle_deletion_packing": (_GRAPH, False),
-    "colon_intersection": (_EDGE, False),
-    "colon_intersection_depth": (_EDGE_SET, True),
-    "even_connection_depth": (_EDGE_SET, True),
-    "square_colon_depth": (_EDGE_SET, True),
-    "square_colon_formula": (_EDGE_SET, False),
-    "square_general": (_GRAPH, True),
-    "square_wk3_free": (_GRAPH, True),
-    "square_triangle_free": (_GRAPH, True),
-    "symbolic_square": (_GRAPH, True),
-    "order_decomposition": (_GRAPH, False),
-    "deletion_bound": (_EDGE_SET, False),
-    "sharp_examples": (_GLOBAL, True),
+
+CHECKS: dict[str, _Check] = {
+    "first_power": _Check("graph", "check_first_power", 1),
+    "triangle_deletion_packing": _Check("graph", "check_triangle_neighborhood_packing", 0),
+    "colon_intersection": _Check("edge", "check_colon_intersection", 0),
+    "even_connection_depth": _Check("edge_set", "check_even_connection_depth", 1),
+    "square_colon_depth": _Check("edge_set", "check_square_colon_depth", 2),
+    "square_colon_formula": _Check("edge_set", "check_square_colon_formula", 0),
+    "square_general": _Check("graph", "check_square_depth_bounds", 2,
+                             {"parts": ("square_general",)}),
+    "square_wk3_free": _Check("graph", "check_square_depth_bounds", 2,
+                              {"parts": ("square_wk3_free",)}),
+    "square_triangle_free": _Check("graph", "check_square_depth_bounds", 2,
+                                   {"parts": ("square_triangle_free",)}),
+    "symbolic_square": _Check("graph", "check_symbolic_square", 2),
+    "order_decomposition": _Check("graph", "check_generator_order_decomposition", 0),
+    "deletion_bound": _Check("edge_set", "check_packing_deletion_bound", 0),
+    "sharp_examples": _Check("global", "check_sharp_examples", 2),
 }
 
-CHECK_IDS = tuple(_CHECKS)
+CHECK_IDS = tuple(CHECKS)
 
 SUITE_ALIASES: dict[str, tuple[str, ...]] = {
     "main": ("square_general", "square_wk3_free", "square_triangle_free"),
@@ -89,6 +78,9 @@ SUITE_ALIASES: dict[str, tuple[str, ...]] = {
     "main2": ("square_wk3_free",),
     "main3": ("square_triangle_free",),
     "examples": ("sharp_examples",),
+    # even_connection_depth asserts K = J on the way, so its bound on depth(K)
+    # is the colon-intersection bound on depth(J) for the same edge and set
+    "colon_intersection_depth": ("even_connection_depth",),
     "all": CHECK_IDS,
 }
 
@@ -99,10 +91,10 @@ def resolve_checks(names) -> tuple[str, ...]:
     for name in names:
         if name in SUITE_ALIASES:
             expanded = SUITE_ALIASES[name]
-        elif name in _CHECKS:
+        elif name in CHECKS:
             expanded = (name,)
         else:
-            known = ", ".join(sorted(set(_CHECKS) | set(SUITE_ALIASES)))
+            known = ", ".join(sorted(set(CHECKS) | set(SUITE_ALIASES)))
             raise ValueError(f"unknown check {name!r}; known: {known}")
         for c in expanded:
             if c not in out:
@@ -127,23 +119,33 @@ def _deletion_sets(pool: list[str], seed: int, context: str, sample_size: int):
     empty and the full set, so the boundary cases stay covered.
     """
     p = len(pool)
-    if (1 << p) <= EXHAUSTIVE_LIMIT:
-        subsets = []
-        for mask in range(1 << p):
-            subsets.append(tuple(pool[t] for t in range(p) if mask & (1 << t)))
-        return subsets, False
-    rng = _derived_rng(seed, "deletion-sets", context)
-    masks = {0, (1 << p) - 1}
-    want = min(max(sample_size, 2), 1 << p)
-    while len(masks) < want:
-        masks.add(rng.getrandbits(p))
+    sampled = (1 << p) > EXHAUSTIVE_LIMIT
+    if sampled:
+        rng = _derived_rng(seed, "deletion-sets", context)
+        masks = {0, (1 << p) - 1}
+        want = min(max(sample_size, 2), 1 << p)
+        while len(masks) < want:
+            masks.add(rng.getrandbits(p))
+    else:
+        masks = range(1 << p)
     subsets = [tuple(pool[t] for t in range(p) if mask & (1 << t)) for mask in sorted(masks)]
-    return subsets, True
+    return subsets, sampled
 
 
-def _pool_for_edge(G: Graph, i: int, j: int) -> list[str]:
-    mask = (G.adj[i] | G.adj[j]) & ~(1 << i) & ~(1 << j)
-    return [G.labels[k] for k in range(G.n) if mask & (1 << k)]
+def _bound_check(name: str, computer: DepthComputer):
+    """The check's function bound to its depth computer and options, returning
+    a list of outcomes.  It is looked up in eil.checks now, not at import, so
+    a rebinding there (a tracer, a test double) is seen."""
+    spec = CHECKS[name]
+    fn = getattr(_checks, spec.fn)
+    extra = (computer,) if spec.depth else ()
+    options = spec.options or {}
+
+    def call(*args) -> list[CheckOutcome]:
+        result = fn(*args, *extra, **options)
+        return result if isinstance(result, list) else [result]
+
+    return call
 
 
 def _run_checks_on_graph(G: Graph, checks, computer: DepthComputer, seed: int,
@@ -151,41 +153,20 @@ def _run_checks_on_graph(G: Graph, checks, computer: DepthComputer, seed: int,
     gid = emit_graph6(G)
     out: list[CheckOutcome] = []
     for name in checks:
-        kind, needs_depth = _CHECKS[name]
-        field = computer if needs_depth else None
-        if kind == _GLOBAL:
-            continue  # handled once by run_suite, not per graph
-        if kind == _GRAPH:
-            if name == "first_power":
-                out.append(check_first_power(G, computer))
-            elif name == "triangle_deletion_packing":
-                out.extend(check_triangle_neighborhood_packing(G))
-            elif name in ("square_general", "square_wk3_free", "square_triangle_free"):
-                out.extend(check_square_depth_bounds(G, computer, parts=(name,)))
-            elif name == "symbolic_square":
-                out.append(check_symbolic_square(G, computer))
-            elif name == "order_decomposition":
-                out.append(check_generator_order_decomposition(G))
+        kind = CHECKS[name].kind
+        check = _bound_check(name, computer)
+        if kind == "graph":
+            out.extend(check(G))
             continue
         for i, j in G.edges():
             u, v = G.labels[i], G.labels[j]
-            if kind == _EDGE:
-                if name == "colon_intersection":
-                    out.append(check_colon_intersection(G, (u, v)))
+            if kind == "edge":
+                out.extend(check(G, (u, v)))
                 continue
-            pool = _pool_for_edge(G, i, j)
+            pool = _admissible_pool(G, u, v)
             subsets, sampled = _deletion_sets(pool, seed, f"{name}:{gid}:{u}:{v}", sample_size)
             for A in subsets:
-                if name == "colon_intersection_depth":
-                    oc = check_colon_intersection_depth(G, (u, v), A, computer)
-                elif name == "even_connection_depth":
-                    oc = check_even_connection_depth(G, (u, v), A, computer)
-                elif name == "square_colon_depth":
-                    oc = check_square_colon_depth(G, (u, v), A, computer)
-                elif name == "square_colon_formula":
-                    oc = check_square_colon_formula(G, (u, v), A)
-                else:
-                    oc = check_packing_deletion_bound(G, (u, v), A)
+                (oc,) = check(G, (u, v), A)
                 if sampled:
                     oc.witness = dict(oc.witness or {})
                     oc.witness["sampled"] = True
@@ -330,26 +311,21 @@ def run_suite(corpus, checks, field: FieldChoice = GF2, *, cross_check: bool = F
     )
     items = islice(corpus, budget) if budget is not None else corpus
     lines = [_as_graph6(g) for g in items]
-    if "sharp_examples" in names:
-        computer = DepthComputer(field, cross_check=cross_check)
-        report.outcomes.extend(check_sharp_examples(computer))
-        report.findings.extend(computer.findings)
-        report.depth_comparisons += computer.comparisons
-    per_graph = tuple(n for n in names if _CHECKS[n][0] != _GLOBAL)
+    for name in names:
+        if CHECKS[name].kind == "global":
+            computer = DepthComputer(field, cross_check=cross_check)
+            report.outcomes.extend(_bound_check(name, computer)())
+            report.findings.extend(computer.findings)
+            report.depth_comparisons += computer.comparisons
+    per_graph = tuple(n for n in names if CHECKS[n].kind != "global")
     if not per_graph:
         return report
     tasks = [(g6, per_graph, field.characteristic, cross_check, seed, sample_size)
              for g6 in lines]
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(processes=jobs) as pool:
-            results = pool.imap(_graph_task, tasks, chunksize=8)
-            for outcomes, findings, comparisons in results:
-                report.outcomes.extend(outcomes)
-                report.findings.extend(findings)
-                report.depth_comparisons += comparisons
-    else:
-        for task in tasks:
-            outcomes, findings, comparisons = _graph_task(task)
+    parallel = jobs > 1 and len(tasks) > 1
+    with Pool(processes=jobs) if parallel else nullcontext() as pool:
+        results = pool.imap(_graph_task, tasks, chunksize=8) if parallel else map(_graph_task, tasks)
+        for outcomes, findings, comparisons in results:
             report.outcomes.extend(outcomes)
             report.findings.extend(findings)
             report.depth_comparisons += comparisons

@@ -10,7 +10,6 @@ from eil.checks import (
     NOT_APPLICABLE,
     DepthComputer,
     check_colon_intersection,
-    check_colon_intersection_depth,
     check_even_connection_depth,
     check_first_power,
     check_generator_order_decomposition,
@@ -23,7 +22,7 @@ from eil.checks import (
     check_triangle_neighborhood_packing,
     sharp_example_graphs,
 )
-from eil.depth import GF2, QQ
+from eil.depth import GF2, QQ, depth_ideal
 from eil.graphs import (
     complete_graph,
     delete_vertices,
@@ -33,6 +32,8 @@ from eil.graphs import (
     random_graph,
     whiskered_triangle,
 )
+from eil.ideals import edge_ideal
+from eil.suite import resolve_checks
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -80,14 +81,17 @@ def test_colon_intersection_rejects_non_edge():
 
 
 def test_colon_intersection_depth_examples():
-    oc = check_colon_intersection_depth(K3, ("x1", "x2"), ())
-    assert oc.status == HOLDS and oc.rhs == 1 and oc.lhs >= 1
-    oc = check_colon_intersection_depth(K2, ("x1", "x2"), ())
-    assert oc.status == HOLDS
-    oc = check_colon_intersection_depth(K3, ("x1", "x2"), ("x3",))
-    assert oc.status == HOLDS
+    # the statement depth((I(G-A):u) meet (I(G-A):v)) >= alpha2(G) is checked
+    # by even_connection_depth, which bounds depth(K) and asserts K = J
+    assert resolve_checks(["colon_intersection_depth"]) == ("even_connection_depth",)
+    for G, A, rhs in [(K3, (), 1), (K2, (), 1), (K3, ("x3",), 1)]:
+        oc = check_even_connection_depth(G, ("x1", "x2"), A)
+        IA = edge_ideal(delete_vertices(G, A))
+        J = IA.colon(IA.var("x1")).intersect(IA.colon(IA.var("x2")))
+        assert oc.status == HOLDS and oc.witness["identity"] is True
+        assert oc.lhs == depth_ideal(J) >= oc.rhs == rhs
     with pytest.raises(ValueError):
-        check_colon_intersection_depth(K3, ("x1", "x2"), ("x1",))
+        check_even_connection_depth(K3, ("x1", "x2"), ("x1",))
 
 
 def test_even_connection_depth_asserts_identity():

@@ -8,7 +8,7 @@ engine's bitset and sparse-integer paths.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -409,16 +409,26 @@ def test_polarization_bridge_on_random_ideals():
 
 
 def test_field_agreement_and_fused_path():
+    calls = {
+        "both": depth_ideal_both,
+        "F2": lambda I: depth_ideal(I, GF2),
+        "Q": lambda I: depth_ideal(I, QQ),
+    }
     rng = random.Random(613)
     for _ in range(20):
         I = random_monomial_ideal(rng, rng.randint(2, 5), 2, 5)
         if I.is_unit or I.is_zero:
             continue
-        clear_depth_cache()
-        d2, d0 = depth_ideal_both(I)
-        clear_depth_cache()
-        assert d2 == depth_ideal(I, GF2)
-        assert d0 == depth_ideal(I, QQ)
+        cold = {}
+        for name, call in calls.items():
+            clear_depth_cache()
+            cold[name] = call(I)
+        assert cold["both"] == (cold["F2"], cold["Q"])
+        # one sweep may fill several memo keys: no call order may change a value
+        for order in permutations(calls):
+            clear_depth_cache()
+            for name in order:
+                assert calls[name](I) == cold[name], order
 
 
 def test_depth_cache_transparent():

@@ -1,5 +1,6 @@
 """Suite driver (determinism, sampling, parallel workers, reports) and CLI."""
 
+import hashlib
 import json
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 from eil.catalog import all_graphs
 from eil.cli import main
+from eil.depth import GF2
 from eil.graphs import graph_from_edges, parse_graph6, whiskered_triangle
 from eil.suite import (
     EXHAUSTIVE_LIMIT,
@@ -125,6 +127,25 @@ def test_run_suite_accepts_graph6_lines():
     assert [oc.graph_id for oc in report.outcomes] == ["Bw", "A_"]
 
 
+# sha256 of canonical_body() for fixed n <= 5 runs; any change to a verdict,
+# a depth value, a witness or the outcome order moves these hashes
+GOLDEN_MAIN_EXAMPLES = "80bfff3127d05fac811020d45c0cfa0d11258974b465dc0045d958201b9d1e4d"
+GOLDEN_ALL = "bb74a5bd5bb1bdaadd429007a772edd9ed7e09ed1c842359ba4befcbc4dfe6d7"
+
+
+def _body_sha(checks) -> str:
+    report = run_suite(all_graphs(5), checks, GF2, cross_check=True)
+    return hashlib.sha256(report.canonical_body().encode()).hexdigest()
+
+
+def test_golden_report_main_examples_n5():
+    assert _body_sha(["main", "examples"]) == GOLDEN_MAIN_EXAMPLES
+
+
+def test_golden_report_all_n5():
+    assert _body_sha(["all"]) == GOLDEN_ALL
+
+
 def test_every_check_clean_on_small_catalog():
     report = run_suite(list(all_graphs(4)), ["all"], cross_check=True,
                        corpus_name="n<=4")
@@ -203,9 +224,19 @@ def test_cli_depth_symbolic_conflicts_with_power_one(capsys):
     assert main(["depth", "Bw", "--symbolic", "--power", "1"]) == 2
 
 
-def test_cli_depth_both_fields(capsys):
+def test_cli_depth_both_fields(capsys, monkeypatch):
     assert main(["depth", "Bw", "--power", "2", "--field", "both"]) == 0
-    assert "field_agreement=ok" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "graph=Bw alpha2=1 depth=1 bound=0 slack=1 rule=wk3_free field=F2 "
+        "field_agreement=ok\n"
+    )
+    # a disagreement between the fields is reported, never resolved
+    monkeypatch.setattr("eil.cli.depth_ideal_both", lambda I: (1, 2))
+    assert main(["depth", "Bw", "--power", "2", "--field", "both"]) == 0
+    assert capsys.readouterr().out == (
+        "graph=Bw alpha2=1 depth=1 bound=0 slack=1 rule=wk3_free field=F2 "
+        "finding=field_disagreement char0=2\n"
+    )
 
 
 def test_cli_depth_edgeless_rejected(capsys):
@@ -273,6 +304,15 @@ def test_cli_hunt_missing_seed(capsys):
 
 def test_cli_hunt_cap(capsys):
     assert main(["hunt", "--check", "main1", "--n", "40", "--random", "1",
+                 "--seed", "1"]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
+def test_cli_hunt_cap_follows_needed_depth(capsys):
+    # depths of squarefree ideals need at most n variables, squares up to 2n
+    assert main(["hunt", "--check", "even_connection_depth", "--n", "13",
+                 "--random", "0", "--seed", "1"]) == 0
+    assert main(["hunt", "--check", "main1", "--n", "13", "--random", "0",
                  "--seed", "1"]) == 2
     assert "cap" in capsys.readouterr().err
 
