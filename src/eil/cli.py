@@ -193,7 +193,9 @@ def _cmd_hunt(args) -> int:
     checks = resolve_checks([args.check])
     field, cross = _field_mode(args.field)
     _warn_cap(args.max_polarized)
-    worst = args.n * max([1] + [CHECKS[c].depth for c in checks])
+    # global checks run their fixed instances, whatever n is
+    sized = [CHECKS[c].depth for c in checks if CHECKS[c].kind != "global"]
+    worst = args.n * max([1] + sized) if sized else 0
     if worst > args.max_polarized:
         raise CliError(
             f"n={args.n} needs up to {worst} polarized variables, beyond the cap "

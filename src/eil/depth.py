@@ -12,6 +12,13 @@ exact and small.  Depth is ambient size minus projective dimension; the
 polarization shift cancels, so results are always relative to the ideal's own
 ambient.
 
+Each lattice mask is first reduced: a vertex v of W whose link in Delta_W is
+a cone is deleted, and this repeats.  Delta_W is the union of the deletion
+Delta_{W-v} and the star of v, which meet in the link; star and link are
+acyclic, so Mayer-Vietoris gives H~(Delta_W) = H~(Delta_{W-v}) over any
+field.  Homology is then computed once per reduced mask of each ideal.
+reduced_homology_dims reads one mask as given, unreduced.
+
 Module depth of a proper nonzero ideal is defined as depth of the quotient
 plus one (equivalently pd(I) = pd(S/I) - 1), and is undefined for the zero
 and unit ideals.
@@ -282,16 +289,69 @@ def reduced_homology_dims(C: ComplexView, W: int, field: FieldChoice) -> dict[in
 # Hochster scan over the lcm lattice
 
 
+def _cone_reducer(nonfaces):
+    """reduce(W): W with vertices deleted while some vertex v of it has a
+    cone as its link in the induced complex on W.
+
+    The minimal nonfaces of that link are the minimal sets among s - v for
+    the nonfaces s in W, and a vertex u in none of them is an apex.  That
+    holds when every nonface s in W through u is not minimal there: v is
+    outside s and some nonface t has t - s = {v}.  Those v depend on s
+    alone.  A nonface {v} kills every s without v: v, no vertex at all, goes
+    too.  The order is fixed: the lowest u that is an apex of some link,
+    then the lowest such v.  Reductions are memoized per mask, intermediate
+    masks included.
+    """
+    through = {}  # u -> [(s, the v whose link s is not minimal in)]
+    for s in nonfaces:
+        vs = 0
+        for t in nonfaces:
+            d = t & ~s
+            if not d & (d - 1):
+                vs |= d
+        for u in _bits(s):
+            through.setdefault(u, []).append((s, vs))
+    memo = {}
+
+    def reduce(W: int) -> int:
+        chain = []
+        while W not in memo:
+            chain.append(W)
+            for u in _bits(W):
+                gone = W ^ (1 << u)
+                for s, vs in through.get(u, ()):
+                    if not s & ~W:
+                        gone &= vs
+                        if not gone:
+                            break
+                if gone:
+                    W ^= gone & -gone
+                    break
+            else:
+                memo[W] = W
+        for X in chain:
+            memo[X] = memo[W]
+        return memo[W]
+
+    return reduce
+
+
 def _lattice_homology(nonfaces, characteristics: tuple[int, ...], stop_at_first: bool):
     """The Hochster sweep: (W, homology per characteristic) for every nonempty
     mask W of the lcm lattice (the unions of nonfaces), the only masks that
-    can carry homology."""
+    can carry homology.  Each W is cone-reduced first, and the homology is
+    computed once per reduced mask."""
     lattice = {0}
     for s in nonfaces:
         lattice |= {r | s for r in lattice}
+    reduce = _cone_reducer(nonfaces)
+    memo = {}
     for W in sorted(lattice):
         if W:
-            yield W, _mask_homology(_faces_by_size(W, nonfaces), characteristics, stop_at_first)
+            R = reduce(W)
+            if R not in memo:
+                memo[R] = _mask_homology(_faces_by_size(R, nonfaces), characteristics, stop_at_first)
+            yield W, memo[R]
 
 
 def betti_numbers(I: MonomialIdeal, field: FieldChoice) -> dict[tuple[int, int], int]:

@@ -6,6 +6,7 @@ arithmetic (dense Fraction/mod-2 elimination) shares nothing with the
 engine's bitset and sparse-integer paths.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -18,6 +19,8 @@ from eil.depth import (
     ComplexView,
     DepthResult,
     FieldChoice,
+    _cone_reducer,
+    _lattice_homology,
     betti_numbers,
     betti_table_rows,
     clear_depth_cache,
@@ -26,7 +29,7 @@ from eil.depth import (
     depth_quotient,
     reduced_homology_dims,
 )
-from eil.graphs import complete_graph, cycle_graph, path_graph, whiskered_triangle
+from eil.graphs import complete_graph, cycle_graph, emit_graph6, path_graph, whiskered_triangle
 from eil.ideals import MonomialIdeal, edge_ideal, polarize
 
 XY = ("x", "y")
@@ -275,6 +278,54 @@ def test_lcm_pruning_is_lossless():
             assert betti_numbers(I, field) == unpruned
 
 
+# ---------------------------------------------------------------------------
+# cone reduction: the sweep's deletion of cone-link vertices
+
+
+def test_cone_reducer_on_known_complexes():
+    abcd = ("a", "b", "c", "d")
+    cases = [
+        # cone with apex d over the hollow triangle abc: down to one vertex,
+        # b in the fixed deletion order
+        (ComplexView(abcd, (0b0111,)), 0b1111, 0b0010),
+        # hollow triangle and the 4-cycle (diagonals missing) are irreducible
+        (ComplexView(XYZ, (0b111,)), 0b111, 0b111),
+        (ComplexView(abcd, (0b0101, 0b1010)), 0b1111, 0b1111),
+        # {x} is a nonface, so x is no vertex at all: x goes, yz stays
+        (ComplexView(XYZ, (0b001, 0b110)), 0b111, 0b110),
+    ]
+    for C, W, reduced in cases:
+        assert _cone_reducer(C.nonfaces)(W) == reduced
+        for field in (GF2, QQ):
+            before = {d: r for d, r in reduced_homology_dims(C, W, field).items() if r}
+            after = {d: r for d, r in reduced_homology_dims(C, reduced, field).items() if r}
+            assert before == after
+
+
+def test_cone_reduction_counts_whiskered_triangle_square():
+    # pinned so that a change to the pruning or the reduction shows in review
+    C = ComplexView.from_ideal(polarize(edge_ideal(whiskered_triangle()) ** 2).ideal)
+    masks = [W for W, _ in _lattice_homology(C.nonfaces, (2,), stop_at_first=True)]
+    reduce = _cone_reducer(C.nonfaces)
+    assert (len(C.ambient), len(masks), len({reduce(W) for W in masks})) == (12, 181, 53)
+
+
+def test_cone_reduction_is_lossless_on_squares(catalog5):
+    # the unreduced oracle scans every mask of the polarized I(G)^2
+    for G in catalog5:
+        if not G.num_edges():
+            continue
+        I = polarize(edge_ideal(G) ** 2).ideal
+        C = ComplexView.from_ideal(I)
+        for field in (GF2, QQ):
+            oracle = {(0, 0): 1}
+            for W in range(1, 1 << len(I.ambient)):
+                for d, r in reduced_homology_dims(C, W, field).items():
+                    if r:
+                        oracle[(W.bit_count() - 1 - d, W)] = r
+            assert betti_numbers(I, field) == oracle, emit_graph6(G)
+
+
 def test_betti_table_rows_format():
     I = MonomialIdeal.from_strings(XY, ["x*y"])
     assert betti_table_rows(betti_numbers(I, GF2)) == [(0, 0, "0", 1), (1, 2, "3", 1)]
@@ -321,6 +372,19 @@ def test_depth_textbook_paths_and_cycles():
     assert depth_quotient(edge_ideal(path_graph(6)), GF2).depth_quotient == 2
     assert depth_quotient(edge_ideal(cycle_graph(5)), GF2).depth_quotient == 2
     assert depth_quotient(edge_ideal(cycle_graph(4)), GF2).depth_quotient == 1
+
+
+# sha256 of the sorted (graph6, depth_ideal_both(I(G)^2)) over the 202 edged
+# classes with n <= 6, recorded with the unreduced sweep
+GOLDEN_SQUARES_N6 = "eba51dd2775d84a39c72d40520d859092d406a285ce3ffaf1bf136c050fb47d4"
+
+
+def test_square_depths_n6_golden(catalog6):
+    clear_depth_cache()
+    rows = sorted((emit_graph6(G), depth_ideal_both(edge_ideal(G) ** 2))
+                  for G in catalog6 if G.num_edges())
+    assert len(rows) == 202
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == GOLDEN_SQUARES_N6
 
 
 def test_depth_zero_and_unit_ideals():

@@ -317,6 +317,17 @@ def test_cli_hunt_cap_follows_needed_depth(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_cli_hunt_cap_skips_global_checks(capsys):
+    # the sharp examples are fixed graphs: n sizes none of their depths
+    for n in ("13", "30"):
+        assert main(["hunt", "--check", "examples", "--n", n, "--random", "0",
+                     "--seed", "1"]) == 0
+        assert "fails=0" in capsys.readouterr().out
+    assert main(["hunt", "--check", "main1", "--n", "13", "--random", "0",
+                 "--seed", "1"]) == 2
+    assert "26 polarized variables" in capsys.readouterr().err
+
+
 def test_cli_jobs_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("EIL_JOBS", "2")
     assert main(["verify", "--suite", "main1", "--max-n", "3"]) == 0
