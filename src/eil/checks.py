@@ -302,38 +302,35 @@ def check_square_colon_formula(G: Graph, edge, A) -> CheckOutcome:
     )
 
 
-_SQUARE_PARTS = ("square_general", "square_wk3_free", "square_triangle_free")
-
-
-def check_square_depth_bounds(G: Graph, field=GF2, parts=_SQUARE_PARTS) -> list[CheckOutcome]:
+def check_square_depth_bounds(G: Graph, field=GF2) -> list[CheckOutcome]:
     """Lower bounds for depth of the squared edge ideal: packing number minus
     2 in general, minus 1 without induced whiskered triangles, and unchanged
-    for triangle-free graphs.  One outcome per requested applicable part."""
+    for triangle-free graphs.  Always three outcomes, in that order, with ids
+    square_general, square_wk3_free and square_triangle_free; a part whose
+    hypothesis fails (every part, for an edgeless graph) is not_applicable."""
     gid = emit_graph6(G)
-    computer = _as_computer(field)
-    out = []
+    parts = {"square_general": 2, "square_wk3_free": 1, "square_triangle_free": 0}
     if not any(G.adj):
-        for part in parts:
-            t0 = time.perf_counter()
-            out.append(_finish(CheckOutcome(part, gid, NOT_APPLICABLE), t0))
-        return out
+        return [_finish(CheckOutcome(part, gid, NOT_APPLICABLE), time.perf_counter())
+                for part in parts]
+    computer = _as_computer(field)
     t0 = time.perf_counter()
     pack = star_packing_number(G)
     wk3free = is_wk3_free(G)
     trifree = not triangles(G)
     lhs = computer.ideal_depth(edge_ideal(G) ** 2)
-    slack = {"square_general": 2, "square_wk3_free": 1, "square_triangle_free": 0}
     applicable = {
         "square_general": True,
         "square_wk3_free": wk3free,
         "square_triangle_free": trifree,
     }
     witness = {"centers": list(pack.centers), "wk3_free": wk3free, "triangle_free": trifree}
-    for part in parts:
+    out = []
+    for part, slack in parts.items():
         if not applicable[part]:
             out.append(_finish(CheckOutcome(part, gid, NOT_APPLICABLE), t0))
             continue
-        rhs = pack.size - slack[part]
+        rhs = pack.size - slack
         status = HOLDS if lhs >= rhs else FAILS
         out.append(
             _finish(CheckOutcome(part, gid, status, lhs, rhs, dict(witness),

@@ -13,18 +13,15 @@ import os
 import sys
 
 from .catalog import all_graphs
-from .depth import GF2, QQ, depth_ideal, depth_ideal_both
-from .graphs import (
-    Graph,
-    Graph6Error,
-    emit_graph6,
-    is_wk3_free,
-    parse_edge_list,
-    parse_graph6,
-    star_packing_number,
-    triangles,
+from .checks import (
+    NOT_APPLICABLE,
+    DepthComputer,
+    check_first_power,
+    check_square_depth_bounds,
+    check_symbolic_square,
 )
-from .ideals import edge_ideal, symbolic_square_edge_ideal
+from .depth import GF2, QQ
+from .graphs import Graph, Graph6Error, parse_edge_list, parse_graph6, star_packing_number
 from .suite import CHECKS, hunt_counterexamples, resolve_checks, run_suite
 
 DEFAULT_POLARIZED_CAP = 24
@@ -52,7 +49,7 @@ def _read_graphs(arg: str, force_edges: bool = False) -> list[Graph]:
     text, origin = _read_text(arg)
     lines = [(k + 1, line.strip()) for k, line in enumerate(text.splitlines())]
     lines = [(no, line) for no, line in lines if line and not line.startswith("#")]
-    if not lines and not text.strip():
+    if not lines:
         raise CliError(f"{origin}: no graphs in input")
     looks_like_edges = force_edges or any(len(line.split()) >= 2 for _, line in lines)
     if looks_like_edges:
@@ -92,6 +89,16 @@ def _jobs(value) -> int:
     return 1
 
 
+def _at_least(lowest: int):
+    """argparse type: an integer no smaller than lowest (exit 2 otherwise)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+    return integer
+
+
 def _warn_cap(cap: int):
     if cap > DEFAULT_POLARIZED_CAP:
         print(
@@ -116,8 +123,9 @@ def _cmd_alpha2(args) -> int:
 def _cmd_depth(args) -> int:
     if args.symbolic and args.power == 1:
         raise CliError("--symbolic implies power 2; drop --power 1")
-    if args.power is None:
-        args.power = 2 if args.symbolic else 1
+    squared = args.symbolic or args.power == 2
+    check = (check_symbolic_square if args.symbolic
+             else check_square_depth_bounds if squared else check_first_power)
     field, cross = _field_mode(args.field)
     _warn_cap(args.max_polarized)
     for G in _read_graphs(args.input, args.edges):
@@ -126,35 +134,24 @@ def _cmd_depth(args) -> int:
         # gate before any ideal arithmetic: squaring doubles every vertex
         # that touches an edge, first powers stay squarefree
         touched = sum(1 for i in range(G.n) if G.adj[i])
-        worst = G.n + (touched if (args.power == 2 or args.symbolic) else 0)
+        worst = G.n + (touched if squared else 0)
         if worst > args.max_polarized:
             raise CliError(
                 f"needs up to {worst} polarized variables, beyond the cap "
                 f"{args.max_polarized} (raise --max-polarized to override)"
             )
-        I = edge_ideal(G)
-        target = symbolic_square_edge_ideal(G) if args.symbolic else I ** args.power
-        alpha2 = star_packing_number(G).size
-        if args.symbolic:
-            bound, rule = alpha2, "symbolic_square"
-        elif args.power == 1:
-            bound, rule = alpha2 + 1, "first_power"
-        elif not triangles(G):
-            bound, rule = alpha2, "triangle_free"
-        elif is_wk3_free(G):
-            bound, rule = alpha2 - 1, "wk3_free"
-        else:
-            bound, rule = alpha2 - 2, "general"
-        if cross:
-            depth, other = depth_ideal_both(target)
-        else:
-            depth = depth_ideal(target, field)
+        computer = DepthComputer(field, cross_check=cross)
+        result = check(G, computer)
+        # the sharpest applicable bound; its id names the rule
+        oc = max((oc for oc in (result if isinstance(result, list) else [result])
+                  if oc.status != NOT_APPLICABLE), key=lambda oc: oc.rhs)
         line = (
-            f"graph={emit_graph6(G)} alpha2={alpha2} depth={depth} "
-            f"bound={bound} slack={depth - bound} rule={rule} field={field}"
+            f"graph={oc.graph_id} alpha2={star_packing_number(G).size} depth={oc.lhs} "
+            f"bound={oc.rhs} slack={oc.lhs - oc.rhs} "
+            f"rule={oc.check_id.removeprefix('square_')} field={field}"
         )
-        if cross and other != depth:
-            line += f" finding=field_disagreement char0={other}"
+        if computer.findings:
+            line += f" finding=field_disagreement char0={computer.findings[0]['char0']}"
         elif cross:
             line += " field_agreement=ok"
         print(line)
@@ -262,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append", required=True,
                    help="check name, alias (main, examples, all), or comma list")
     p.add_argument("--corpus", help="file of graph6 lines")
-    p.add_argument("--max-n", type=int,
+    p.add_argument("--max-n", type=_at_least(1),
                    help="generate all isomorphism classes up to this size")
     p.add_argument("--field", default="2")
     p.add_argument("--seed", type=int, default=0)
@@ -277,8 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hunt", help="seeded random counterexample search")
     p.add_argument("--check", default="main1")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--random", type=int, required=True, help="number of graphs")
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--random", type=_at_least(0), required=True, help="number of graphs")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--field", default="2")
     p.add_argument("--jobs", type=int, default=None)

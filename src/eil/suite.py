@@ -48,7 +48,6 @@ class _Check(NamedTuple):
                   # admissible deletion set; global: once per run, corpus-free
     fn: str       # name of the check function in eil.checks
     depth: int    # polarized variables per vertex its depths need; 0: no depth
-    options: dict | None = None  # extra keyword arguments of fn
 
 
 CHECKS: dict[str, _Check] = {
@@ -58,12 +57,10 @@ CHECKS: dict[str, _Check] = {
     "even_connection_depth": _Check("edge_set", "check_even_connection_depth", 1),
     "square_colon_depth": _Check("edge_set", "check_square_colon_depth", 2),
     "square_colon_formula": _Check("edge_set", "check_square_colon_formula", 0),
-    "square_general": _Check("graph", "check_square_depth_bounds", 2,
-                             {"parts": ("square_general",)}),
-    "square_wk3_free": _Check("graph", "check_square_depth_bounds", 2,
-                              {"parts": ("square_wk3_free",)}),
-    "square_triangle_free": _Check("graph", "check_square_depth_bounds", 2,
-                                   {"parts": ("square_triangle_free",)}),
+    # one function, three ids: each id keeps only the outcomes carrying it
+    "square_general": _Check("graph", "check_square_depth_bounds", 2),
+    "square_wk3_free": _Check("graph", "check_square_depth_bounds", 2),
+    "square_triangle_free": _Check("graph", "check_square_depth_bounds", 2),
     "symbolic_square": _Check("graph", "check_symbolic_square", 2),
     "order_decomposition": _Check("graph", "check_generator_order_decomposition", 0),
     "deletion_bound": _Check("edge_set", "check_packing_deletion_bound", 0),
@@ -133,17 +130,17 @@ def _deletion_sets(pool: list[str], seed: int, context: str, sample_size: int):
 
 
 def _bound_check(name: str, computer: DepthComputer):
-    """The check's function bound to its depth computer and options, returning
-    a list of outcomes.  It is looked up in eil.checks now, not at import, so
-    a rebinding there (a tracer, a test double) is seen."""
+    """The check's function bound to its depth computer, returning the list of
+    its outcomes whose check_id is name.  It is looked up in eil.checks now,
+    not at import, so a rebinding there (a tracer, a test double) is seen."""
     spec = CHECKS[name]
     fn = getattr(_checks, spec.fn)
     extra = (computer,) if spec.depth else ()
-    options = spec.options or {}
 
     def call(*args) -> list[CheckOutcome]:
-        result = fn(*args, *extra, **options)
-        return result if isinstance(result, list) else [result]
+        result = fn(*args, *extra)
+        return [oc for oc in (result if isinstance(result, list) else [result])
+                if oc.check_id == name]
 
     return call
 
@@ -323,7 +320,7 @@ def run_suite(corpus, checks, field: FieldChoice = GF2, *, cross_check: bool = F
     tasks = [(g6, per_graph, field.characteristic, cross_check, seed, sample_size)
              for g6 in lines]
     parallel = jobs > 1 and len(tasks) > 1
-    with Pool(processes=jobs) if parallel else nullcontext() as pool:
+    with Pool(processes=min(jobs, len(tasks))) if parallel else nullcontext() as pool:
         results = pool.imap(_graph_task, tasks, chunksize=8) if parallel else map(_graph_task, tasks)
         for outcomes, findings, comparisons in results:
             report.outcomes.extend(outcomes)

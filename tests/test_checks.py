@@ -129,7 +129,11 @@ def test_square_colon_formula_examples():
 
 
 def test_square_depth_bounds_parts():
-    by_id = {oc.check_id: oc for oc in check_square_depth_bounds(WK3)}
+    outcomes = check_square_depth_bounds(WK3)
+    assert [oc.check_id for oc in outcomes] == [
+        "square_general", "square_wk3_free", "square_triangle_free"
+    ]
+    by_id = {oc.check_id: oc for oc in outcomes}
     assert by_id["square_general"].status == HOLDS
     assert (by_id["square_general"].lhs, by_id["square_general"].rhs) == (1, 1)
     assert by_id["square_wk3_free"].status == NOT_APPLICABLE

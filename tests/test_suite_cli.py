@@ -9,8 +9,18 @@ import pytest
 from eil.catalog import all_graphs
 from eil.cli import main
 from eil.depth import GF2
-from eil.graphs import graph_from_edges, parse_graph6, whiskered_triangle
+import eil.checks
+from eil.graphs import (
+    complete_graph,
+    emit_graph6,
+    empty_graph,
+    graph_from_edges,
+    parse_graph6,
+    path_graph,
+    whiskered_triangle,
+)
 from eil.suite import (
+    CHECKS,
     EXHAUSTIVE_LIMIT,
     SUITE_ALIASES,
     hunt_counterexamples,
@@ -34,6 +44,27 @@ def test_resolve_checks_aliases():
     assert resolve_checks(["main1", "main1"]) == ("square_general",)
     assert resolve_checks(["examples"]) == ("sharp_examples",)
     assert set(resolve_checks(["all"])) == set(SUITE_ALIASES["all"])
+
+
+def test_registry_ids_match_emitted_ids():
+    # the suite keeps, per requested id, only the outcomes carrying that id:
+    # a function emitting an id other than its registered ones would vanish
+    for spec in CHECKS.values():
+        assert spec.fn in eil.checks.__all__
+    ids_of: dict[str, set[str]] = {}
+    for name, spec in CHECKS.items():
+        ids_of.setdefault(spec.fn, set()).add(name)
+    for G in (complete_graph(3), path_graph(4), whiskered_triangle(), empty_graph(2)):
+        edge = G.edge_labels()[0] if G.num_edges() else None
+        for fn, ids in ids_of.items():
+            kind = {CHECKS[name].kind for name in ids}.pop()
+            if kind in ("edge", "edge_set") and edge is None:
+                continue
+            args = {"graph": (G,), "edge": (G, edge), "edge_set": (G, edge, ()),
+                    "global": ()}[kind]
+            result = getattr(eil.checks, fn)(*args)
+            emitted = {oc.check_id for oc in (result if isinstance(result, list) else [result])}
+            assert emitted == ids, (fn, emit_graph6(G))
 
 
 def test_resolve_checks_unknown_fails_before_work():
@@ -63,6 +94,29 @@ def test_report_deterministic_across_runs_and_workers():
     b = run_suite(corpus, ["main1", "colon_intersection"], seed=5, corpus_name="c")
     c = run_suite(corpus, ["main1", "colon_intersection"], seed=5, jobs=2, corpus_name="c")
     assert a.canonical_body() == b.canonical_body() == c.canonical_body()
+
+
+def test_pool_has_at_most_one_worker_per_graph(monkeypatch):
+    started = []
+
+    class RecordingPool:  # records its size, runs the tasks in this process
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("eil.suite.Pool", RecordingPool)
+    corpus = ["A_", "Bw", "BW"]
+    report = run_suite(corpus, ["main1"], jobs=64)
+    assert started == [3]
+    assert report.canonical_body() == run_suite(corpus, ["main1"]).canonical_body()
 
 
 def test_sampled_deletion_sets_flagged():
@@ -231,11 +285,41 @@ def test_cli_depth_both_fields(capsys, monkeypatch):
         "field_agreement=ok\n"
     )
     # a disagreement between the fields is reported, never resolved
-    monkeypatch.setattr("eil.cli.depth_ideal_both", lambda I: (1, 2))
+    monkeypatch.setattr("eil.checks.depth_ideal_both", lambda I: (1, 2))
     assert main(["depth", "Bw", "--power", "2", "--field", "both"]) == 0
     assert capsys.readouterr().out == (
         "graph=Bw alpha2=1 depth=1 bound=0 slack=1 rule=wk3_free field=F2 "
         "finding=field_disagreement char0=2\n"
+    )
+
+
+# sha256 of the whole `eil depth FILE FLAGS --field both` output over the 47
+# edged classes with n <= 5, recorded while the command still spelled out the
+# bounds itself; the whiskered triangle (n = 6) is the only general-rule line
+GOLDEN_DEPTH_CLI_N5 = {
+    "--power 1": "caa5293287111e42fee99bb15a9e84ceed8660f0d260cb956d258e0df2d63aab",
+    "--power 2": "019c36f5803e027c8c79e272cf7cac9ddc001c40bcaaea3a5fdcf94425b2d867",
+    "--symbolic": "de9c15ada7156835a5e5eb9dfe16384c9d6dfa77b34309a6970b5434fddb0dcb",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(GOLDEN_DEPTH_CLI_N5))
+def test_cli_depth_golden_n5(flags, tmp_path, capsys):
+    path = tmp_path / "n5.g6"
+    path.write_text("".join(emit_graph6(G) + "\n" for G in all_graphs(5) if any(G.adj)))
+    assert main(["depth", str(path), *flags.split(), "--field", "both"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DEPTH_CLI_N5[flags]
+
+
+def test_cli_depth_general_rule(capsys):
+    g6 = emit_graph6(whiskered_triangle())
+    assert main(["depth", g6, "--power", "2", "--field", "both"]) == 0
+    assert main(["depth", g6, "--symbolic", "--field", "q"]) == 0
+    assert capsys.readouterr().out == (
+        "graph=E{O_ alpha2=3 depth=1 bound=1 slack=0 rule=general field=F2 "
+        "field_agreement=ok\n"
+        "graph=E{O_ alpha2=3 depth=3 bound=3 slack=0 rule=symbolic_square field=Q\n"
     )
 
 
@@ -281,6 +365,28 @@ def test_cli_verify_corrupt_corpus_names_line(tmp_path, capsys):
     path.write_text("A_\nA_X\n")
     assert main(["verify", "--suite", "main1", "--corpus", str(path)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_cli_input_without_graphs_rejected(tmp_path, capsys):
+    path = tmp_path / "comments.g6"
+    path.write_text("# no graph here\n\n# nor here\n")
+    for argv in (["alpha2", str(path)], ["depth", str(path)],
+                 ["verify", "--suite", "main", "--corpus", str(path)]):
+        assert main(argv) == 2
+        assert "no graphs in input" in capsys.readouterr().err
+
+
+def test_cli_empty_sweeps_rejected(capsys):
+    for argv in (["verify", "--suite", "main", "--max-n", "0"],
+                 ["verify", "--suite", "main", "--max-n", "-1"],
+                 ["hunt", "--n", "0", "--random", "1", "--seed", "1"],
+                 ["hunt", "--n", "-2", "--random", "1", "--seed", "1"],
+                 ["hunt", "--n", "3", "--random", "-3", "--seed", "1"]):
+        assert main(argv) == 2
+        assert "must be at least" in capsys.readouterr().err
+    # no random graphs at all is a valid request: only global checks run
+    assert main(["hunt", "--check", "examples", "--n", "3", "--random", "0",
+                 "--seed", "1"]) == 0
 
 
 def test_cli_verify_requires_one_corpus_source(capsys):
