@@ -9,11 +9,13 @@ every check.
 Depth-valued checks go through a DepthComputer, which optionally computes
 every depth in both supported characteristics and records disagreements as
 findings (a separate channel from check failures).
+
+Checks compute verdicts only; the suite times each check call and fills in
+elapsed_ms, which stays 0.0 when a check is called directly.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .depth import GF2, FieldChoice, depth_ideal, depth_ideal_both
@@ -120,11 +122,6 @@ def _as_computer(field) -> DepthComputer:
     return DepthComputer(field)
 
 
-def _finish(out: CheckOutcome, t0: float) -> CheckOutcome:
-    out.elapsed_ms = round((time.perf_counter() - t0) * 1000, 3)
-    return out
-
-
 def _variables_ideal(ambient, names) -> MonomialIdeal:
     gens = []
     for name in names:
@@ -137,26 +134,44 @@ def _edge_monomial(I: MonomialIdeal, u: str, v: str):
     return _mul(I.var(u), I.var(v))
 
 
+def _colon_intersection_pair(G: Graph, u: str, v: str, A):
+    """J = (I(G-A):u) meet (I(G-A):v) and K = I(G'_A) + (L), both over the
+    ring of G-A, where G'_A is the contracted graph and L the common neighbors
+    of u and v outside A.  Returns (J, K, L)."""
+    gprime, L = even_connection_graph(G, u, v, A)
+    GA = delete_vertices(G, A)
+    IA = edge_ideal(GA)
+    J = IA.colon(IA.var(u)).intersect(IA.colon(IA.var(v)))
+    K = edge_ideal(gprime).with_ambient(GA.labels) + _variables_ideal(GA.labels, L)
+    return J, K, L
+
+
+def _square_colon(G: Graph, u: str, v: str, A):
+    """(I(G-A)^2 : uv) over the ring of G-A.  Returns (G-A, I(G-A), colon);
+    raises ValueError unless uv is an edge and A lies in its pool."""
+    _admissible_pool(G, u, v, A)
+    GA = delete_vertices(G, A)
+    IA = edge_ideal(GA)
+    return GA, IA, (IA ** 2).colon(_edge_monomial(IA, u, v))
+
+
 # ---------------------------------------------------------------------------
 # per-graph checks
 
 
 def check_first_power(G: Graph, field=GF2) -> CheckOutcome:
     """depth of the edge ideal >= packing number + 1."""
-    t0 = time.perf_counter()
     gid = emit_graph6(G)
     if not any(G.adj):
-        return _finish(CheckOutcome("first_power", gid, NOT_APPLICABLE), t0)
+        return CheckOutcome("first_power", gid, NOT_APPLICABLE)
     computer = _as_computer(field)
     pack = star_packing_number(G)
     lhs = computer.ideal_depth(edge_ideal(G))
     rhs = pack.size + 1
     status = HOLDS if lhs >= rhs else FAILS
     witness = {"centers": list(pack.centers)}
-    return _finish(
-        CheckOutcome("first_power", gid, status, lhs, rhs, witness,
-                     computer.field.characteristic), t0
-    )
+    return CheckOutcome("first_power", gid, status, lhs, rhs, witness,
+                        computer.field.characteristic)
 
 
 def check_triangle_neighborhood_packing(G: Graph) -> list[CheckOutcome]:
@@ -166,55 +181,36 @@ def check_triangle_neighborhood_packing(G: Graph) -> list[CheckOutcome]:
     gid = emit_graph6(G)
     tris = triangles(G)
     if not tris or not is_wk3_free(G):
-        t0 = time.perf_counter()
         reason = "no triangle" if not tris else "whiskered triangle present"
-        return [
-            _finish(
-                CheckOutcome("triangle_deletion_packing", gid, NOT_APPLICABLE,
-                             witness={"reason": reason}), t0
-            )
-        ]
+        return [CheckOutcome("triangle_deletion_packing", gid, NOT_APPLICABLE,
+                             witness={"reason": reason})]
     base = star_packing_number(G).size
     out = []
     for tri in tris:
-        t0 = time.perf_counter()
-        drop = set()
-        for name in tri:
-            i = G.index(name)
-            for j in range(G.n):
-                if G.adj[i] & (1 << j):
-                    drop.add(G.labels[j])
+        drop = {G.labels[j] for name in tri for j in range(G.n)
+                if G.adj[G.index(name)] & (1 << j)}
         rest = delete_vertices(G, drop)
         lhs = star_packing_number(rest).size
         rhs = base - 2
         status = HOLDS if lhs >= rhs else FAILS
         witness = {"triangle": list(tri), "deleted": sorted(drop)}
-        out.append(
-            _finish(CheckOutcome("triangle_deletion_packing", gid, status,
-                                 lhs, rhs, witness), t0)
-        )
+        out.append(CheckOutcome("triangle_deletion_packing", gid, status, lhs, rhs, witness))
     return out
 
 
 def check_colon_intersection(G: Graph, edge: tuple[str, str]) -> CheckOutcome:
     """(I : u) meet (I : v) equals the edge ideal of the contracted graph plus
     the common neighbors, as an exact ideal identity."""
-    t0 = time.perf_counter()
     u, v = edge
     gid = emit_graph6(G)
-    I = edge_ideal(G)
-    lhs_ideal = I.colon(I.var(u)).intersect(I.colon(I.var(v)))
-    gprime, L = even_connection_graph(G, u, v, ())
-    rhs_ideal = edge_ideal(gprime).with_ambient(G.labels) + _variables_ideal(G.labels, L)
+    lhs_ideal, rhs_ideal, L = _colon_intersection_pair(G, u, v, ())
     status = HOLDS if lhs_ideal == rhs_ideal else FAILS
     witness = {"edge": [u, v], "L": list(L)}
     if status == FAILS:
         witness["lhs_gens"] = lhs_ideal.pretty()
         witness["rhs_gens"] = rhs_ideal.pretty()
-    return _finish(
-        CheckOutcome("colon_intersection", gid, status,
-                     ideal_digest(lhs_ideal), ideal_digest(rhs_ideal), witness), t0
-    )
+    return CheckOutcome("colon_intersection", gid, status,
+                        ideal_digest(lhs_ideal), ideal_digest(rhs_ideal), witness)
 
 
 def check_even_connection_depth(G: Graph, edge, A, field=GF2) -> CheckOutcome:
@@ -222,73 +218,48 @@ def check_even_connection_depth(G: Graph, edge, A, field=GF2) -> CheckOutcome:
     shrunken ring is at least the packing number of the original graph, and K
     equals J = (I(G-A):u) meet (I(G-A):v).  So whenever this holds, depth(J) =
     depth(K) clears the same bound: the colon-intersection depth statement."""
-    t0 = time.perf_counter()
     u, v = edge
     gid = emit_graph6(G)
     computer = _as_computer(field)
-    gprime, L = even_connection_graph(G, u, v, A)
-    GA = delete_vertices(G, A)
-    ambient = GA.labels
-    K = edge_ideal(gprime).with_ambient(ambient) + _variables_ideal(ambient, L)
-    IA = edge_ideal(GA)
-    J = IA.colon(IA.var(u)).intersect(IA.colon(IA.var(v)))
+    J, K, L = _colon_intersection_pair(G, u, v, A)
     identity = K == J
     lhs = computer.ideal_depth(K)
     rhs = star_packing_number(G).size
     status = HOLDS if identity and lhs >= rhs else FAILS
     witness = {"edge": [u, v], "A": sorted(A), "L": list(L), "identity": identity}
-    return _finish(
-        CheckOutcome("even_connection_depth", gid, status, lhs, rhs, witness,
-                     computer.field.characteristic), t0
-    )
+    return CheckOutcome("even_connection_depth", gid, status, lhs, rhs, witness,
+                        computer.field.characteristic)
 
 
 def check_square_colon_depth(G: Graph, edge, A, field=GF2) -> CheckOutcome:
     """depth of (I(G-A)^2 : uv) over the shrunken ring is at least the packing
     number minus 2, minus 1 only when no whiskered triangle is induced."""
-    t0 = time.perf_counter()
     u, v = edge
     gid = emit_graph6(G)
     computer = _as_computer(field)
-    _admissible_pool(G, u, v, A)
-    GA = delete_vertices(G, A)
-    IA = edge_ideal(GA)
-    colon = (IA ** 2).colon(_edge_monomial(IA, u, v))
+    _, _, colon = _square_colon(G, u, v, A)
     lhs = computer.ideal_depth(colon)
     wk3free = is_wk3_free(G)
     rhs = star_packing_number(G).size - (1 if wk3free else 2)
     status = HOLDS if lhs >= rhs else FAILS
     witness = {"edge": [u, v], "A": sorted(A), "wk3_free": wk3free}
-    return _finish(
-        CheckOutcome("square_colon_depth", gid, status, lhs, rhs, witness,
-                     computer.field.characteristic), t0
-    )
+    return CheckOutcome("square_colon_depth", gid, status, lhs, rhs, witness,
+                        computer.field.characteristic)
 
 
 def check_square_colon_formula(G: Graph, edge, A) -> CheckOutcome:
     """(I(G-A)^2 : uv) computed generator-wise must equal the even-connection
     description: I(G-A) + mixed neighbor products + squares of common
     neighbors.  When the edge is its own component, both collapse to I(G-A)."""
-    t0 = time.perf_counter()
     u, v = edge
     gid = emit_graph6(G)
-    _admissible_pool(G, u, v, A)
-    GA = delete_vertices(G, A)
-    IA = edge_ideal(GA)
-    lhs_ideal = (IA ** 2).colon(_edge_monomial(IA, u, v))
+    GA, IA, lhs_ideal = _square_colon(G, u, v, A)
     i, j = GA.index(u), GA.index(v)
     ni = [GA.labels[k] for k in range(GA.n) if GA.adj[i] & (1 << k)]
     nj = [GA.labels[k] for k in range(GA.n) if GA.adj[j] & (1 << k)]
     common = sorted(set(ni) & set(nj), key=GA.labels.index)
-    width = len(GA.labels)
-    extra = []
-    for p in ni:
-        for q in nj:
-            if p != q:
-                extra.append(_mul(IA.var(p), IA.var(q)))
-    for c in common:
-        k = GA.labels.index(c)
-        extra.append(tuple(2 if t == k else 0 for t in range(width)))
+    extra = [_mul(IA.var(p), IA.var(q)) for p in ni for q in nj if p != q]
+    extra += [_mul(IA.var(c), IA.var(c)) for c in common]
     rhs_ideal = IA + MonomialIdeal(GA.labels, tuple(extra))
     isolated = GA.degree(i) == 1 and GA.degree(j) == 1
     ok = lhs_ideal == rhs_ideal and (not isolated or lhs_ideal == IA)
@@ -296,10 +267,8 @@ def check_square_colon_formula(G: Graph, edge, A) -> CheckOutcome:
     if not ok:
         witness["lhs_gens"] = lhs_ideal.pretty()
         witness["rhs_gens"] = rhs_ideal.pretty()
-    return _finish(
-        CheckOutcome("square_colon_formula", gid, HOLDS if ok else FAILS,
-                     ideal_digest(lhs_ideal), ideal_digest(rhs_ideal), witness), t0
-    )
+    return CheckOutcome("square_colon_formula", gid, HOLDS if ok else FAILS,
+                        ideal_digest(lhs_ideal), ideal_digest(rhs_ideal), witness)
 
 
 def check_square_depth_bounds(G: Graph, field=GF2) -> list[CheckOutcome]:
@@ -311,10 +280,8 @@ def check_square_depth_bounds(G: Graph, field=GF2) -> list[CheckOutcome]:
     gid = emit_graph6(G)
     parts = {"square_general": 2, "square_wk3_free": 1, "square_triangle_free": 0}
     if not any(G.adj):
-        return [_finish(CheckOutcome(part, gid, NOT_APPLICABLE), time.perf_counter())
-                for part in parts]
+        return [CheckOutcome(part, gid, NOT_APPLICABLE) for part in parts]
     computer = _as_computer(field)
-    t0 = time.perf_counter()
     pack = star_packing_number(G)
     wk3free = is_wk3_free(G)
     trifree = not triangles(G)
@@ -328,15 +295,12 @@ def check_square_depth_bounds(G: Graph, field=GF2) -> list[CheckOutcome]:
     out = []
     for part, slack in parts.items():
         if not applicable[part]:
-            out.append(_finish(CheckOutcome(part, gid, NOT_APPLICABLE), t0))
+            out.append(CheckOutcome(part, gid, NOT_APPLICABLE))
             continue
         rhs = pack.size - slack
         status = HOLDS if lhs >= rhs else FAILS
-        out.append(
-            _finish(CheckOutcome(part, gid, status, lhs, rhs, dict(witness),
-                                 computer.field.characteristic), t0)
-        )
-        t0 = time.perf_counter()
+        out.append(CheckOutcome(part, gid, status, lhs, rhs, dict(witness),
+                                computer.field.characteristic))
     return out
 
 
@@ -357,7 +321,6 @@ def check_sharp_examples(field=GF2) -> list[CheckOutcome]:
     computer = _as_computer(field)
     out = []
     for name, G, want_depth, want_alpha2, slack in sharp_example_graphs():
-        t0 = time.perf_counter()
         gid = emit_graph6(G)
         pack = star_packing_number(G)
         depth = computer.ideal_depth(edge_ideal(G) ** 2)
@@ -369,21 +332,17 @@ def check_sharp_examples(field=GF2) -> list[CheckOutcome]:
             "centers": list(pack.centers),
             "bound_slack": slack,
         }
-        out.append(
-            _finish(CheckOutcome("sharp_examples", gid, HOLDS if ok else FAILS,
-                                 depth, want_depth, witness,
-                                 computer.field.characteristic), t0)
-        )
+        out.append(CheckOutcome("sharp_examples", gid, HOLDS if ok else FAILS, depth,
+                                want_depth, witness, computer.field.characteristic))
     return out
 
 
 def check_symbolic_square(G: Graph, field=GF2) -> CheckOutcome:
     """Second symbolic power: equals the ordinary square for triangle-free
     graphs, and its depth is at least the packing number."""
-    t0 = time.perf_counter()
     gid = emit_graph6(G)
     if not any(G.adj):
-        return _finish(CheckOutcome("symbolic_square", gid, NOT_APPLICABLE), t0)
+        return CheckOutcome("symbolic_square", gid, NOT_APPLICABLE)
     computer = _as_computer(field)
     I = edge_ideal(G)
     square = I ** 2
@@ -398,26 +357,27 @@ def check_symbolic_square(G: Graph, field=GF2) -> CheckOutcome:
         witness["symbolic_only_gens"] = [
             g for g in symbolic.gens if not square.contains(g)
         ]
-    return _finish(
-        CheckOutcome("symbolic_square", gid, HOLDS if ok else FAILS, lhs, rhs,
-                     witness, computer.field.characteristic), t0
-    )
+    return CheckOutcome("symbolic_square", gid, HOLDS if ok else FAILS, lhs, rhs,
+                        witness, computer.field.characteristic)
 
 
-def check_generator_order_decomposition(G: Graph, max_edges: int = 8) -> CheckOutcome:
+ORDER_MAX_EDGES = 8  # the order search is exponential in the edge count
+
+
+def check_generator_order_decomposition(G: Graph) -> CheckOutcome:
     """Search for a generator order in which each partial-sum colon
     ((I^2 + (u_1..u_{k-1})) : u_k) splits as (I^2 : u_k) plus variables from
-    the open neighborhoods of u_k's endpoints."""
-    t0 = time.perf_counter()
+    the open neighborhoods of u_k's endpoints.  Graphs with more than
+    ORDER_MAX_EDGES edges are not_applicable."""
     gid = emit_graph6(G)
     edges = G.edge_labels()
     m = len(edges)
     if m == 0:
-        return _finish(CheckOutcome("order_decomposition", gid, NOT_APPLICABLE,
-                                    witness={"reason": "edgeless"}), t0)
-    if m > max_edges:
-        return _finish(CheckOutcome("order_decomposition", gid, NOT_APPLICABLE,
-                                    witness={"reason": f"more than {max_edges} edges"}), t0)
+        return CheckOutcome("order_decomposition", gid, NOT_APPLICABLE,
+                            witness={"reason": "edgeless"})
+    if m > ORDER_MAX_EDGES:
+        return CheckOutcome("order_decomposition", gid, NOT_APPLICABLE,
+                            witness={"reason": f"more than {ORDER_MAX_EDGES} edges"})
     I = edge_ideal(G)
     I2 = I ** 2
     gens = list(I.gens)
@@ -458,16 +418,13 @@ def check_generator_order_decomposition(G: Graph, max_edges: int = 8) -> CheckOu
     witness = {"edges": m}
     if ok:
         witness["order"] = [list(order_of_gen[gens[t]]) for t in found]
-    return _finish(
-        CheckOutcome("order_decomposition", gid, HOLDS if ok else FAILS,
-                     int(ok), 1, witness), t0
-    )
+    return CheckOutcome("order_decomposition", gid, HOLDS if ok else FAILS,
+                        int(ok), 1, witness)
 
 
 def check_packing_deletion_bound(G: Graph, edge, A) -> CheckOutcome:
     """Deleting A together with a closed neighborhood (either endpoint), or
     both closed neighborhoods, lowers the packing number by at most 2."""
-    t0 = time.perf_counter()
     u, v = edge
     gid = emit_graph6(G)
     _admissible_pool(G, u, v, A)
@@ -488,6 +445,4 @@ def check_packing_deletion_bound(G: Graph, edge, A) -> CheckOutcome:
     lhs = min(values.values())
     status = HOLDS if lhs >= rhs else FAILS
     witness = {"edge": [u, v], "A": sorted(A), "values": values}
-    return _finish(
-        CheckOutcome("deletion_bound", gid, status, lhs, rhs, witness), t0
-    )
+    return CheckOutcome("deletion_bound", gid, status, lhs, rhs, witness)

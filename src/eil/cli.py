@@ -79,13 +79,13 @@ def _field_mode(name: str):
 
 def _jobs(value) -> int:
     if value is not None:
-        return max(1, value)
+        return value
     env = os.environ.get("EIL_JOBS")
     if env:
         try:
-            return max(1, int(env))
-        except ValueError:
-            raise CliError(f"EIL_JOBS must be an integer, got {env!r}") from None
+            return _at_least(1)(env)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise CliError(f"EIL_JOBS must be an integer at least 1, got {env!r}") from None
     return 1
 
 
@@ -177,8 +177,7 @@ def _cmd_verify(args) -> int:
         corpus_name = "fixed-instances"
     report = run_suite(
         corpus, checks, field, cross_check=cross, seed=args.seed,
-        jobs=_jobs(args.jobs), budget=args.budget,
-        sample_size=args.sample_size, corpus_name=corpus_name,
+        jobs=_jobs(args.jobs), budget=args.budget, corpus_name=corpus_name,
     )
     _emit_report(report, args.output, args.format)
     return 0 if not report.failures else 1
@@ -263,11 +262,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="generate all isomorphism classes up to this size")
     p.add_argument("--field", default="2")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_at_least(1), default=None,
                    help="worker processes (EIL_JOBS fallback, default 1)")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_at_least(1), default=None,
                    help="max graphs consumed from the corpus")
-    p.add_argument("--sample-size", type=int, default=64)
     p.add_argument("--output", help="report file")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.set_defaults(fn=_cmd_verify)
@@ -278,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=_at_least(0), required=True, help="number of graphs")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--field", default="2")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_at_least(1), default=None)
     p.add_argument("--max-polarized", type=int, default=DEFAULT_POLARIZED_CAP)
     p.add_argument("--output", help="report file")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")

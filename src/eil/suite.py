@@ -6,7 +6,8 @@ all edges and all admissible deletion sets whenever the subset space has at
 most EXHAUSTIVE_LIMIT elements; beyond that a seeded random sample is drawn
 and the affected outcomes are flagged as sampled.  Identical corpus, checks,
 seed and field always produce an identical report body (timings excluded),
-whatever the worker count.
+whatever the worker count.  Timing happens here, once per check call: each
+outcome a call keeps gets an equal share of the call's wall time.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field
 from itertools import islice
 from multiprocessing import Pool
+from time import perf_counter
 from typing import NamedTuple
 
 from . import checks as _checks
@@ -31,6 +33,7 @@ from .graphs import Graph, _admissible_pool, emit_graph6, parse_graph6, random_g
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
+    "SAMPLE_SIZE",
     "CHECKS",
     "CHECK_IDS",
     "SUITE_ALIASES",
@@ -41,7 +44,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_LIMIT = 1024  # deletion-set spaces up to 2^10 are swept fully
-DEFAULT_SAMPLE_SIZE = 64
+SAMPLE_SIZE = 64  # deletion sets drawn from a larger space
 
 class _Check(NamedTuple):
     kind: str     # graph: once per graph; edge: per edge; edge_set: per edge and
@@ -109,7 +112,7 @@ def _derived_rng(seed: int, *parts: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _deletion_sets(pool: list[str], seed: int, context: str, sample_size: int):
+def _deletion_sets(pool: list[str], seed: int, context: str):
     """All subsets of the pool, or a seeded sample of them.
 
     Returns (list of label tuples, sampled flag).  Samples always contain the
@@ -120,8 +123,7 @@ def _deletion_sets(pool: list[str], seed: int, context: str, sample_size: int):
     if sampled:
         rng = _derived_rng(seed, "deletion-sets", context)
         masks = {0, (1 << p) - 1}
-        want = min(max(sample_size, 2), 1 << p)
-        while len(masks) < want:
+        while len(masks) < SAMPLE_SIZE:
             masks.add(rng.getrandbits(p))
     else:
         masks = range(1 << p)
@@ -131,22 +133,28 @@ def _deletion_sets(pool: list[str], seed: int, context: str, sample_size: int):
 
 def _bound_check(name: str, computer: DepthComputer):
     """The check's function bound to its depth computer, returning the list of
-    its outcomes whose check_id is name.  It is looked up in eil.checks now,
-    not at import, so a rebinding there (a tracer, a test double) is seen."""
+    its outcomes whose check_id is name, timed: the call's milliseconds are
+    split evenly over them.  It is looked up in eil.checks now, not at
+    import, so a rebinding there (a tracer, a test double) is seen."""
     spec = CHECKS[name]
     fn = getattr(_checks, spec.fn)
     extra = (computer,) if spec.depth else ()
 
     def call(*args) -> list[CheckOutcome]:
+        t0 = perf_counter()
         result = fn(*args, *extra)
-        return [oc for oc in (result if isinstance(result, list) else [result])
+        ms = (perf_counter() - t0) * 1000
+        kept = [oc for oc in (result if isinstance(result, list) else [result])
                 if oc.check_id == name]
+        for oc in kept:
+            oc.elapsed_ms = round(ms / len(kept), 3)
+        return kept
 
     return call
 
 
-def _run_checks_on_graph(G: Graph, checks, computer: DepthComputer, seed: int,
-                         sample_size: int) -> list[CheckOutcome]:
+def _run_checks_on_graph(G: Graph, checks, computer: DepthComputer,
+                         seed: int) -> list[CheckOutcome]:
     gid = emit_graph6(G)
     out: list[CheckOutcome] = []
     for name in checks:
@@ -161,7 +169,7 @@ def _run_checks_on_graph(G: Graph, checks, computer: DepthComputer, seed: int,
                 out.extend(check(G, (u, v)))
                 continue
             pool = _admissible_pool(G, u, v)
-            subsets, sampled = _deletion_sets(pool, seed, f"{name}:{gid}:{u}:{v}", sample_size)
+            subsets, sampled = _deletion_sets(pool, seed, f"{name}:{gid}:{u}:{v}")
             for A in subsets:
                 (oc,) = check(G, (u, v), A)
                 if sampled:
@@ -172,10 +180,10 @@ def _run_checks_on_graph(G: Graph, checks, computer: DepthComputer, seed: int,
 
 
 def _graph_task(args) -> tuple[list[CheckOutcome], list[dict], int]:
-    g6, checks, characteristic, cross, seed, sample_size = args
+    g6, checks, characteristic, cross, seed = args
     G = parse_graph6(g6)
     computer = DepthComputer(FieldChoice(characteristic), cross_check=cross)
-    outcomes = _run_checks_on_graph(G, checks, computer, seed, sample_size)
+    outcomes = _run_checks_on_graph(G, checks, computer, seed)
     for finding in computer.findings:
         finding["graph_id"] = g6
     return outcomes, computer.findings, computer.comparisons
@@ -290,7 +298,6 @@ def _as_graph6(item) -> str:
 
 def run_suite(corpus, checks, field: FieldChoice = GF2, *, cross_check: bool = False,
               seed: int = 0, jobs: int = 1, budget: int | None = None,
-              sample_size: int = DEFAULT_SAMPLE_SIZE,
               corpus_name: str = "corpus") -> VerificationReport:
     """Run the named checks on every graph of the corpus.
 
@@ -317,8 +324,7 @@ def run_suite(corpus, checks, field: FieldChoice = GF2, *, cross_check: bool = F
     per_graph = tuple(n for n in names if CHECKS[n].kind != "global")
     if not per_graph:
         return report
-    tasks = [(g6, per_graph, field.characteristic, cross_check, seed, sample_size)
-             for g6 in lines]
+    tasks = [(g6, per_graph, field.characteristic, cross_check, seed) for g6 in lines]
     parallel = jobs > 1 and len(tasks) > 1
     with Pool(processes=min(jobs, len(tasks))) if parallel else nullcontext() as pool:
         results = pool.imap(_graph_task, tasks, chunksize=8) if parallel else map(_graph_task, tasks)

@@ -1,6 +1,7 @@
 """Suite driver (determinism, sampling, parallel workers, reports) and CLI."""
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -22,6 +23,7 @@ from eil.graphs import (
 from eil.suite import (
     CHECKS,
     EXHAUSTIVE_LIMIT,
+    SAMPLE_SIZE,
     SUITE_ALIASES,
     hunt_counterexamples,
     resolve_checks,
@@ -126,11 +128,11 @@ def test_sampled_deletion_sets_flagged():
     edges = [("u", "v")] + [("u", f"a{i}") for i in range(6)] + [("v", f"b{i}") for i in range(6)]
     G = graph_from_edges(labels, edges)
     assert 1 << 12 > EXHAUSTIVE_LIMIT
-    report = run_suite([G], ["deletion_bound"], seed=3, sample_size=16)
+    report = run_suite([G], ["deletion_bound"], seed=3)
     # the corpus travels as graph6, so labels become x1..x14 with the hubs first
     hub_edge = [oc for oc in report.outcomes if set(oc.witness["edge"]) == {"x1", "x2"}]
     assert hub_edge and all(oc.witness.get("sampled") for oc in hub_edge)
-    assert len(hub_edge) == 16
+    assert len(hub_edge) == SAMPLE_SIZE
     # empty and full deletion sets always included
     sizes = {len(oc.witness["A"]) for oc in hub_edge}
     assert 0 in sizes and 12 in sizes
@@ -144,11 +146,25 @@ def test_sampled_sets_deterministic():
     labels = ["u", "v"] + [f"a{i}" for i in range(6)] + [f"b{i}" for i in range(6)]
     edges = [("u", "v")] + [("u", f"a{i}") for i in range(6)] + [("v", f"b{i}") for i in range(6)]
     G = graph_from_edges(labels, edges)
-    a = run_suite([G], ["deletion_bound"], seed=9, sample_size=12)
-    b = run_suite([G], ["deletion_bound"], seed=9, sample_size=12)
+    a = run_suite([G], ["deletion_bound"], seed=9)
+    b = run_suite([G], ["deletion_bound"], seed=9)
     assert a.canonical_body() == b.canonical_body()
-    c = run_suite([G], ["deletion_bound"], seed=10, sample_size=12)
+    c = run_suite([G], ["deletion_bound"], seed=10)
     assert a.canonical_body() != c.canonical_body()
+
+
+def test_suite_times_each_check_call(monkeypatch):
+    # a clock that advances one second per read: every check call lasts
+    # exactly 1000 ms, split evenly over the outcomes the call keeps
+    ticks = itertools.count()
+    monkeypatch.setattr("eil.suite.perf_counter", lambda: float(next(ticks)))
+    report = run_suite([complete_graph(4)], ["triangle_deletion_packing", "main"])
+    tri = [oc for oc in report.outcomes if oc.check_id == "triangle_deletion_packing"]
+    assert [oc.elapsed_ms for oc in tri] == [250.0] * 4
+    squares = [oc for oc in report.outcomes if oc.check_id.startswith("square_")]
+    assert [oc.elapsed_ms for oc in squares] == [1000.0] * 3
+    # called directly, a check does not time itself
+    assert eil.checks.check_first_power(complete_graph(3)).elapsed_ms == 0.0
 
 
 def test_global_check_runs_once_without_corpus():
@@ -381,7 +397,11 @@ def test_cli_empty_sweeps_rejected(capsys):
                  ["verify", "--suite", "main", "--max-n", "-1"],
                  ["hunt", "--n", "0", "--random", "1", "--seed", "1"],
                  ["hunt", "--n", "-2", "--random", "1", "--seed", "1"],
-                 ["hunt", "--n", "3", "--random", "-3", "--seed", "1"]):
+                 ["hunt", "--n", "3", "--random", "-3", "--seed", "1"],
+                 ["verify", "--suite", "main", "--max-n", "3", "--budget", "0"],
+                 ["verify", "--suite", "main", "--max-n", "3", "--budget", "-1"],
+                 ["verify", "--suite", "main", "--max-n", "3", "--jobs", "0"],
+                 ["hunt", "--n", "3", "--random", "1", "--seed", "1", "--jobs", "0"]):
         assert main(argv) == 2
         assert "must be at least" in capsys.readouterr().err
     # no random graphs at all is a valid request: only global checks run
@@ -437,8 +457,10 @@ def test_cli_hunt_cap_skips_global_checks(capsys):
 def test_cli_jobs_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("EIL_JOBS", "2")
     assert main(["verify", "--suite", "main1", "--max-n", "3"]) == 0
-    monkeypatch.setenv("EIL_JOBS", "zebra")
-    assert main(["verify", "--suite", "main1", "--max-n", "3"]) == 2
+    for bad in ("zebra", "0", "-2"):
+        monkeypatch.setenv("EIL_JOBS", bad)
+        assert main(["verify", "--suite", "main1", "--max-n", "3"]) == 2
+        assert "EIL_JOBS" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exit_code():
