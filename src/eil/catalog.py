@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterator
 
-from .graphs import Graph, default_labels
+from .graphs import Graph, _bits, default_labels
 
 __all__ = ["canonical_key", "graph_classes", "all_graphs", "CLASS_COUNTS"]
 
@@ -22,32 +22,12 @@ __all__ = ["canonical_key", "graph_classes", "all_graphs", "CLASS_COUNTS"]
 CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044)
 
 
-def _edge_pairs(n: int, adj: tuple[int, ...]) -> list[tuple[int, int]]:
-    out = []
-    for i in range(n):
-        m = adj[i] >> (i + 1)
-        j = i + 1
-        while m:
-            if m & 1:
-                out.append((i, j))
-            m >>= 1
-            j += 1
-    return out
-
-
-def _refine(n: int, adj: tuple[int, ...]) -> list[int]:
-    """Iterated neighbor-degree refinement; returns an invariant key per vertex."""
-    keys = [adj[i].bit_count() for i in range(n)]
+def _refine(nbrs: list[tuple[int, ...]]) -> list[int]:
+    """Iterated neighbor-degree refinement over neighbor lists; returns an
+    invariant key per vertex."""
+    keys = [len(nb) for nb in nbrs]
     for _ in range(3):
-        raw = []
-        for i in range(n):
-            m = adj[i]
-            neigh = []
-            while m:
-                low = m & -m
-                neigh.append(keys[low.bit_length() - 1])
-                m ^= low
-            raw.append((keys[i], tuple(sorted(neigh))))
+        raw = [(k, tuple(sorted([keys[j] for j in nb]))) for k, nb in zip(keys, nbrs)]
         ranks = {k: r for r, k in enumerate(sorted(set(raw)))}
         new = [ranks[k] for k in raw]
         if new == keys:
@@ -60,7 +40,8 @@ def canonical_key(n: int, adj: tuple[int, ...]) -> int:
     """Canonical edge bit string: equal for two graphs iff they are isomorphic."""
     if n <= 1:
         return 0
-    keys = _refine(n, adj)
+    nbrs = [tuple(_bits(m)) for m in adj]
+    keys = _refine(nbrs)
     groups: dict[int, list[int]] = {}
     for v in range(n):
         groups.setdefault(keys[v], []).append(v)
@@ -71,7 +52,7 @@ def canonical_key(n: int, adj: tuple[int, ...]) -> int:
     for b in blocks:
         starts.append(pos)
         pos += len(b)
-    edges = _edge_pairs(n, adj)
+    edges = [(i, j) for i, nb in enumerate(nbrs) for j in nb if j > i]
     best = None
     for assignment in product(*(permutations(b) for b in blocks)):
         sigma = [0] * n

@@ -22,6 +22,8 @@ from .depth import GF2, FieldChoice, depth_ideal, depth_ideal_both
 from .graphs import (
     Graph,
     _admissible_pool,
+    _labels,
+    _mask,
     delete_vertices,
     emit_graph6,
     even_connection_graph,
@@ -122,14 +124,6 @@ def _as_computer(field) -> DepthComputer:
     return DepthComputer(field)
 
 
-def _variables_ideal(ambient, names) -> MonomialIdeal:
-    gens = []
-    for name in names:
-        i = ambient.index(name)
-        gens.append(tuple(1 if k == i else 0 for k in range(len(ambient))))
-    return MonomialIdeal(ambient, tuple(gens))
-
-
 def _edge_monomial(I: MonomialIdeal, u: str, v: str):
     return _mul(I.var(u), I.var(v))
 
@@ -142,7 +136,8 @@ def _colon_intersection_pair(G: Graph, u: str, v: str, A):
     GA = delete_vertices(G, A)
     IA = edge_ideal(GA)
     J = IA.colon(IA.var(u)).intersect(IA.colon(IA.var(v)))
-    K = edge_ideal(gprime).with_ambient(GA.labels) + _variables_ideal(GA.labels, L)
+    K = (edge_ideal(gprime).with_ambient(GA.labels)
+         + MonomialIdeal(GA.labels, tuple(IA.var(c) for c in L)))
     return J, K, L
 
 
@@ -187,13 +182,12 @@ def check_triangle_neighborhood_packing(G: Graph) -> list[CheckOutcome]:
     base = star_packing_number(G).size
     out = []
     for tri in tris:
-        drop = {G.labels[j] for name in tri for j in range(G.n)
-                if G.adj[G.index(name)] & (1 << j)}
-        rest = delete_vertices(G, drop)
-        lhs = star_packing_number(rest).size
+        a, b, c = map(G.index, tri)
+        drop = G.adj[a] | G.adj[b] | G.adj[c]
+        lhs = star_packing_number(G.induced(((1 << G.n) - 1) & ~drop)).size
         rhs = base - 2
         status = HOLDS if lhs >= rhs else FAILS
-        witness = {"triangle": list(tri), "deleted": sorted(drop)}
+        witness = {"triangle": list(tri), "deleted": sorted(_labels(G, drop))}
         out.append(CheckOutcome("triangle_deletion_packing", gid, status, lhs, rhs, witness))
     return out
 
@@ -255,9 +249,8 @@ def check_square_colon_formula(G: Graph, edge, A) -> CheckOutcome:
     gid = emit_graph6(G)
     GA, IA, lhs_ideal = _square_colon(G, u, v, A)
     i, j = GA.index(u), GA.index(v)
-    ni = [GA.labels[k] for k in range(GA.n) if GA.adj[i] & (1 << k)]
-    nj = [GA.labels[k] for k in range(GA.n) if GA.adj[j] & (1 << k)]
-    common = sorted(set(ni) & set(nj), key=GA.labels.index)
+    ni, nj = _labels(GA, GA.adj[i]), _labels(GA, GA.adj[j])
+    common = _labels(GA, GA.adj[i] & GA.adj[j])
     extra = [_mul(IA.var(p), IA.var(q)) for p in ni for q in nj if p != q]
     extra += [_mul(IA.var(c), IA.var(c)) for c in common]
     rhs_ideal = IA + MonomialIdeal(GA.labels, tuple(extra))
@@ -428,18 +421,12 @@ def check_packing_deletion_bound(G: Graph, edge, A) -> CheckOutcome:
     u, v = edge
     gid = emit_graph6(G)
     _admissible_pool(G, u, v, A)
-    i, j = G.index(u), G.index(v)
-    base = star_packing_number(G).size
-    rhs = base - 2
-    closed_u = {G.labels[k] for k in range(G.n) if G.closed_mask(i) & (1 << k)}
-    closed_v = {G.labels[k] for k in range(G.n) if G.closed_mask(j) & (1 << k)}
-    variants = {
-        "A_plus_closed_u": set(A) | closed_u,
-        "A_plus_closed_v": set(A) | closed_v,
-        "closed_u_plus_closed_v": closed_u | closed_v,
-    }
+    rhs = star_packing_number(G).size - 2
+    a, cu, cv = _mask(G, A), G.closed_mask(G.index(u)), G.closed_mask(G.index(v))
+    variants = {"A_plus_closed_u": a | cu, "A_plus_closed_v": a | cv,
+                "closed_u_plus_closed_v": cu | cv}
     values = {
-        name: star_packing_number(delete_vertices(G, drop)).size
+        name: star_packing_number(G.induced(((1 << G.n) - 1) & ~drop)).size
         for name, drop in variants.items()
     }
     lhs = min(values.values())

@@ -12,14 +12,9 @@ import argparse
 import os
 import sys
 
+from . import checks as _checks
 from .catalog import all_graphs
-from .checks import (
-    NOT_APPLICABLE,
-    DepthComputer,
-    check_first_power,
-    check_square_depth_bounds,
-    check_symbolic_square,
-)
+from .checks import NOT_APPLICABLE, DepthComputer
 from .depth import GF2, QQ
 from .graphs import Graph, Graph6Error, parse_edge_list, parse_graph6, star_packing_number
 from .suite import CHECKS, hunt_counterexamples, resolve_checks, run_suite
@@ -99,6 +94,23 @@ def _at_least(lowest: int):
     return integer
 
 
+def _gate_polarized(checks, n: int, touched: int, cap: int, prefix: str = ""):
+    """Refuse before any ideal arithmetic when the checks' depths may need
+    more than cap polarized variables.  A depth needing k variables per vertex
+    (the check's registered CHECKS depth) gives each of the touched vertices,
+    those on an edge, k of them and every other vertex one.  Global checks
+    run fixed instances, whatever n is, so they are not gated."""
+    needs = [CHECKS[c].depth for c in checks if CHECKS[c].kind != "global"]
+    if not needs:
+        return
+    worst = n + touched * (max(max(needs), 1) - 1)
+    if worst > cap:
+        raise CliError(
+            f"{prefix}needs up to {worst} polarized variables, beyond the cap "
+            f"{cap} (raise --max-polarized to override)"
+        )
+
+
 def _warn_cap(cap: int):
     if cap > DEFAULT_POLARIZED_CAP:
         print(
@@ -123,23 +135,15 @@ def _cmd_alpha2(args) -> int:
 def _cmd_depth(args) -> int:
     if args.symbolic and args.power == 1:
         raise CliError("--symbolic implies power 2; drop --power 1")
-    squared = args.symbolic or args.power == 2
-    check = (check_symbolic_square if args.symbolic
-             else check_square_depth_bounds if squared else check_first_power)
+    name = ("symbolic_square" if args.symbolic
+            else "square_general" if args.power == 2 else "first_power")
+    check = getattr(_checks, CHECKS[name].fn)
     field, cross = _field_mode(args.field)
     _warn_cap(args.max_polarized)
     for G in _read_graphs(args.input, args.edges):
         if not any(G.adj):
             raise CliError("edgeless graph: the edge ideal is zero, depth is undefined")
-        # gate before any ideal arithmetic: squaring doubles every vertex
-        # that touches an edge, first powers stay squarefree
-        touched = sum(1 for i in range(G.n) if G.adj[i])
-        worst = G.n + (touched if squared else 0)
-        if worst > args.max_polarized:
-            raise CliError(
-                f"needs up to {worst} polarized variables, beyond the cap "
-                f"{args.max_polarized} (raise --max-polarized to override)"
-            )
+        _gate_polarized([name], G.n, sum(1 for m in G.adj if m), args.max_polarized)
         computer = DepthComputer(field, cross_check=cross)
         result = check(G, computer)
         # the sharpest applicable bound; its id names the rule
@@ -189,14 +193,8 @@ def _cmd_hunt(args) -> int:
     checks = resolve_checks([args.check])
     field, cross = _field_mode(args.field)
     _warn_cap(args.max_polarized)
-    # global checks run their fixed instances, whatever n is
-    sized = [CHECKS[c].depth for c in checks if CHECKS[c].kind != "global"]
-    worst = args.n * max([1] + sized) if sized else 0
-    if worst > args.max_polarized:
-        raise CliError(
-            f"n={args.n} needs up to {worst} polarized variables, beyond the cap "
-            f"{args.max_polarized} (raise --max-polarized to override)"
-        )
+    # a random graph may touch all n vertices
+    _gate_polarized(checks, args.n, args.n, args.max_polarized, f"n={args.n} ")
     report = hunt_counterexamples(
         checks, args.n, args.random, args.seed, field,
         cross_check=cross, jobs=_jobs(args.jobs),

@@ -56,6 +56,23 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _labels(G: "Graph", mask: int) -> tuple[str, ...]:
+    """Labels of the set bits of mask, in vertex order."""
+    return tuple(G.labels[i] for i in _bits(mask))
+
+
+def _mask(G: "Graph", names) -> int:
+    """Mask of the given labels; raises ValueError naming any label G lacks."""
+    names = set(names)
+    mask = 0
+    for i, name in enumerate(G.labels):
+        if name in names:
+            mask |= 1 << i
+    if mask.bit_count() != len(names):
+        raise ValueError(f"vertices not in graph: {sorted(names - set(G.labels))}")
+    return mask
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple graph: ``labels[i]`` names vertex i, ``adj[i]`` is its neighbor mask.
@@ -117,16 +134,14 @@ class Graph:
 
     def induced(self, keep_mask: int) -> "Graph":
         """Induced subgraph on the masked vertices, label order preserved."""
-        keep = [i for i in range(self.n) if keep_mask & (1 << i)]
-        pos = {v: k for k, v in enumerate(keep)}
-        labels = tuple(self.labels[v] for v in keep)
+        pos = {v: k for k, v in enumerate(_bits(keep_mask))}
         adj = []
-        for v in keep:
+        for v in pos:
             m = 0
             for u in _bits(self.adj[v] & keep_mask):
                 m |= 1 << pos[u]
             adj.append(m)
-        return Graph(labels, tuple(adj))
+        return Graph(_labels(self, keep_mask), tuple(adj))
 
     def __repr__(self):
         return f"Graph({list(self.labels)}, edges={self.edge_labels()})"
@@ -302,15 +317,7 @@ def whiskered_triangle() -> Graph:
 
 def delete_vertices(G: Graph, drop) -> Graph:
     """Graph on V minus the given labels; edges meeting a dropped vertex vanish."""
-    drop = set(drop)
-    unknown = drop - set(G.labels)
-    if unknown:
-        raise ValueError(f"vertices not in graph: {sorted(unknown)}")
-    keep_mask = 0
-    for i, name in enumerate(G.labels):
-        if name not in drop:
-            keep_mask |= 1 << i
-    return G.induced(keep_mask)
+    return G.induced(((1 << G.n) - 1) & ~_mask(G, drop))
 
 
 def distance(G: Graph, u: str, v: str):
@@ -374,8 +381,7 @@ def star_packing_number(G: Graph) -> StarPackingWitness:
         explore(chosen_mask, count, cand & ~(1 << v))
 
     explore(0, 0, (1 << n) - 1)
-    centers = tuple(G.labels[i] for i in _bits(best_mask))
-    return StarPackingWitness(centers, best_size)
+    return StarPackingWitness(_labels(G, best_mask), best_size)
 
 
 def is_valid_packing(G: Graph, centers) -> bool:
@@ -422,14 +428,14 @@ def is_wk3_free(G: Graph) -> bool:
     return True
 
 
-def _admissible_pool(G: Graph, u: str, v: str, A=()) -> list[str]:
+def _admissible_pool(G: Graph, u: str, v: str, A=()) -> tuple[str, ...]:
     """Vertices an edge-parameterized statement may delete at the edge uv:
     the neighbors of u or v, minus u and v, in vertex order.  Raises
     ValueError when uv is not an edge or A leaves the pool."""
     i, j = G.index(u), G.index(v)
     if not G.has_edge(i, j):
         raise ValueError(f"{u!r} {v!r} is not an edge")
-    pool = [G.labels[k] for k in _bits((G.adj[i] | G.adj[j]) & ~(1 << i) & ~(1 << j))]
+    pool = _labels(G, (G.adj[i] | G.adj[j]) & ~(1 << i) & ~(1 << j))
     bad = set(A) - set(pool)
     if bad:
         raise ValueError(f"inadmissible deletion set, {sorted(bad)} outside the neighborhood pool")
@@ -446,18 +452,14 @@ def even_connection_graph(G: Graph, u: str, v: str, A=()) -> tuple[Graph, tuple[
     """
     _admissible_pool(G, u, v, A)
     i, j = G.index(u), G.index(v)
-    a_mask = 0
-    for name in A:
-        a_mask |= 1 << G.index(name)
-    l_mask = (G.adj[i] & G.adj[j]) & ~a_mask
+    a_mask = _mask(G, A)
+    l_mask = G.adj[i] & G.adj[j] & ~a_mask
     keep = ((1 << G.n) - 1) & ~a_mask & ~l_mask
-    base = G.induced(keep)
-    ni = [G.labels[p] for p in _bits(G.adj[i] & keep)]
-    nj = [G.labels[q] for q in _bits(G.adj[j] & keep)]
-    extra = [(p, q) for p in ni for q in nj if p != q and not base.has_edge(base.index(p), base.index(q))]
-    gprime = graph_from_edges(base.labels, base.edge_labels() + extra)
-    l_labels = tuple(G.labels[k] for k in _bits(l_mask))
-    return gprime, l_labels
+    ni, nj = G.adj[i] & keep, G.adj[j] & keep
+    # ni and nj are disjoint (their meet lies in A or L), so no loop appears
+    adj = tuple(m | (nj if ni >> p & 1 else ni if nj >> p & 1 else 0)
+                for p, m in enumerate(G.adj))
+    return Graph(G.labels, adj).induced(keep), _labels(G, l_mask)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import NamedTuple
 from . import checks as _checks
 from .checks import FAILS, HOLDS, NOT_APPLICABLE, CheckOutcome, DepthComputer
 from .depth import GF2, FieldChoice
-from .graphs import Graph, _admissible_pool, emit_graph6, parse_graph6, random_graph
+from .graphs import Graph, _admissible_pool, _bits, emit_graph6, parse_graph6, random_graph
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
@@ -112,7 +112,7 @@ def _derived_rng(seed: int, *parts: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _deletion_sets(pool: list[str], seed: int, context: str):
+def _deletion_sets(pool: tuple[str, ...], seed: int, context: str):
     """All subsets of the pool, or a seeded sample of them.
 
     Returns (list of label tuples, sampled flag).  Samples always contain the
@@ -127,7 +127,7 @@ def _deletion_sets(pool: list[str], seed: int, context: str):
             masks.add(rng.getrandbits(p))
     else:
         masks = range(1 << p)
-    subsets = [tuple(pool[t] for t in range(p) if mask & (1 << t)) for mask in sorted(masks)]
+    subsets = [tuple(pool[t] for t in _bits(mask)) for mask in sorted(masks)]
     return subsets, sampled
 
 
@@ -163,8 +163,7 @@ def _run_checks_on_graph(G: Graph, checks, computer: DepthComputer,
         if kind == "graph":
             out.extend(check(G))
             continue
-        for i, j in G.edges():
-            u, v = G.labels[i], G.labels[j]
+        for u, v in G.edge_labels():
             if kind == "edge":
                 out.extend(check(G, (u, v)))
                 continue
@@ -303,8 +302,12 @@ def run_suite(corpus, checks, field: FieldChoice = GF2, *, cross_check: bool = F
 
     corpus: iterable of Graph values or graph6 lines.  budget caps the number
     of graphs consumed.  jobs > 1 distributes whole graphs over worker
-    processes; outcome order stays the corpus order either way.
+    processes; outcome order stays the corpus order either way.  A budget or
+    jobs below 1 raises ValueError.
     """
+    for param, value in (("budget", budget), ("jobs", jobs)):
+        if value is not None and value < 1:
+            raise ValueError(f"{param} must be at least 1, got {value}")
     names = resolve_checks(checks)
     report = VerificationReport(
         corpus=corpus_name,

@@ -14,6 +14,9 @@ import pytest
 from eil.graphs import (
     Graph,
     Graph6Error,
+    _admissible_pool,
+    _labels,
+    _mask,
     complete_graph,
     cycle_graph,
     delete_vertices,
@@ -217,6 +220,20 @@ def test_delete_leaf_of_whiskered_triangle():
 def test_delete_unknown_vertex():
     with pytest.raises(ValueError):
         delete_vertices(path_graph(3), {"nope"})
+    with pytest.raises(ValueError, match=r"vertices not in graph: \['a', 'nope'\]"):
+        delete_vertices(path_graph(3), {"nope", "x2", "a"})
+
+
+def test_labels_mask_round_trip():
+    G = whiskered_triangle()
+    for mask in range(1 << G.n):
+        names = _labels(G, mask)
+        assert list(names) == [G.labels[i] for i in range(G.n) if mask >> i & 1]
+        assert _mask(G, names) == mask
+        assert _mask(G, reversed(names)) == mask
+    assert _labels(G, 0) == () and _mask(G, ()) == 0
+    with pytest.raises(ValueError, match=r"vertices not in graph: \['w'\]"):
+        _mask(G, ("x1", "w"))
 
 
 def test_distance():
@@ -361,6 +378,35 @@ def test_even_connection_rejects_bad_input():
         even_connection_graph(P, "x1", "x3", ())  # not an edge
     with pytest.raises(ValueError):
         even_connection_graph(P, "x1", "x2", ("x4",))  # outside the pool
+
+
+def reference_even_connection_graph(G, u, v, A):
+    """G'_A built from label pairs: G minus A and L, plus every pair of a
+    remaining neighbor of u and a remaining neighbor of v."""
+    L = tuple(w for w in G.labels if w not in A
+              and G.has_edge(G.index(u), G.index(w)) and G.has_edge(G.index(v), G.index(w)))
+    keep = [w for w in G.labels if w not in A and w not in L]
+    edges = [(p, q) for p, q in G.edge_labels() if p in keep and q in keep]
+    ni = [p for p in keep if G.has_edge(G.index(u), G.index(p))]
+    nj = [q for q in keep if G.has_edge(G.index(v), G.index(q))]
+    edges += [(p, q) for p in ni for q in nj if p != q]
+    return graph_from_edges(keep, edges), L
+
+
+def test_even_connection_matches_label_construction(catalog5):
+    cases = 0
+    for G in catalog5:
+        for u, v in G.edge_labels():
+            pool = _admissible_pool(G, u, v)
+            for r in range(len(pool) + 1):
+                for A in combinations(pool, r):
+                    gprime, L = even_connection_graph(G, u, v, A)
+                    want, want_L = reference_even_connection_graph(G, u, v, A)
+                    assert gprime.labels == want.labels
+                    assert gprime.adj == want.adj
+                    assert L == want_L
+                    cases += 1
+    assert cases > 1000
 
 
 def test_even_connection_with_deletion_set():

@@ -90,6 +90,17 @@ def test_budget_caps_corpus():
     assert len({oc.graph_id for oc in report.outcomes}) == 3
 
 
+@pytest.mark.parametrize("kwargs", [{"budget": 0}, {"budget": -1}, {"jobs": 0}, {"jobs": -3}])
+def test_run_suite_rejects_counts_below_one(kwargs):
+    (param, value), = kwargs.items()
+    message = f"{param} must be at least 1, got {value}"
+    with pytest.raises(ValueError, match=message):
+        run_suite(all_graphs(3), ["main"], **kwargs)
+    if param == "jobs":
+        with pytest.raises(ValueError, match=message):
+            hunt_counterexamples("main1", 4, 2, seed=1, **kwargs)
+
+
 def test_report_deterministic_across_runs_and_workers():
     corpus = list(all_graphs(4))
     a = run_suite(corpus, ["main1", "colon_intersection"], seed=5, corpus_name="c")
@@ -203,8 +214,8 @@ GOLDEN_MAIN_EXAMPLES = "80bfff3127d05fac811020d45c0cfa0d11258974b465dc0045d95820
 GOLDEN_ALL = "bb74a5bd5bb1bdaadd429007a772edd9ed7e09ed1c842359ba4befcbc4dfe6d7"
 
 
-def _body_sha(checks) -> str:
-    report = run_suite(all_graphs(5), checks, GF2, cross_check=True)
+def _body_sha(checks, max_n=5, jobs=1) -> str:
+    report = run_suite(all_graphs(max_n), checks, GF2, cross_check=True, jobs=jobs)
     return hashlib.sha256(report.canonical_body().encode()).hexdigest()
 
 
@@ -214,6 +225,22 @@ def test_golden_report_main_examples_n5():
 
 def test_golden_report_all_n5():
     assert _body_sha(["all"]) == GOLDEN_ALL
+
+
+# the same hashes for longer runs, outside the default test selection: run
+# them with `python -m pytest -m slow` (about 40 s and 2 min on 2 CPUs)
+GOLDEN_ALL_N6 = "bf64cc68fab25bd1983339089f839186bc84a54eb07b278f8cd65e4972a7eb32"
+GOLDEN_MAIN_N7 = "251dc732798478be70820167d9a713f01c538a23a06f837f3147bcf6e15c49bf"
+
+
+@pytest.mark.slow
+def test_golden_report_all_n6():
+    assert _body_sha(["all"], max_n=6) == GOLDEN_ALL_N6
+
+
+@pytest.mark.slow
+def test_golden_report_main_n7_jobs2():
+    assert _body_sha(["main"], max_n=7, jobs=2) == GOLDEN_MAIN_N7
 
 
 def test_every_check_clean_on_small_catalog():
