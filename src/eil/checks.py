@@ -17,6 +17,8 @@ elapsed_ms, which stays 0.0 when a check is called directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import SimpleNamespace
 
 from .depth import GF2, FieldChoice, depth_ideal, depth_ideal_both
 from .graphs import (
@@ -128,26 +130,53 @@ def _edge_monomial(I: MonomialIdeal, u: str, v: str):
     return _mul(I.var(u), I.var(v))
 
 
+@lru_cache(maxsize=1)
+def _pieces(G: Graph) -> SimpleNamespace:
+    """What the edge-set checks share on one graph, made once: its graph6 id,
+    alpha2(G), wk3-freeness and, in memo, each construction (see _memo).
+    Only the graph being checked is held; an equal Graph value finds it."""
+    return SimpleNamespace(gid=emit_graph6(G), alpha2=star_packing_number(G).size,
+                           wk3_free=is_wk3_free(G), memo={})
+
+
+def _memo(G: Graph, key, build):
+    """build(), made once per graph and key."""
+    memo = _pieces(G).memo
+    return memo[key] if key in memo else memo.setdefault(key, build())
+
+
+def _minus(G: Graph, A) -> tuple[Graph, MonomialIdeal]:
+    """(G-A, I(G-A)), made once per graph and deletion set."""
+    GA = _memo(G, frozenset(A), lambda: delete_vertices(G, A))
+    return GA, _memo(G, ("ideal", frozenset(A)), lambda: edge_ideal(GA))
+
+
 def _colon_intersection_pair(G: Graph, u: str, v: str, A):
     """J = (I(G-A):u) meet (I(G-A):v) and K = I(G'_A) + (L), both over the
     ring of G-A, where G'_A is the contracted graph and L the common neighbors
-    of u and v outside A.  Returns (J, K, L)."""
-    gprime, L = even_connection_graph(G, u, v, A)
-    GA = delete_vertices(G, A)
-    IA = edge_ideal(GA)
-    J = IA.colon(IA.var(u)).intersect(IA.colon(IA.var(v)))
-    K = (edge_ideal(gprime).with_ambient(GA.labels)
-         + MonomialIdeal(GA.labels, tuple(IA.var(c) for c in L)))
-    return J, K, L
+    of u and v outside A.  Returns (J, K, L); raises ValueError unless uv is
+    an edge and A lies in its pool."""
+    _admissible_pool(G, u, v, A)
+
+    def build():
+        gprime, L = even_connection_graph(G, u, v, A)
+        GA, IA = _minus(G, A)
+        J = IA.colon(IA.var(u)).intersect(IA.colon(IA.var(v)))
+        K = (edge_ideal(gprime).with_ambient(GA.labels)
+             + MonomialIdeal(GA.labels, tuple(IA.var(c) for c in L)))
+        return J, K, L
+    return _memo(G, ("pair", u, v, frozenset(A)), build)
 
 
 def _square_colon(G: Graph, u: str, v: str, A):
     """(I(G-A)^2 : uv) over the ring of G-A.  Returns (G-A, I(G-A), colon);
     raises ValueError unless uv is an edge and A lies in its pool."""
     _admissible_pool(G, u, v, A)
-    GA = delete_vertices(G, A)
-    IA = edge_ideal(GA)
-    return GA, IA, (IA ** 2).colon(_edge_monomial(IA, u, v))
+    GA, IA = _minus(G, A)
+    square = _memo(G, ("square", frozenset(A)), lambda: IA ** 2)
+    colon = _memo(G, ("colon", u, v, frozenset(A)),
+                  lambda: square.colon(_edge_monomial(IA, u, v)))
+    return GA, IA, colon
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +225,13 @@ def check_colon_intersection(G: Graph, edge: tuple[str, str]) -> CheckOutcome:
     """(I : u) meet (I : v) equals the edge ideal of the contracted graph plus
     the common neighbors, as an exact ideal identity."""
     u, v = edge
-    gid = emit_graph6(G)
     lhs_ideal, rhs_ideal, L = _colon_intersection_pair(G, u, v, ())
     status = HOLDS if lhs_ideal == rhs_ideal else FAILS
     witness = {"edge": [u, v], "L": list(L)}
     if status == FAILS:
         witness["lhs_gens"] = lhs_ideal.pretty()
         witness["rhs_gens"] = rhs_ideal.pretty()
-    return CheckOutcome("colon_intersection", gid, status,
+    return CheckOutcome("colon_intersection", _pieces(G).gid, status,
                         ideal_digest(lhs_ideal), ideal_digest(rhs_ideal), witness)
 
 
@@ -213,15 +241,15 @@ def check_even_connection_depth(G: Graph, edge, A, field=GF2) -> CheckOutcome:
     equals J = (I(G-A):u) meet (I(G-A):v).  So whenever this holds, depth(J) =
     depth(K) clears the same bound: the colon-intersection depth statement."""
     u, v = edge
-    gid = emit_graph6(G)
     computer = _as_computer(field)
     J, K, L = _colon_intersection_pair(G, u, v, A)
     identity = K == J
     lhs = computer.ideal_depth(K)
-    rhs = star_packing_number(G).size
+    pieces = _pieces(G)
+    rhs = pieces.alpha2
     status = HOLDS if identity and lhs >= rhs else FAILS
     witness = {"edge": [u, v], "A": sorted(A), "L": list(L), "identity": identity}
-    return CheckOutcome("even_connection_depth", gid, status, lhs, rhs, witness,
+    return CheckOutcome("even_connection_depth", pieces.gid, status, lhs, rhs, witness,
                         computer.field.characteristic)
 
 
@@ -229,15 +257,14 @@ def check_square_colon_depth(G: Graph, edge, A, field=GF2) -> CheckOutcome:
     """depth of (I(G-A)^2 : uv) over the shrunken ring is at least the packing
     number minus 2, minus 1 only when no whiskered triangle is induced."""
     u, v = edge
-    gid = emit_graph6(G)
     computer = _as_computer(field)
     _, _, colon = _square_colon(G, u, v, A)
     lhs = computer.ideal_depth(colon)
-    wk3free = is_wk3_free(G)
-    rhs = star_packing_number(G).size - (1 if wk3free else 2)
+    pieces = _pieces(G)
+    rhs = pieces.alpha2 - (1 if pieces.wk3_free else 2)
     status = HOLDS if lhs >= rhs else FAILS
-    witness = {"edge": [u, v], "A": sorted(A), "wk3_free": wk3free}
-    return CheckOutcome("square_colon_depth", gid, status, lhs, rhs, witness,
+    witness = {"edge": [u, v], "A": sorted(A), "wk3_free": pieces.wk3_free}
+    return CheckOutcome("square_colon_depth", pieces.gid, status, lhs, rhs, witness,
                         computer.field.characteristic)
 
 
@@ -246,7 +273,6 @@ def check_square_colon_formula(G: Graph, edge, A) -> CheckOutcome:
     description: I(G-A) + mixed neighbor products + squares of common
     neighbors.  When the edge is its own component, both collapse to I(G-A)."""
     u, v = edge
-    gid = emit_graph6(G)
     GA, IA, lhs_ideal = _square_colon(G, u, v, A)
     i, j = GA.index(u), GA.index(v)
     ni, nj = _labels(GA, GA.adj[i]), _labels(GA, GA.adj[j])
@@ -260,7 +286,7 @@ def check_square_colon_formula(G: Graph, edge, A) -> CheckOutcome:
     if not ok:
         witness["lhs_gens"] = lhs_ideal.pretty()
         witness["rhs_gens"] = rhs_ideal.pretty()
-    return CheckOutcome("square_colon_formula", gid, HOLDS if ok else FAILS,
+    return CheckOutcome("square_colon_formula", _pieces(G).gid, HOLDS if ok else FAILS,
                         ideal_digest(lhs_ideal), ideal_digest(rhs_ideal), witness)
 
 
@@ -419,9 +445,9 @@ def check_packing_deletion_bound(G: Graph, edge, A) -> CheckOutcome:
     """Deleting A together with a closed neighborhood (either endpoint), or
     both closed neighborhoods, lowers the packing number by at most 2."""
     u, v = edge
-    gid = emit_graph6(G)
     _admissible_pool(G, u, v, A)
-    rhs = star_packing_number(G).size - 2
+    pieces = _pieces(G)
+    rhs = pieces.alpha2 - 2
     a, cu, cv = _mask(G, A), G.closed_mask(G.index(u)), G.closed_mask(G.index(v))
     variants = {"A_plus_closed_u": a | cu, "A_plus_closed_v": a | cv,
                 "closed_u_plus_closed_v": cu | cv}
@@ -432,4 +458,4 @@ def check_packing_deletion_bound(G: Graph, edge, A) -> CheckOutcome:
     lhs = min(values.values())
     status = HOLDS if lhs >= rhs else FAILS
     witness = {"edge": [u, v], "A": sorted(A), "values": values}
-    return CheckOutcome("deletion_bound", gid, status, lhs, rhs, witness)
+    return CheckOutcome("deletion_bound", pieces.gid, status, lhs, rhs, witness)

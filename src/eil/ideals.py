@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations_with_replacement
 
 from .graphs import Graph, minimal_vertex_covers
@@ -48,21 +49,44 @@ def _quotient_by_gcd(u: Monomial, m: Monomial) -> Monomial:
     return tuple(a - b if a > b else 0 for a, b in zip(u, m))
 
 
-def _sort_key(u: Monomial):
-    # degree first, then descending lexicographic, so x*y prints before z^2
-    return (sum(u), tuple(-e for e in u))
+def _packed_rows(unique) -> tuple[int, list]:
+    """(b, rows): rows = (degree, -packed, g) sorted, g packed into one int of
+    b bits per variable, first variable highest; so degree first, then
+    descending lex (x*y before z^2).  Every field's top (guard) bit stays
+    clear: b = 8 while the degree is below 128, else one bit above need."""
+    try:
+        rows = sorted((sum(g), -int.from_bytes(bytes(g), "big"), g) for g in unique)
+        if not rows or rows[-1][0] < 128:
+            return 8, rows
+    except ValueError:  # an exponent outside 0..255
+        if any(e < 0 for g in unique for e in g):
+            raise ValueError("monomial exponents must be nonnegative") from None
+    b = max(map(max, unique)).bit_length() + 1
+    return b, sorted((sum(g), -reduce(lambda p, e: p << b | e, g, 0), g) for g in unique)
 
 
 def minimalize(gens, width: int) -> tuple[Monomial, ...]:
-    """Divisibility antichain of the given monomials, canonically sorted."""
-    unique = sorted(set(tuple(g) for g in gens), key=_sort_key)
+    """Divisibility antichain of the given monomials, canonically sorted.
+
+    h | g is one test on packed words (Bachmann-Schoenemann, ISSAC 1998):
+    g - h, with g's guard bits set, clears a field's guard exactly where h
+    has the larger exponent, so h | g iff ((g | GUARD) - h) & GUARD == GUARD.
+    """
+    unique = set(map(tuple, gens))
     for g in unique:
         if len(g) != width:
             raise ValueError(f"monomial width {len(g)} does not match ambient {width}")
-    kept: list[Monomial] = []
-    for g in unique:
-        if not any(_divides(h, g) for h in kept):
+    b, rows = _packed_rows(unique)
+    guard = ((1 << b * width) - 1) // ((1 << b) - 1) << (b - 1)
+    kept, packed = [], []
+    for _, neg, g in rows:
+        g_guarded = guard - neg
+        for h in packed:
+            if (g_guarded - h) & guard == guard:
+                break
+        else:
             kept.append(g)
+            packed.append(-neg)
     return tuple(kept)
 
 

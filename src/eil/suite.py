@@ -271,12 +271,13 @@ class VerificationReport:
 
     def write(self, path: str, fmt: str = "json"):
         """Atomic write: the file appears complete or not at all."""
-        payload = self.to_json() if fmt == "json" else self.to_csv()
+        chunks = (json.JSONEncoder(indent=2).iterencode(self.to_json_dict())
+                  if fmt == "json" else [self.to_csv()])  # JSON: to_json()'s bytes, streamed
         directory = os.path.dirname(os.path.abspath(path)) or "."
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", text=True)
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
+                handle.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -295,6 +296,13 @@ def _as_graph6(item) -> str:
     return item.strip()
 
 
+def _require_at_least(lowest: int, **values):
+    """Raise ValueError naming the first parameter below lowest (None: unset)."""
+    for param, value in values.items():
+        if value is not None and value < lowest:
+            raise ValueError(f"{param} must be at least {lowest}, got {value}")
+
+
 def run_suite(corpus, checks, field: FieldChoice = GF2, *, cross_check: bool = False,
               seed: int = 0, jobs: int = 1, budget: int | None = None,
               corpus_name: str = "corpus") -> VerificationReport:
@@ -305,9 +313,7 @@ def run_suite(corpus, checks, field: FieldChoice = GF2, *, cross_check: bool = F
     processes; outcome order stays the corpus order either way.  A budget or
     jobs below 1 raises ValueError.
     """
-    for param, value in (("budget", budget), ("jobs", jobs)):
-        if value is not None and value < 1:
-            raise ValueError(f"{param} must be at least 1, got {value}")
+    _require_at_least(1, budget=budget, jobs=jobs)
     names = resolve_checks(checks)
     report = VerificationReport(
         corpus=corpus_name,
@@ -344,7 +350,10 @@ def hunt_counterexamples(checks, n: int, count: int, seed: int,
     """Run checks over seeded random graphs on n vertices.
 
     Any failure outcome is the interesting artifact: its graph_id replays it.
+    n below 1 or count below 0 raises ValueError.
     """
+    _require_at_least(1, n=n)
+    _require_at_least(0, count=count)
     if isinstance(checks, str):
         checks = [checks]
     names = resolve_checks(checks)

@@ -1,6 +1,7 @@
 """Named checks: worked instances, hypothesis filtering, witnesses."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +10,7 @@ from eil.checks import (
     HOLDS,
     NOT_APPLICABLE,
     DepthComputer,
+    _pieces,
     check_colon_intersection,
     check_even_connection_depth,
     check_first_power,
@@ -24,6 +26,8 @@ from eil.checks import (
 )
 from eil.depth import GF2, QQ, depth_ideal
 from eil.graphs import (
+    _admissible_pool,
+    _mask,
     complete_graph,
     delete_vertices,
     empty_graph,
@@ -33,7 +37,7 @@ from eil.graphs import (
     whiskered_triangle,
 )
 from eil.ideals import edge_ideal
-from eil.suite import resolve_checks
+from eil.suite import resolve_checks, run_suite
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -275,3 +279,88 @@ def test_checks_all_hold_on_random_graphs():
             assert oc.status != FAILS
         oc = check_symbolic_square(G)
         assert oc.status != FAILS
+
+
+# ---------------------------------------------------------------------------
+# the per-graph memo of the edge-set checks
+
+EDGE_SET_CHECKS = {
+    "colon_intersection": lambda G, edge, A: check_colon_intersection(G, edge),
+    "even_connection_depth": check_even_connection_depth,
+    "square_colon_depth": check_square_colon_depth,
+    "square_colon_formula": check_square_colon_formula,
+    "deletion_bound": check_packing_deletion_bound,
+}
+
+
+def _edge_set_instances(G):
+    """(check id, edge, A) for every edge-set check, edge and admissible A."""
+    for name in EDGE_SET_CHECKS:
+        for u, v in G.edge_labels():
+            pool = _admissible_pool(G, u, v)
+            sets = [()] if name == "colon_intersection" else [
+                A for k in range(len(pool) + 1) for A in combinations(pool, k)]
+            for A in sets:
+                yield name, (u, v), A
+
+
+def _row(oc):
+    row = oc.to_dict()
+    row.pop("elapsed_ms")
+    return row
+
+
+def _cold(G, name, edge, A):
+    _pieces.cache_clear()
+    return _row(EDGE_SET_CHECKS[name](G, edge, A))
+
+
+def test_memo_matches_cold_calls_on_every_edge_set_instance(catalog5):
+    warm = {}
+    for oc in run_suite(catalog5, list(EDGE_SET_CHECKS)).outcomes:
+        w = oc.witness
+        warm[oc.check_id, oc.graph_id, tuple(w["edge"]), tuple(w.get("A", ()))] = _row(oc)
+    cold = 0
+    for G in catalog5:
+        for name, edge, A in _edge_set_instances(G):
+            row = _cold(G, name, edge, A)
+            assert row == warm[name, row["graph_id"], edge, A], (row, A)
+            cold += 1
+    assert cold == len(warm)
+
+
+def test_memo_interleaved_graphs_match_cold_calls():
+    G1, G2 = whiskered_triangle(), graph_from_edges("abcde", [("a", "b"), ("b", "c"),
+                                                              ("c", "a"), ("c", "d"), ("d", "e")])
+    cold = {G: [_cold(G, *inst) for inst in _edge_set_instances(G)] for G in (G1, G2)}
+    _pieces.cache_clear()
+    for G in (G1, G2, G1):
+        assert [_row(EDGE_SET_CHECKS[name](G, edge, A))
+                for name, edge, A in _edge_set_instances(G)] == cold[G]
+    info = _pieces.cache_info()
+    assert info.misses == 3 and info.hits > 0 and info.currsize == 1  # one graph at a time
+
+
+def test_memo_hit_still_rejects_inadmissible_sets():
+    G = whiskered_triangle()
+    for name, edge, A in _edge_set_instances(G):
+        EDGE_SET_CHECKS[name](G, edge, A)
+    u, v = G.edge_labels()[0]
+    far = next(x for x in G.labels if not _mask(G, [x]) & G.closed_mask(G.index(u))
+               and not _mask(G, [x]) & G.closed_mask(G.index(v)))
+    hits = _pieces.cache_info().hits
+    for name, fn in EDGE_SET_CHECKS.items():
+        if name == "colon_intersection":
+            with pytest.raises(ValueError, match="is not an edge"):
+                fn(G, (u, far), ())
+            continue
+        for A in ((u,), (far,), ("nowhere",)):
+            with pytest.raises(ValueError, match="inadmissible deletion set"):
+                fn(G, (u, v), A)
+    assert _pieces.cache_info().hits == hits  # raised before reading the memo
+
+
+def test_edge_set_suite_same_body_for_one_and_two_jobs(catalog5):
+    one = run_suite(catalog5, list(EDGE_SET_CHECKS), jobs=1)
+    two = run_suite(catalog5, list(EDGE_SET_CHECKS), jobs=2)
+    assert one.canonical_body() == two.canonical_body()

@@ -21,6 +21,7 @@ from eil.graphs import (
 )
 from eil.ideals import (
     MonomialIdeal,
+    _divides,
     edge_ideal,
     format_monomial,
     ideal_digest,
@@ -61,6 +62,55 @@ def test_minimalize_mixed_example():
 def test_minimalize_rejects_wrong_width():
     with pytest.raises(ValueError):
         minimalize([(1, 0)], 3)
+
+
+def _minimalize_by_scan(gens, width):
+    """minimalize before packing: sort by (degree, descending lex), then keep
+    each monomial no kept one divides; the reference for the packed kernel."""
+    unique = sorted(set(tuple(g) for g in gens), key=lambda u: (sum(u), tuple(-e for e in u)))
+    for g in unique:
+        if len(g) != width:
+            raise ValueError(f"monomial width {len(g)} does not match ambient {width}")
+    kept = []
+    for g in unique:
+        if not any(_divides(h, g) for h in kept):
+            kept.append(g)
+    return tuple(kept)
+
+
+# around every field width the kernel can pick: 1 to 5 bits and whole bytes,
+# where the degree or an exponent reaching 128 or 256 moves off the byte path
+STRADDLE = (0, 1, 2, 3, 4, 7, 8, 15, 16)
+WIDE = STRADDLE + (63, 64, 127, 128, 129, 255, 256, 1000)
+
+
+@pytest.mark.parametrize("width", range(9))
+def test_packed_minimalize_matches_tuple_scan(width):
+    rng = random.Random(width)
+    for _ in range(400):
+        values = rng.choice([(0, 1), (0, 1, 2), STRADDLE, WIDE])
+        gens = [tuple(rng.choice(values) for _ in range(width))
+                for _ in range(rng.randint(0, 10))]
+        gens += rng.sample(gens, min(len(gens), 3))  # duplicates
+        assert minimalize(gens, width) == _minimalize_by_scan(gens, width), gens
+    zero = (0,) * width
+    assert minimalize([], width) == ()
+    assert minimalize([zero, zero], width) == (zero,)
+    assert minimalize([(2,) * width, zero, (1,) * width], width) == (zero,)
+
+
+def test_packed_minimalize_field_boundaries():
+    cases = [[(0, 0), (0, 128)], [(1, 0), (1, 128)],  # 128 in a byte would set its guard
+             [(127, 0), (64, 64), (128, 0), (0, 128)],  # degree 128 leaves the byte path
+             [(255, 1), (256, 0), (255, 0), (0, 256)],  # bytes() refuses 256
+             [(7, 8), (8, 7), (15, 16), (16, 15), (8, 8)]]
+    for gens in cases:
+        assert minimalize(gens, 2) == _minimalize_by_scan(gens, 2)
+    with pytest.raises(ValueError, match="width 1 does not match ambient 2"):
+        minimalize([(1, 0), (1,)], 2)
+    for gens in ([(1, -1)], [(300, 0), (0, -2)]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            minimalize(gens, 2)
 
 
 def test_zero_and_unit():

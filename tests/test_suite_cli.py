@@ -101,6 +101,20 @@ def test_run_suite_rejects_counts_below_one(kwargs):
             hunt_counterexamples("main1", 4, 2, seed=1, **kwargs)
 
 
+@pytest.mark.parametrize("n, count, param", [(0, 2, "n"), (-3, 2, "n"), (4, -1, "count"),
+                                             (4, -5, "count")])
+def test_hunt_rejects_bad_n_and_count(n, count, param):
+    lowest = 1 if param == "n" else 0
+    value = n if param == "n" else count
+    with pytest.raises(ValueError, match=f"^{param} must be at least {lowest}, got {value}$"):
+        hunt_counterexamples("main1", n, count, seed=1)
+
+
+def test_hunt_count_zero_is_an_empty_run():
+    report = hunt_counterexamples("main1", 4, 0, seed=1)
+    assert report.outcomes == [] and report.corpus == "random:n=4,count=0,seed=1"
+
+
 def test_report_deterministic_across_runs_and_workers():
     corpus = list(all_graphs(4))
     a = run_suite(corpus, ["main1", "colon_intersection"], seed=5, corpus_name="c")
@@ -201,6 +215,19 @@ def test_report_json_schema_and_csv(tmp_path):
     report.write(str(cpath), "csv")
     header = cpath.read_text().splitlines()[0]
     assert header == "check_id,graph_id,status,lhs,rhs,field_char,elapsed_ms,witness"
+
+
+def test_report_write_streams_the_bytes_of_to_json(tmp_path):
+    report = run_suite(list(all_graphs(4)), ["main", "colon_intersection", "deletion_bound"],
+                       cross_check=True, corpus_name="n<=4")
+    report.outcomes[0].elapsed_ms = 0.1 + 0.2  # a float whose repr is long
+    report.findings.append({"kind": "note", "text": "caf\u00e9 \u2265 2", "nested": [1, None]})
+    jpath, cpath = tmp_path / "report.json", tmp_path / "report.csv"
+    report.write(str(jpath), "json")
+    report.write(str(cpath), "csv")
+    assert jpath.read_bytes() == report.to_json().encode()
+    assert cpath.read_bytes() == report.to_csv().encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.json"]
 
 
 def test_run_suite_accepts_graph6_lines():
