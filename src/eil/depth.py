@@ -25,7 +25,10 @@ and unit ideals.
 
 Homology ranks come from boundary-matrix ranks: bit-packed elimination over
 F2 (the default fast path) or fraction-free integer elimination for exact
-characteristic-zero ranks (the cross-check path).
+characteristic-zero ranks (the cross-check path).  A depth sweep needs only
+the smallest nonvanishing size per mask, and over Q it takes ranks only where
+mod-2 homology is alive at that size and the next: elsewhere universal
+coefficients force the rational answer to equal the mod-2 one.
 """
 
 from __future__ import annotations
@@ -225,51 +228,50 @@ def _boundary_rank(prev_faces: list[int], cur_faces: list[int], characteristic: 
     return _rank_exact(cols_q)
 
 
-def _homology_by_size(faces, characteristic: int, stop_at_first: bool,
-                      lo: int = 0, hi: int | None = None):
+def _ranks_by_size(faces, characteristic: int, lo: int = 0):
+    """Reduced homology ranks at face sizes lo, lo + 1, ... (dimension s-1),
+    lazily: a caller that stops early takes no further boundary ranks."""
+    S = len(faces) - 1
+    prev_bd = _boundary_rank(faces[lo - 1], faces[lo], characteristic) if lo else 0
+    for s in range(lo, S + 1):
+        next_bd = _boundary_rank(faces[s], faces[s + 1], characteristic) if s < S else 0
+        yield len(faces[s]) - prev_bd - next_bd
+        prev_bd = next_bd
+
+
+def _homology_by_size(faces, characteristic: int, stop_at_first: bool, lo: int = 0):
     """Reduced homology ranks indexed by face size s (dimension s-1).
 
-    Only sizes in the window [lo, hi] (default: all) are computed; callers
-    guarantee homology vanishes outside it, and those entries read 0.  With
-    stop_at_first, returns the smallest nonvanishing size, or None when the
-    complex is acyclic.
+    Sizes below lo are not computed; callers guarantee homology vanishes
+    there.  With stop_at_first, returns the smallest nonvanishing size, or
+    None when the complex is acyclic.
     """
-    S = len(faces) - 1
-    if S < 0:
-        return None if stop_at_first else []
-    out = [0] * (S + 1)
-    prev_bd = _boundary_rank(faces[lo - 1], faces[lo], characteristic) if lo else 0
-    for s in range(lo, S + 1 if hi is None else hi + 1):
-        next_bd = _boundary_rank(faces[s], faces[s + 1], characteristic) if s < S else 0
-        h = len(faces[s]) - prev_bd - next_bd
-        if stop_at_first and h:
-            return s
-        out[s] = h
-        prev_bd = next_bd
-    return None if stop_at_first else out
+    ranks = _ranks_by_size(faces, characteristic, lo)
+    if stop_at_first:
+        return next((s for s, h in enumerate(ranks, lo) if h), None)
+    return [0] * lo + list(ranks)
 
 
 def _mask_homology(faces, characteristics: tuple[int, ...], stop_at_first: bool) -> tuple:
     """Homology of one induced subcomplex in each characteristic, in order.
 
-    Characteristic 2 alone is one plain scan.  Otherwise the full mod-2
-    profile comes first: rational homology vanishes wherever mod-2 homology
-    does (universal coefficients), so rational ranks are taken only inside
-    the window of mod-2-alive sizes, and mod-2-acyclic masks skip them.
+    A full profile is one plain scan per characteristic.  With stop_at_first,
+    the rational answer is read off the mod-2 scan where it is forced.  By
+    universal coefficients h_s = b_s + t_s + t_{s-1}, where h and b are the
+    mod-2 and rational ranks at size s and t_s counts the even-order
+    summands of the integral homology there.  So b vanishes below the first
+    mod-2-alive size a, and when size a+1 is mod-2-dead too, t_a = t_{a-1} = 0
+    and b_a = h_a > 0.  Rational ranks, from a on, are taken only when
+    sizes a and a+1 are both mod-2-alive.
     """
-    if characteristics == (2,):
-        return (_homology_by_size(faces, 2, stop_at_first),)
-    mod2 = _homology_by_size(faces, 2, stop_at_first=False)
-    alive = [s for s, h in enumerate(mod2) if h]
-    out = []
-    for c in characteristics:
-        if c == 2:
-            out.append((alive[0] if alive else None) if stop_at_first else mod2)
-        elif alive:
-            out.append(_homology_by_size(faces, 0, stop_at_first, alive[0], alive[-1]))
-        else:
-            out.append(None if stop_at_first else mod2)  # all zero, as the rational ranks
-    return tuple(out)
+    if not stop_at_first or characteristics == (2,):
+        return tuple(_homology_by_size(faces, c, stop_at_first) for c in characteristics)
+    mod2 = _ranks_by_size(faces, 2)
+    first = next((s for s, h in enumerate(mod2) if h), None)
+    rational = first
+    if first is not None and next(mod2, 0):
+        rational = _homology_by_size(faces, 0, True, lo=first)
+    return tuple(first if c == 2 else rational for c in characteristics)
 
 
 def reduced_homology_dims(C: ComplexView, W: int, field: FieldChoice) -> dict[int, int]:

@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+import eil.depth
 from eil.depth import (
     GF2,
     QQ,
@@ -385,6 +386,32 @@ def test_square_depths_n6_golden(catalog6):
                   for G in catalog6 if G.num_edges())
     assert len(rows) == 202
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == GOLDEN_SQUARES_N6
+
+
+def test_rational_ranks_only_where_mod2_is_alive_in_adjacent_sizes(catalog5, monkeypatch):
+    # rational ranks are taken for exactly the reduced masks whose first
+    # mod-2-alive size a has a+1 alive too; elsewhere the mod-2 scan decides
+    rational = []
+    scan = eil.depth._homology_by_size
+
+    def counting(faces, characteristic, *args, **kwargs):
+        if characteristic == 0:
+            rational.append(len(faces))
+        return scan(faces, characteristic, *args, **kwargs)
+
+    monkeypatch.setattr(eil.depth, "_homology_by_size", counting)
+    squares = [edge_ideal(G) ** 2 for G in catalog5 if G.num_edges()]
+    assert len(squares) == 47
+    forced = 0
+    for I in squares:
+        clear_depth_cache()
+        depth_ideal_both(I)
+        C = ComplexView.from_ideal(polarize(I).ideal)
+        reduce = _cone_reducer(C.nonfaces)
+        for R in {reduce(W) for W, _ in _lattice_homology(C.nonfaces, (2,), stop_at_first=True)}:
+            alive = [d for d, r in reduced_homology_dims(C, R, GF2).items() if r]
+            forced += bool(alive) and alive[0] + 1 in alive
+    assert len(rational) == forced == 2
 
 
 def test_depth_zero_and_unit_ideals():
