@@ -28,7 +28,9 @@ F2 (the default fast path) or fraction-free integer elimination for exact
 characteristic-zero ranks (the cross-check path).  A depth sweep needs only
 the smallest nonvanishing size per mask, and over Q it takes ranks only where
 mod-2 homology is alive at that size and the next: elsewhere universal
-coefficients force the rational answer to equal the mod-2 one.
+coefficients force the rational answer to equal the mod-2 one.  Projective
+dimensions are memoized per characteristic under the generator matrix with
+its unused columns dropped; relabeled copies of an ideal are separate entries.
 """
 
 from __future__ import annotations
@@ -79,6 +81,11 @@ class ComplexView:
 
     ambient: tuple[str, ...]
     nonfaces: tuple[int, ...]
+
+    def __post_init__(self):
+        for s in self.nonfaces:
+            if s >> len(self.ambient):  # also nonzero for every negative s
+                raise ValueError(f"nonface mask {s:#x} exceeds the ambient vertices")
 
     @classmethod
     def from_ideal(cls, I: MonomialIdeal) -> "ComplexView":
@@ -239,24 +246,11 @@ def _ranks_by_size(faces, characteristic: int, lo: int = 0):
         prev_bd = next_bd
 
 
-def _homology_by_size(faces, characteristic: int, stop_at_first: bool, lo: int = 0):
-    """Reduced homology ranks indexed by face size s (dimension s-1).
+def _first_alive_sizes(faces, characteristics: tuple[int, ...]) -> tuple:
+    """Smallest face size with nonvanishing reduced homology in each
+    characteristic, in order; None where the complex is acyclic.
 
-    Sizes below lo are not computed; callers guarantee homology vanishes
-    there.  With stop_at_first, returns the smallest nonvanishing size, or
-    None when the complex is acyclic.
-    """
-    ranks = _ranks_by_size(faces, characteristic, lo)
-    if stop_at_first:
-        return next((s for s, h in enumerate(ranks, lo) if h), None)
-    return [0] * lo + list(ranks)
-
-
-def _mask_homology(faces, characteristics: tuple[int, ...], stop_at_first: bool) -> tuple:
-    """Homology of one induced subcomplex in each characteristic, in order.
-
-    A full profile is one plain scan per characteristic.  With stop_at_first,
-    the rational answer is read off the mod-2 scan where it is forced.  By
+    The rational answer is read off the mod-2 scan where it is forced.  By
     universal coefficients h_s = b_s + t_s + t_{s-1}, where h and b are the
     mod-2 and rational ranks at size s and t_s counts the even-order
     summands of the integral homology there.  So b vanishes below the first
@@ -264,13 +258,12 @@ def _mask_homology(faces, characteristics: tuple[int, ...], stop_at_first: bool)
     and b_a = h_a > 0.  Rational ranks, from a on, are taken only when
     sizes a and a+1 are both mod-2-alive.
     """
-    if not stop_at_first or characteristics == (2,):
-        return tuple(_homology_by_size(faces, c, stop_at_first) for c in characteristics)
     mod2 = _ranks_by_size(faces, 2)
     first = next((s for s, h in enumerate(mod2) if h), None)
     rational = first
-    if first is not None and next(mod2, 0):
-        rational = _homology_by_size(faces, 0, True, lo=first)
+    if 0 in characteristics and first is not None and next(mod2, 0):
+        ranks = _ranks_by_size(faces, 0, lo=first)
+        rational = next((s for s, h in enumerate(ranks, first) if h), None)
     return tuple(first if c == 2 else rational for c in characteristics)
 
 
@@ -282,9 +275,8 @@ def reduced_homology_dims(C: ComplexView, W: int, field: FieldChoice) -> dict[in
     """
     if W >> len(C.ambient):
         raise ValueError("W is not a subset of the ambient vertices")
-    faces = _faces_by_size(W, C.nonfaces)
-    dims = _homology_by_size(faces, field.characteristic, stop_at_first=False)
-    return {s - 1: h for s, h in enumerate(dims)}
+    ranks = _ranks_by_size(_faces_by_size(W, C.nonfaces), field.characteristic)
+    return {s - 1: h for s, h in enumerate(ranks)}
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +330,11 @@ def _cone_reducer(nonfaces):
     return reduce
 
 
-def _lattice_homology(nonfaces, characteristics: tuple[int, ...], stop_at_first: bool):
-    """The Hochster sweep: (W, homology per characteristic) for every nonempty
-    mask W of the lcm lattice (the unions of nonfaces), the only masks that
-    can carry homology.  Each W is cone-reduced first, and the homology is
-    computed once per reduced mask."""
+def _lattice_homology(nonfaces, homology):
+    """The Hochster sweep: (W, homology(faces)) for every nonempty mask W of
+    the lcm lattice (the unions of nonfaces), the only masks that can carry
+    homology.  Each W is cone-reduced first, and homology runs once per
+    reduced mask, on its faces grouped by size."""
     lattice = {0}
     for s in nonfaces:
         lattice |= {r | s for r in lattice}
@@ -352,7 +344,7 @@ def _lattice_homology(nonfaces, characteristics: tuple[int, ...], stop_at_first:
         if W:
             R = reduce(W)
             if R not in memo:
-                memo[R] = _mask_homology(_faces_by_size(R, nonfaces), characteristics, stop_at_first)
+                memo[R] = homology(_faces_by_size(R, nonfaces))
             yield W, memo[R]
 
 
@@ -366,9 +358,10 @@ def betti_numbers(I: MonomialIdeal, field: FieldChoice) -> dict[tuple[int, int],
         raise ValueError("Betti numbers of the unit quotient are not defined here")
     out = {(0, 0): 1}
     nonfaces = ComplexView.from_ideal(I).nonfaces
-    for W, (dims,) in _lattice_homology(nonfaces, (field.characteristic,), stop_at_first=False):
+    c = field.characteristic
+    for W, ranks in _lattice_homology(nonfaces, lambda faces: list(_ranks_by_size(faces, c))):
         size = W.bit_count()
-        for s, h in enumerate(dims):
+        for s, h in enumerate(ranks):
             if h:
                 out[(size - s, W)] = h
     return out
@@ -379,26 +372,16 @@ def betti_numbers(I: MonomialIdeal, field: FieldChoice) -> dict[tuple[int, int],
 
 
 _PD_CACHE: dict = {}
-# Keyed by (characteristic, normalized generator matrix).  Plain dict writes
-# are GIL-atomic and the value is a pure function of the key, so concurrent
+# Keyed by (characteristic, generator matrix without its unused columns):
+# pd does not see variables that no generator uses, or their names.  The
+# rows keep the ideal's canonical order, so no sort is needed; ideals that
+# differ by a relabeling are separate entries.  Plain dict writes are
+# GIL-atomic and the value is a pure function of the key, so concurrent
 # duplicate computation is the worst case.
 
 
 def clear_depth_cache():
     _PD_CACHE.clear()
-
-
-def _normalized_gens(gens) -> tuple:
-    """Generator matrix without unused columns, rows and columns sorted, so
-    ideals that differ by a relabeling of variables often share it."""
-    used = [j for j in range(len(gens[0])) if any(g[j] for g in gens)]
-    rows = sorted(tuple(g[j] for j in used) for g in gens)
-    for _ in range(2):
-        if not rows:
-            break
-        order = sorted(range(len(rows[0])), key=lambda j: tuple(r[j] for r in rows))
-        rows = sorted(tuple(r[j] for j in order) for r in rows)
-    return tuple(rows)
 
 
 def _pd(I: MonomialIdeal, characteristics: tuple[int, ...]) -> list[int]:
@@ -408,12 +391,13 @@ def _pd(I: MonomialIdeal, characteristics: tuple[int, ...]) -> list[int]:
     characteristic.  Per mask the smallest nonvanishing dimension carries the
     largest homological degree, so the sweep stops at it.
     """
-    rows = _normalized_gens(I.gens)
+    rows = tuple(zip(*(col for col in zip(*I.gens) if any(col))))
     missing = tuple(c for c in characteristics if (c, rows) not in _PD_CACHE)
     if missing:
         pd = dict.fromkeys(missing, 0)
         nonfaces = ComplexView.from_ideal(polarize(I).ideal).nonfaces
-        for W, firsts in _lattice_homology(nonfaces, missing, stop_at_first=True):
+        sweep = _lattice_homology(nonfaces, lambda faces: _first_alive_sizes(faces, missing))
+        for W, firsts in sweep:
             for c, s in zip(missing, firsts):
                 if s is not None:
                     pd[c] = max(pd[c], W.bit_count() - s)

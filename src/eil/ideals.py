@@ -246,10 +246,10 @@ def parse_monomial(ambient, text: str) -> Monomial:
         return tuple(vec)
     pos = {name: i for i, name in enumerate(ambient)}
     for factor in text.split("*"):
-        name, _, exp = factor.strip().partition("^")
+        name, caret, exp = factor.strip().partition("^")
         if name not in pos:
             raise ValueError(f"unknown variable {name!r}")
-        vec[pos[name]] += int(exp) if exp else 1
+        vec[pos[name]] += int(exp) if caret else 1
     return tuple(vec)
 
 

@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+import eil.checks
 import eil.depth
 from eil.depth import (
     GF2,
@@ -32,6 +33,7 @@ from eil.depth import (
 )
 from eil.graphs import complete_graph, cycle_graph, emit_graph6, path_graph, whiskered_triangle
 from eil.ideals import MonomialIdeal, edge_ideal, polarize
+from eil.suite import run_suite
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -63,21 +65,34 @@ def _dense_rank_q(rows):
 
 
 def _dense_rank_f2(rows):
-    rows = [[x & 1 for x in r] for r in rows]
+    """Rank mod 2: each row packed into an int (column c at bit c), then
+    Gaussian elimination that clears only below each pivot."""
+    packed = [sum((x & 1) << c for c, x in enumerate(r)) for r in rows]
     rank = 0
     cols = len(rows[0]) if rows else 0
-    lead = 0
     for c in range(cols):
-        pivot = next((r for r in range(lead, len(rows)) if rows[r][c]), None)
+        bit = 1 << c
+        pivot = next((r for r in range(rank, len(packed)) if packed[r] & bit), None)
         if pivot is None:
             continue
-        rows[lead], rows[pivot] = rows[pivot], rows[lead]
-        for r in range(len(rows)):
-            if r != lead and rows[r][c]:
-                rows[r] = [(a + b) & 1 for a, b in zip(rows[r], rows[lead])]
-        lead += 1
+        packed[rank], packed[pivot] = packed[pivot], packed[rank]
+        for r in range(rank + 1, len(packed)):
+            if packed[r] & bit:
+                packed[r] ^= packed[rank]
         rank += 1
     return rank
+
+
+def test_dense_rank_f2_counts_the_row_span():
+    # 2^rank is the size of the row span, enumerated by brute force
+    rng = random.Random(5)
+    for _ in range(400):
+        width = rng.randint(1, 8)
+        rows = [[rng.randint(0, 1) for _ in range(width)] for _ in range(rng.randint(1, 8))]
+        span = {(0,) * width}
+        for r in rows:
+            span |= {tuple(a ^ b for a, b in zip(v, r)) for v in span}
+        assert 1 << _dense_rank_f2(rows) == len(span), rows
 
 
 def taylor_betti(I, characteristic):
@@ -190,6 +205,13 @@ def test_induced_subcomplex_restricts_nonfaces():
     C = ComplexView(XYZ, (0b111,))
     dims = reduced_homology_dims(C, 0b011, GF2)  # edge xy survives, contractible
     assert set(dims.values()) == {0}
+
+
+def test_complex_view_rejects_nonfaces_outside_the_ambient():
+    assert ComplexView(("x",), (0b1,)).nonfaces == (0b1,)
+    for mask in (0b110, 0b10, -1):
+        with pytest.raises(ValueError, match="exceeds the ambient"):
+            ComplexView(("x",), (mask,))
 
 
 def test_homology_rejects_foreign_vertices():
@@ -306,7 +328,7 @@ def test_cone_reducer_on_known_complexes():
 def test_cone_reduction_counts_whiskered_triangle_square():
     # pinned so that a change to the pruning or the reduction shows in review
     C = ComplexView.from_ideal(polarize(edge_ideal(whiskered_triangle()) ** 2).ideal)
-    masks = [W for W, _ in _lattice_homology(C.nonfaces, (2,), stop_at_first=True)]
+    masks = [W for W, _ in _lattice_homology(C.nonfaces, len)]
     reduce = _cone_reducer(C.nonfaces)
     assert (len(C.ambient), len(masks), len({reduce(W) for W in masks})) == (12, 181, 53)
 
@@ -390,28 +412,63 @@ def test_square_depths_n6_golden(catalog6):
 
 def test_rational_ranks_only_where_mod2_is_alive_in_adjacent_sizes(catalog5, monkeypatch):
     # rational ranks are taken for exactly the reduced masks whose first
-    # mod-2-alive size a has a+1 alive too; elsewhere the mod-2 scan decides
+    # mod-2-alive size a has a+1 alive too; elsewhere the mod-2 scan decides,
+    # and an F2-only depth takes no rational ranks at all
     rational = []
-    scan = eil.depth._homology_by_size
+    scan = eil.depth._ranks_by_size
 
     def counting(faces, characteristic, *args, **kwargs):
         if characteristic == 0:
             rational.append(len(faces))
         return scan(faces, characteristic, *args, **kwargs)
 
-    monkeypatch.setattr(eil.depth, "_homology_by_size", counting)
+    monkeypatch.setattr(eil.depth, "_ranks_by_size", counting)
     squares = [edge_ideal(G) ** 2 for G in catalog5 if G.num_edges()]
     assert len(squares) == 47
+    for I in squares:
+        clear_depth_cache()
+        depth_ideal(I, GF2)
+    assert rational == []
     forced = 0
     for I in squares:
         clear_depth_cache()
         depth_ideal_both(I)
         C = ComplexView.from_ideal(polarize(I).ideal)
         reduce = _cone_reducer(C.nonfaces)
-        for R in {reduce(W) for W, _ in _lattice_homology(C.nonfaces, (2,), stop_at_first=True)}:
+        for R in {reduce(W) for W, _ in _lattice_homology(C.nonfaces, len)}:
             alive = [d for d, r in reduced_homology_dims(C, R, GF2).items() if r]
             forced += bool(alive) and alive[0] + 1 in alive
     assert len(rational) == forced == 2
+
+
+def _used_columns(I):
+    used = [j for j in range(len(I.ambient)) if any(g[j] for g in I.gens)]
+    return tuple(tuple(g[j] for j in used) for g in I.gens)
+
+
+def test_depth_memo_is_keyed_by_the_used_columns(catalog5, monkeypatch):
+    # one memo entry per distinct generator matrix without unused variables:
+    # relabeled copies are not merged, an unused variable is not seen
+    seen = []
+    depth = eil.checks.depth_ideal
+
+    def spy(I, field=GF2):
+        seen.append(I)
+        return depth(I, field)
+
+    monkeypatch.setattr(eil.checks, "depth_ideal", spy)
+    checks = ["colon_intersection", "even_connection_depth", "square_colon_depth",
+              "square_colon_formula", "deletion_bound"]
+    clear_depth_cache()
+    run_suite(catalog5, checks, GF2)
+    assert len(seen) > len(eil.depth._PD_CACHE) > 0
+    assert len(eil.depth._PD_CACHE) == len({_used_columns(I) for I in seen})
+
+    clear_depth_cache()
+    I = edge_ideal(path_graph(4)) ** 2
+    J = MonomialIdeal(("w",) + I.ambient, tuple((0,) + g for g in I.gens))
+    assert depth_ideal(J, GF2) == depth_ideal(I, GF2) + 1
+    assert len(eil.depth._PD_CACHE) == 1
 
 
 def test_depth_zero_and_unit_ideals():

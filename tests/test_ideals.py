@@ -127,6 +127,9 @@ def test_pretty_and_parse_roundtrip():
     assert I.pretty() == "(x*y, z^2)"
     assert MonomialIdeal.from_strings(XYZ, ["x*y", "z^2"]) == I
     assert format_monomial(XYZ, parse_monomial(XYZ, "x^2*z")) == "x^2*z"
+    for bad in ("x^", "x*y^", "w"):
+        with pytest.raises(ValueError):
+            parse_monomial(XYZ, bad)
     assert MonomialIdeal.zero(XYZ).pretty() == "(0)"
 
 
