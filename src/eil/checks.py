@@ -342,7 +342,10 @@ def check_sharp_examples(field=GF2) -> list[CheckOutcome]:
     for name, G, want_depth, want_alpha2, slack in sharp_example_graphs():
         gid = emit_graph6(G)
         pack = star_packing_number(G)
+        seen = len(computer.findings)
         depth = computer.ideal_depth(edge_ideal(G) ** 2)
+        for finding in computer.findings[seen:]:  # no per-graph task tags these
+            finding["graph_id"] = gid
         ok = depth == want_depth and pack.size == want_alpha2 and depth == pack.size - slack
         witness = {
             "name": name,

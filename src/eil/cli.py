@@ -162,7 +162,14 @@ def _cmd_depth(args) -> int:
     return 0
 
 
+def _require_output(args):
+    """A json or csv report goes to a file; stdout carries the text summary."""
+    if args.format != "text" and not args.output:
+        raise CliError(f"--format {args.format} needs --output FILE")
+
+
 def _cmd_verify(args) -> int:
+    _require_output(args)
     checks = resolve_checks(name for arg in args.suite for name in arg.split(","))
     field, cross = _field_mode(args.field)
     corpus_free = all(CHECKS[c].kind == "global" for c in checks)
@@ -190,6 +197,7 @@ def _cmd_verify(args) -> int:
 def _cmd_hunt(args) -> int:
     if args.seed is None:
         raise CliError("--seed is required for hunting")
+    _require_output(args)
     checks = resolve_checks([args.check])
     field, cross = _field_mode(args.field)
     _warn_cap(args.max_polarized)
@@ -214,7 +222,7 @@ def _emit_report(report, output, fmt):
     summary = report.summary
     pairs = " ".join(f"{k}={v}" for k, v in summary.items())
     print(f"summary {pairs}")
-    if fmt == "text" or not output:
+    if fmt == "text":
         for oc in report.failures:
             print(f"fail check={oc.check_id} graph={oc.graph_id} lhs={oc.lhs} rhs={oc.rhs}")
     for finding in report.findings:
@@ -291,10 +299,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (Graph6Error, ValueError) as err:
+    except (CliError, Graph6Error, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

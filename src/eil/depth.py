@@ -118,34 +118,33 @@ class DepthResult:
 def _faces_by_size(W: int, nonfaces) -> list[list[int]]:
     """Faces of the induced subcomplex on W, grouped by vertex count.
 
-    Entry s lists the masks with s vertices; entry 0 is the empty face.  The
-    void complex (some nonface inside W is empty) yields an empty list.
+    Entry s lists the masks with s vertices, in lexicographic order of their
+    sorted vertices; entry 0 is the empty face, and no entry is empty.  Size
+    s + 1 holds each face F of size s plus one vertex v of W above F's
+    highest vertex such that F + v contains no nonface; as F is a face, only
+    the nonfaces through v need testing.  The void complex (some nonface
+    inside W is empty) yields an empty list.
     """
     local = [s for s in nonfaces if not s & ~W]
-    if any(s == 0 for s in local):
+    if 0 in local:
         return []
-    verts = list(_bits(W))
-    per_vertex = [[s for s in local if (s >> v) & 1] for v in verts]
-    out: list[list[int]] = [[] for _ in range(len(verts) + 1)]
-    top = 0
-
-    def grow(face: int, start: int, size: int):
-        nonlocal top
-        out[size].append(face)
-        if size > top:
-            top = size
-        for t in range(start, len(verts)):
-            cand = face | (1 << verts[t])
-            completes = False
-            for s in per_vertex[t]:
-                if not s & ~cand:
-                    completes = True
-                    break
-            if not completes:
-                grow(cand, t + 1, size + 1)
-
-    grow(0, 0, 0)
-    return out[: top + 1]
+    cands = [(1 << v, [s for s in local if (s >> v) & 1]) for v in _bits(W)]
+    out = []
+    layer = [(0, 0)]  # (face, index of the first candidate above its top vertex)
+    while layer:
+        out.append([F for F, _ in layer])
+        grown = []
+        for F, start in layer:
+            for t in range(start, len(cands)):
+                bit, through = cands[t]
+                G = F | bit
+                for s in through:
+                    if not s & ~G:
+                        break
+                else:
+                    grown.append((G, t + 1))
+        layer = grown
+    return out
 
 
 def _rank_gf2(cols: list[int]) -> int:
@@ -163,15 +162,12 @@ def _rank_gf2(cols: list[int]) -> int:
     return rank
 
 
-_GROWTH_LIMIT = 1 << 30
-
-
 def _rank_exact(cols: list[dict[int, int]]) -> int:
     """Rank over the rationals by fraction-free integer elimination.
 
-    Entries stay integral (v := pivot_coeff * v - v_coeff * pivot); a gcd
-    renormalization kicks in only once coefficients grow, which keeps the
-    common all-unit-pivot case cheap.
+    A column v whose leading entry a meets a pivot p with leading entry b is
+    reduced to b * v - a * p, which stays integral and loses that entry, and
+    then divided by the gcd of its entries, which keeps the entries small.
     """
     pivots: dict[int, dict[int, int]] = {}
     rank = 0
@@ -185,30 +181,21 @@ def _rank_exact(cols: list[dict[int, int]]) -> int:
                 rank += 1
                 break
             a, b = v[lead], p[lead]
-            merged = {k: b * c for k, c in v.items()}
-            grew = b > 1 or b < -1
+            v = {k: b * c for k, c in v.items()}
             for k, c in p.items():
-                c = merged.get(k, 0) - a * c
+                c = v.get(k, 0) - a * c
                 if c:
-                    merged[k] = c
-                    if c > _GROWTH_LIMIT or -c > _GROWTH_LIMIT:
-                        grew = True
+                    v[k] = c
                 else:
-                    merged.pop(k, None)
-            if grew:
-                g = 0
-                for c in merged.values():
-                    g = math.gcd(g, c)
-                if g > 1:
-                    merged = {k: c // g for k, c in merged.items()}
-            v = merged
+                    v.pop(k, None)
+            g = math.gcd(*v.values())
+            if g > 1:
+                v = {k: c // g for k, c in v.items()}
     return rank
 
 
 def _boundary_rank(prev_faces: list[int], cur_faces: list[int], characteristic: int) -> int:
     """Rank of the boundary map from size-s faces down to size-(s-1) faces."""
-    if not prev_faces or not cur_faces:
-        return 0
     index = {m: t for t, m in enumerate(prev_faces)}
     if characteristic == 2:
         cols = []
@@ -411,21 +398,17 @@ def depth_quotient(I: MonomialIdeal, field: FieldChoice = GF2, want_betti: bool 
 
     Non-squarefree input is polarized first; the added-variable shift cancels
     against the enlarged ambient, so pd is preserved and depth stays relative
-    to len(I.ambient).  The zero ideal gives depth = ambient size.  When
-    want_betti is set, the full multigraded table of the (polarized) ideal is
-    attached.
+    to len(I.ambient).  The zero ideal gives depth = ambient size.  pd always
+    comes from the depth sweep; want_betti only attaches the full
+    multigraded table of the (polarized) ideal, computed separately.
     """
     if I.is_unit:
         raise ValueError("depth of the unit quotient is undefined")
     n = len(I.ambient)
     if I.is_zero:
         return DepthResult(n, 0, n, None, field, {(0, 0): 1} if want_betti else None)
-    betti = None
-    if want_betti:
-        betti = betti_numbers(polarize(I).ideal, field)
-        pd = max(i for i, _ in betti)
-    else:
-        (pd,) = _pd(I, (field.characteristic,))
+    (pd,) = _pd(I, (field.characteristic,))
+    betti = betti_numbers(polarize(I).ideal, field) if want_betti else None
     return DepthResult(n, pd, n - pd, n - pd + 1, field, betti)
 
 

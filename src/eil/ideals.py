@@ -147,6 +147,12 @@ class MonomialIdeal:
         if self.ambient != other.ambient:
             raise ValueError("ideals live in different ambients")
 
+    def _check_monomial(self, m: Monomial):
+        if len(m) != len(self.ambient):
+            raise ValueError("monomial width does not match ambient")
+        if min(m, default=0) < 0:
+            raise ValueError("monomial exponents must be nonnegative")
+
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_same_ambient(other)
         return MonomialIdeal(self.ambient, self.gens + other.gens)
@@ -167,8 +173,7 @@ class MonomialIdeal:
 
     def colon(self, m: Monomial) -> "MonomialIdeal":
         """(I : m) = monomials v with v*m in I."""
-        if len(m) != len(self.ambient):
-            raise ValueError("monomial width does not match ambient")
+        self._check_monomial(m)
         return MonomialIdeal(self.ambient, tuple(_quotient_by_gcd(u, m) for u in self.gens))
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
@@ -178,8 +183,7 @@ class MonomialIdeal:
         )
 
     def contains(self, m: Monomial) -> bool:
-        if len(m) != len(self.ambient):
-            raise ValueError("monomial width does not match ambient")
+        self._check_monomial(m)
         return any(_divides(g, m) for g in self.gens)
 
     def with_ambient(self, ambient) -> "MonomialIdeal":

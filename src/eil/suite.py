@@ -270,7 +270,10 @@ class VerificationReport:
         return buf.getvalue()
 
     def write(self, path: str, fmt: str = "json"):
-        """Atomic write: the file appears complete or not at all."""
+        """Atomic write of fmt "json" or "csv": the file appears complete or
+        not at all."""
+        if fmt not in ("json", "csv"):
+            raise ValueError(f"report format must be json or csv, got {fmt!r}")
         chunks = (json.JSONEncoder(indent=2).iterencode(self.to_json_dict())
                   if fmt == "json" else [self.to_csv()])  # JSON: to_json()'s bytes, streamed
         directory = os.path.dirname(os.path.abspath(path)) or "."

@@ -22,7 +22,9 @@ from eil.depth import (
     DepthResult,
     FieldChoice,
     _cone_reducer,
+    _faces_by_size,
     _lattice_homology,
+    _rank_exact,
     betti_numbers,
     betti_table_rows,
     clear_depth_cache,
@@ -236,6 +238,42 @@ def test_field_choice_validation():
 def test_complex_view_needs_squarefree():
     with pytest.raises(ValueError):
         ComplexView.from_ideal(MonomialIdeal.from_strings(XY, ["x^2"]))
+
+
+def _brute_faces_by_size(W, nonfaces):
+    # every subset of W with no nonface inside, by size, in combinations'
+    # lexicographic order; faces are closed under subsets, so the first
+    # empty size ends the list
+    verts = [v for v in range(W.bit_length()) if W >> v & 1]
+    out = []
+    for k in range(len(verts) + 1):
+        masks = (sum(1 << v for v in c) for c in combinations(verts, k))
+        layer = [F for F in masks if all(s & ~F for s in nonfaces)]
+        if not layer:
+            break
+        out.append(layer)
+    return out
+
+
+def test_faces_by_size_matches_brute_force():
+    rng = random.Random(11)
+    assert _faces_by_size(0, ()) == [[0]]
+    assert _faces_by_size(0, (0b11,)) == [[0]]
+    assert _faces_by_size(0b111, (0b10, 0)) == []  # void: the empty set is a nonface
+    for _ in range(600):
+        n = rng.randint(1, 9)
+        nonfaces = [rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 6))]
+        W = rng.randrange(1 << n)
+        assert _faces_by_size(W, nonfaces) == _brute_faces_by_size(W, nonfaces), (W, nonfaces)
+
+
+def test_rank_exact_matches_dense_rational_rank():
+    # random integer entries, so pivots other than +-1 and the gcd step occur
+    rng = random.Random(13)
+    for _ in range(500):
+        width = rng.randint(1, 8)
+        rows = [[rng.randint(-3, 5) for _ in range(width)] for _ in range(rng.randint(1, 8))]
+        assert _rank_exact([dict(enumerate(r)) for r in rows]) == _dense_rank_q(rows), rows
 
 
 # ---------------------------------------------------------------------------

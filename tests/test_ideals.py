@@ -206,6 +206,9 @@ def test_colon_examples():
     sq = I ** 2
     got = sq.colon(parse_monomial(I.ambient, "x1*x2"))
     assert got == MonomialIdeal.from_strings(I.ambient, ["x1*x2", "x1*x3", "x2*x3", "x3^2"])
+    for m in ((-1, 0, 0), (0, -2, 0), (2, -1, 1)):  # not (x*y) but an error
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            ideal("x*y").colon(m)
 
 
 def test_intersect_examples():
@@ -220,6 +223,9 @@ def test_contains_examples():
     assert not MonomialIdeal.zero(XYZ).contains(parse_monomial(XYZ, "x"))
     sq = edge_ideal(complete_graph(3)) ** 2
     assert not sq.contains(parse_monomial(sq.ambient, "x1*x2*x3"))
+    for m in ((-1, 0, 0), (2, -1, 1)):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            ideal("x*y").contains(m)
 
 
 def test_membership_laws_random():

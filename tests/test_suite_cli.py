@@ -11,6 +11,7 @@ from eil.catalog import all_graphs
 from eil.cli import main
 from eil.depth import GF2
 import eil.checks
+from eil.checks import FAILS, CheckOutcome
 from eil.graphs import (
     complete_graph,
     emit_graph6,
@@ -215,6 +216,10 @@ def test_report_json_schema_and_csv(tmp_path):
     report.write(str(cpath), "csv")
     header = cpath.read_text().splitlines()[0]
     assert header == "check_id,graph_id,status,lhs,rhs,field_char,elapsed_ms,witness"
+    for fmt in ("xml", "text", "JSON", ""):  # no silent CSV
+        with pytest.raises(ValueError, match="json or csv"):
+            report.write(str(tmp_path / "report.out"), fmt)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.json"]
 
 
 def test_report_write_streams_the_bytes_of_to_json(tmp_path):
@@ -423,6 +428,76 @@ def test_cli_verify_main_small(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["summary"]["fails"] == 0
     assert payload["corpus"] == "generated:max_n=4"
+
+
+def test_cli_verify_corpus_file(tmp_path, capsys):
+    lines = ["A_", "Bw", emit_graph6(path_graph(4))]
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("# three graphs\n" + "\n".join(lines) + "\n")
+    out_path = tmp_path / "report.json"
+    assert main(["verify", "--suite", "main1", "--corpus", str(corpus),
+                 "--output", str(out_path), "--format", "json"]) == 0
+    payload = json.loads(out_path.read_text())
+    assert payload["corpus"] == f"file:{corpus}"
+    assert [row["graph_id"] for row in payload["outcomes"]] == lines
+    assert "holds=3" in capsys.readouterr().out
+
+
+def test_cli_report_formats_need_an_output_file(tmp_path, capsys):
+    for fmt in ("json", "csv"):
+        for argv in (["verify", "--suite", "examples"],
+                     ["hunt", "--check", "main1", "--n", "4", "--random", "2", "--seed", "1"]):
+            assert main([*argv, "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert "--output" in captured.err and captured.out == ""
+    out_path = tmp_path / "hunt.csv"
+    assert main(["hunt", "--check", "main1", "--n", "4", "--random", "2", "--seed", "1",
+                 "--format", "csv", "--output", str(out_path)]) == 0
+    assert out_path.read_text().startswith("check_id,graph_id,status")
+
+
+def test_cli_verify_reports_forced_field_disagreements(monkeypatch, capsys):
+    # the rational depth is forced one above the mod-2 one: every depth is a
+    # finding, and findings never change a verdict or the exit code
+    depth = eil.checks.depth_ideal
+
+    def disagreeing(I):
+        d = depth(I, GF2)
+        return d, d + 1
+
+    monkeypatch.setattr(eil.checks, "depth_ideal_both", disagreeing)
+    report = run_suite(list(all_graphs(4)), ["main1", "examples"], cross_check=True)
+    assert report.summary["fails"] == 0
+    assert len(report.findings) == report.depth_comparisons > 3
+    assert all(f["kind"] == "field_disagreement" and f["char0"] == f["char2"] + 1
+               for f in report.findings)
+    ids = {oc.graph_id for oc in report.outcomes}
+    assert {f["graph_id"] for f in report.findings} <= ids
+    assert main(["verify", "--suite", "main1", "--max-n", "4", "--field", "both",
+                 "--jobs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    findings = [line for line in lines if line.startswith("finding ")]
+    assert findings and all("kind=field_disagreement" in line and "graph_id=" in line
+                            for line in findings)
+    assert "fails=0" in lines[0]
+
+
+def test_cli_prints_forced_failures_and_exits_one(monkeypatch, capsys):
+    def failing(G, field=GF2):
+        return CheckOutcome("first_power", emit_graph6(G), FAILS, 0, 1)
+
+    monkeypatch.setattr(eil.checks, "check_first_power", failing)
+    assert main(["verify", "--suite", "first_power", "--corpus", "Bw", "--jobs", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "fails=1" in out and "fail check=first_power graph=Bw lhs=0 rhs=1" in out
+    assert main(["hunt", "--check", "first_power", "--n", "4", "--random", "2",
+                 "--seed", "1", "--jobs", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    hits = [line for line in lines if line.startswith("counterexample ")]
+    assert len(hits) == 2
+    for line in hits:
+        assert line.startswith("counterexample check=first_power graph=")
+        parse_graph6(line.split("graph=")[1].split()[0])  # ids replay
 
 
 def test_cli_verify_unknown_check(capsys):
