@@ -32,8 +32,9 @@ def _read_text(arg: str) -> tuple[str, str]:
     if os.path.exists(arg):
         with open(arg) as handle:
             return handle.read(), arg
-    # treat as one inline graph6 token
-    return arg, "inline"
+    if any(not "?" <= ch <= "~" for ch in arg.removeprefix(">>graph6<<")):
+        raise CliError(f"{arg}: no such file")  # no graph6 token has that character
+    return arg, "inline"  # one inline graph6 token
 
 
 def _read_graphs(arg: str, force_edges: bool = False) -> list[Graph]:

@@ -26,11 +26,16 @@ and unit ideals.
 Homology ranks come from boundary-matrix ranks: bit-packed elimination over
 F2 (the default fast path) or fraction-free integer elimination for exact
 characteristic-zero ranks (the cross-check path).  A depth sweep needs only
-the smallest nonvanishing size per mask, and over Q it takes ranks only where
-mod-2 homology is alive at that size and the next: elsewhere universal
-coefficients force the rational answer to equal the mod-2 one.  Projective
-dimensions are memoized per characteristic under the generator matrix with
-its unused columns dropped; relabeled copies of an ideal are separate entries.
+the smallest nonvanishing size s_W per mask, and over Q it takes ranks only
+where mod-2 homology is alive at that size and the next: elsewhere universal
+coefficients force the rational answer to equal the mod-2 one.
+
+pd is the largest |W| - s_W.  With k the smallest nonface size, every subset
+of W with fewer than k vertices is a face, so Delta_W holds the full
+(k-2)-skeleton of the simplex on W and s_W >= k - 1.  The depth sweep walks
+masks by decreasing |W| and stops once |W| - k + 1 <= the best pd; with both
+fields, the smaller best, over Q, as s_W over Q >= s_W over F2 by universal
+coefficients.  Betti tables walk the whole lattice.
 """
 
 from __future__ import annotations
@@ -318,21 +323,23 @@ def _cone_reducer(nonfaces):
 
 
 def _lattice_homology(nonfaces, homology):
-    """The Hochster sweep: (W, homology(faces)) for every nonempty mask W of
-    the lcm lattice (the unions of nonfaces), the only masks that can carry
-    homology.  Each W is cone-reduced first, and homology runs once per
-    reduced mask, on its faces grouped by size."""
+    """The Hochster sweep: (W, at) for every nonempty mask W of the lcm
+    lattice (the unions of nonfaces), by decreasing |W| and then increasing W.
+    at(W) is homology of the faces, grouped by size, of W cone-reduced, run
+    once per reduced mask and only on the masks that a caller asks for."""
     lattice = {0}
     for s in nonfaces:
         lattice |= {r | s for r in lattice}
+    lattice.discard(0)
     reduce = _cone_reducer(nonfaces)
     memo = {}
-    for W in sorted(lattice):
-        if W:
-            R = reduce(W)
-            if R not in memo:
-                memo[R] = homology(_faces_by_size(R, nonfaces))
-            yield W, memo[R]
+    def at(W: int):
+        R = reduce(W)
+        if R not in memo:
+            memo[R] = homology(_faces_by_size(R, nonfaces))
+        return memo[R]
+    for W in sorted(lattice, key=lambda W: (-W.bit_count(), W)):
+        yield W, at
 
 
 def betti_numbers(I: MonomialIdeal, field: FieldChoice) -> dict[tuple[int, int], int]:
@@ -346,11 +353,10 @@ def betti_numbers(I: MonomialIdeal, field: FieldChoice) -> dict[tuple[int, int],
     out = {(0, 0): 1}
     nonfaces = ComplexView.from_ideal(I).nonfaces
     c = field.characteristic
-    for W, ranks in _lattice_homology(nonfaces, lambda faces: list(_ranks_by_size(faces, c))):
-        size = W.bit_count()
-        for s, h in enumerate(ranks):
+    for W, at in _lattice_homology(nonfaces, lambda faces: list(_ranks_by_size(faces, c))):
+        for s, h in enumerate(at(W)):
             if h:
-                out[(size - s, W)] = h
+                out[(W.bit_count() - s, W)] = h
     return out
 
 
@@ -376,16 +382,19 @@ def _pd(I: MonomialIdeal, characteristics: tuple[int, ...]) -> list[int]:
 
     The memo is read before polarizing; one sweep fills every missing
     characteristic.  Per mask the smallest nonvanishing dimension carries the
-    largest homological degree, so the sweep stops at it.
+    largest homological degree, so the scan stops at it; the sweep stops at
+    the first W with |W| - k + 1 <= the smaller best pd (module docstring).
     """
     rows = tuple(zip(*(col for col in zip(*I.gens) if any(col))))
     missing = tuple(c for c in characteristics if (c, rows) not in _PD_CACHE)
     if missing:
         pd = dict.fromkeys(missing, 0)
         nonfaces = ComplexView.from_ideal(polarize(I).ideal).nonfaces
-        sweep = _lattice_homology(nonfaces, lambda faces: _first_alive_sizes(faces, missing))
-        for W, firsts in sweep:
-            for c, s in zip(missing, firsts):
+        k = min(s.bit_count() for s in nonfaces)
+        for W, at in _lattice_homology(nonfaces, lambda faces: _first_alive_sizes(faces, missing)):
+            if W.bit_count() - k + 1 <= min(pd.values()):
+                break
+            for c, s in zip(missing, at(W)):
                 if s is not None:
                     pd[c] = max(pd[c], W.bit_count() - s)
         for c in missing:

@@ -449,15 +449,17 @@ def test_square_depths_n6_golden(catalog6):
 
 
 def test_rational_ranks_only_where_mod2_is_alive_in_adjacent_sizes(catalog5, monkeypatch):
-    # rational ranks are taken for exactly the reduced masks whose first
-    # mod-2-alive size a has a+1 alive too; elsewhere the mod-2 scan decides,
-    # and an F2-only depth takes no rational ranks at all
+    # rational ranks are taken only for reduced masks whose first mod-2-alive
+    # size a has a+1 alive too; elsewhere the mod-2 scan decides, and an
+    # F2-only depth takes no rational ranks at all.  The bounded depth sweep
+    # visits a subset of the reduced masks, so its rational masks are checked
+    # against the forced set, and the forced count comes from the full walk
     rational = []
     scan = eil.depth._ranks_by_size
 
     def counting(faces, characteristic, *args, **kwargs):
         if characteristic == 0:
-            rational.append(len(faces))
+            rational.append(sum(faces[1]))  # the vertices: the reduced mask
         return scan(faces, characteristic, *args, **kwargs)
 
     monkeypatch.setattr(eil.depth, "_ranks_by_size", counting)
@@ -470,13 +472,75 @@ def test_rational_ranks_only_where_mod2_is_alive_in_adjacent_sizes(catalog5, mon
     forced = 0
     for I in squares:
         clear_depth_cache()
+        rational.clear()
         depth_ideal_both(I)
         C = ComplexView.from_ideal(polarize(I).ideal)
         reduce = _cone_reducer(C.nonfaces)
+        forced_masks = set()
         for R in {reduce(W) for W, _ in _lattice_homology(C.nonfaces, len)}:
             alive = [d for d, r in reduced_homology_dims(C, R, GF2).items() if r]
-            forced += bool(alive) and alive[0] + 1 in alive
-    assert len(rational) == forced == 2
+            if alive and alive[0] + 1 in alive:
+                forced_masks.add(R)
+        assert set(rational) <= forced_masks
+        forced += len(forced_masks)
+    assert forced == 2
+
+
+def _check_bounded_sweep_is_exact(catalog):
+    # the bounded depth sweep against the largest homological degree of the
+    # unpruned Betti walk, per field and fused, with a cold memo per ideal
+    compared = 0
+    for G in catalog:
+        if not G.num_edges():
+            continue
+        for I in (edge_ideal(G), edge_ideal(G) ** 2):
+            want = [max(i for i, _ in betti_numbers(polarize(I).ideal, field))
+                    for field in (GF2, QQ)]
+            clear_depth_cache()
+            assert eil.depth._pd(I, (2, 0)) == want, emit_graph6(G)
+            for c, pd in zip((2, 0), want):
+                clear_depth_cache()
+                assert eil.depth._pd(I, (c,)) == [pd], emit_graph6(G)
+            compared += 2
+    return compared
+
+
+def test_bounded_sweep_is_exact_n5(catalog5):
+    assert _check_bounded_sweep_is_exact(catalog5) == 188
+
+
+@pytest.mark.slow
+def test_bounded_sweep_is_exact_n6(catalog6):
+    assert _check_bounded_sweep_is_exact(catalog6) == 808
+
+
+def test_bounded_sweep_work_counts(catalog5, monkeypatch):
+    # pinned so that a change to the bound or the walk order shows in review;
+    # the unbounded sweep enumerated faces 1441 and 53 times
+    calls = []
+    faces = eil.depth._faces_by_size
+
+    def counting(W, nonfaces):
+        calls.append(W)
+        return faces(W, nonfaces)
+
+    monkeypatch.setattr(eil.depth, "_faces_by_size", counting)
+    for G in catalog5:
+        if G.num_edges():
+            clear_depth_cache()
+            depth_ideal(edge_ideal(G) ** 2, GF2)
+    assert len(calls) == 162
+    calls.clear()
+    clear_depth_cache()
+    depth_ideal(edge_ideal(whiskered_triangle()) ** 2, GF2)
+    assert len(calls) == 3
+
+
+def test_lattice_walk_goes_by_decreasing_size():
+    # nonincreasing bit counts, ties in increasing mask order
+    C = ComplexView.from_ideal(polarize(edge_ideal(whiskered_triangle()) ** 2).ideal)
+    masks = [W for W, _ in _lattice_homology(C.nonfaces, len)]
+    assert masks == sorted(masks, key=lambda W: (-W.bit_count(), W))
 
 
 def _used_columns(I):

@@ -290,13 +290,18 @@ def test_hunter_finds_nothing_on_true_statement():
     assert report.summary["outcomes"] == 8
 
 
-def test_hunter_reports_failures_with_replayable_witness():
-    # a deliberately false check is simulated by hunting with a tightened
-    # bound: reuse square_triangle_free on graphs with triangles would be
-    # not_applicable, so instead check that failures, if any, carry ids
-    report = hunt_counterexamples("sharp_examples", 4, 1, seed=1)
-    for oc in report.outcomes:
-        parse_graph6(oc.graph_id)  # ids always replay
+def test_hunter_reports_failures_with_replayable_witness(monkeypatch):
+    # a check forced to fail on every graph: each hunted graph is reported,
+    # and its id replays to a graph on the hunted vertex count
+    def failing(G, field=GF2):
+        return CheckOutcome("first_power", emit_graph6(G), FAILS, 0, 1)
+
+    monkeypatch.setattr(eil.checks, "check_first_power", failing)
+    report = hunt_counterexamples("first_power", 4, 2, seed=1)
+    fails = [oc for oc in report.outcomes if oc.status == FAILS]
+    assert len(fails) == 2
+    for oc in fails:
+        assert parse_graph6(oc.graph_id).n == 4
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +515,17 @@ def test_cli_verify_corrupt_corpus_names_line(tmp_path, capsys):
     path.write_text("A_\nA_X\n")
     assert main(["verify", "--suite", "main1", "--corpus", str(path)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_cli_missing_file_is_not_read_as_graph6(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv, name in ((["verify", "--suite", "main1", "--corpus", "corpus_typo.g6"],
+                        "corpus_typo.g6"),
+                       (["alpha2", "missing/graphs.txt"], "missing/graphs.txt")):
+        assert main(argv) == 2
+        assert f"{name}: no such file" in capsys.readouterr().err
+    assert main(["alpha2", ">>graph6<<C?"]) == 0  # the optional header stays inline
+    assert "alpha2=4" in capsys.readouterr().out
 
 
 def test_cli_input_without_graphs_rejected(tmp_path, capsys):
