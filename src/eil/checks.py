@@ -6,9 +6,13 @@ their input: a graph outside a statement's hypotheses yields a first-class
 ``not_applicable`` outcome, so exhaustive sweeps can feed every graph to
 every check.
 
-Depth-valued checks go through a DepthComputer, which optionally computes
-every depth in both supported characteristics and records disagreements as
-findings (a separate channel from check failures).
+Depth-valued checks take an optional DepthComputer (F2 when omitted), which
+can compute every depth in both supported characteristics and records
+disagreements as findings (a separate channel from check failures).
+
+Every per-graph check reads the pieces of its graph (graph6 id, packing
+witness, triangles, wk3-freeness, I(G), I(G)^2, edge-set constructions) from
+one memo, _pieces, which makes each piece once, on its first use.
 
 Checks compute verdicts only; the suite times each check call and fills in
 elapsed_ms, which stays 0.0 when a check is called directly.
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
 
 from .depth import GF2, FieldChoice, depth_ideal, depth_ideal_both
 from .graphs import (
@@ -120,35 +123,45 @@ class DepthComputer:
         return d2 if self.field.characteristic == 2 else d0
 
 
-def _as_computer(field) -> DepthComputer:
-    if isinstance(field, DepthComputer):
-        return field
-    return DepthComputer(field)
-
-
 def _edge_monomial(I: MonomialIdeal, u: str, v: str):
     return _mul(I.var(u), I.var(v))
 
 
 @lru_cache(maxsize=1)
-def _pieces(G: Graph) -> SimpleNamespace:
-    """What the edge-set checks share on one graph, made once: its graph6 id,
-    alpha2(G), wk3-freeness and, in memo, each construction (see _memo).
-    Only the graph being checked is held; an equal Graph value finds it."""
-    return SimpleNamespace(gid=emit_graph6(G), alpha2=star_packing_number(G).size,
-                           wk3_free=is_wk3_free(G), memo={})
+def _pieces(G: Graph) -> dict:
+    """The memo of one graph, each entry made on first use (see _memo).  Only
+    the graph being checked is held; an equal Graph value finds it."""
+    return {}
 
 
 def _memo(G: Graph, key, build):
     """build(), made once per graph and key."""
-    memo = _pieces(G).memo
+    memo = _pieces(G)
     return memo[key] if key in memo else memo.setdefault(key, build())
 
 
-def _minus(G: Graph, A) -> tuple[Graph, MonomialIdeal]:
+def _piece(G: Graph, fn):
+    """fn(G), made once per graph: fn is emit_graph6, star_packing_number,
+    triangles or is_wk3_free."""
+    return _memo(G, fn, lambda: fn(G))
+
+
+def _minus(G: Graph, A=()) -> tuple[Graph, MonomialIdeal]:
     """(G-A, I(G-A)), made once per graph and deletion set."""
-    GA = _memo(G, frozenset(A), lambda: delete_vertices(G, A))
-    return GA, _memo(G, ("ideal", frozenset(A)), lambda: edge_ideal(GA))
+    A = frozenset(A)
+    GA = _memo(G, A, lambda: delete_vertices(G, A)) if A else G
+    return GA, _memo(G, ("ideal", A), lambda: edge_ideal(GA))
+
+
+def _square(G: Graph, A=()) -> MonomialIdeal:
+    """I(G-A)^2, made once per graph and deletion set."""
+    return _memo(G, ("square", frozenset(A)), lambda: _minus(G, A)[1] ** 2)
+
+
+def _alpha2_without(G: Graph, drop: int) -> int:
+    """alpha2 of G less the vertices in the mask drop, once per graph and mask."""
+    return _memo(G, ("alpha2", drop),
+                 lambda: star_packing_number(G.induced(((1 << G.n) - 1) & ~drop)).size)
 
 
 def _colon_intersection_pair(G: Graph, u: str, v: str, A):
@@ -173,9 +186,8 @@ def _square_colon(G: Graph, u: str, v: str, A):
     raises ValueError unless uv is an edge and A lies in its pool."""
     _admissible_pool(G, u, v, A)
     GA, IA = _minus(G, A)
-    square = _memo(G, ("square", frozenset(A)), lambda: IA ** 2)
     colon = _memo(G, ("colon", u, v, frozenset(A)),
-                  lambda: square.colon(_edge_monomial(IA, u, v)))
+                  lambda: _square(G, A).colon(_edge_monomial(IA, u, v)))
     return GA, IA, colon
 
 
@@ -183,14 +195,14 @@ def _square_colon(G: Graph, u: str, v: str, A):
 # per-graph checks
 
 
-def check_first_power(G: Graph, field=GF2) -> CheckOutcome:
+def check_first_power(G: Graph, computer=None) -> CheckOutcome:
     """depth of the edge ideal >= packing number + 1."""
-    gid = emit_graph6(G)
+    gid = _piece(G, emit_graph6)
     if not any(G.adj):
         return CheckOutcome("first_power", gid, NOT_APPLICABLE)
-    computer = _as_computer(field)
-    pack = star_packing_number(G)
-    lhs = computer.ideal_depth(edge_ideal(G))
+    computer = computer or DepthComputer()
+    pack = _piece(G, star_packing_number)
+    lhs = computer.ideal_depth(_minus(G)[1])
     rhs = pack.size + 1
     status = HOLDS if lhs >= rhs else FAILS
     witness = {"centers": list(pack.centers)}
@@ -202,18 +214,18 @@ def check_triangle_neighborhood_packing(G: Graph) -> list[CheckOutcome]:
     """Deleting the union of open neighborhoods of a triangle costs the
     packing number at most 2, provided no induced whiskered triangle exists.
     One outcome per triangle."""
-    gid = emit_graph6(G)
-    tris = triangles(G)
-    if not tris or not is_wk3_free(G):
+    gid = _piece(G, emit_graph6)
+    tris = _piece(G, triangles)
+    if not tris or not _piece(G, is_wk3_free):
         reason = "no triangle" if not tris else "whiskered triangle present"
         return [CheckOutcome("triangle_deletion_packing", gid, NOT_APPLICABLE,
                              witness={"reason": reason})]
-    base = star_packing_number(G).size
+    base = _piece(G, star_packing_number).size
     out = []
     for tri in tris:
         a, b, c = map(G.index, tri)
         drop = G.adj[a] | G.adj[b] | G.adj[c]
-        lhs = star_packing_number(G.induced(((1 << G.n) - 1) & ~drop)).size
+        lhs = _alpha2_without(G, drop)
         rhs = base - 2
         status = HOLDS if lhs >= rhs else FAILS
         witness = {"triangle": list(tri), "deleted": sorted(_labels(G, drop))}
@@ -231,40 +243,39 @@ def check_colon_intersection(G: Graph, edge: tuple[str, str]) -> CheckOutcome:
     if status == FAILS:
         witness["lhs_gens"] = lhs_ideal.pretty()
         witness["rhs_gens"] = rhs_ideal.pretty()
-    return CheckOutcome("colon_intersection", _pieces(G).gid, status,
+    return CheckOutcome("colon_intersection", _piece(G, emit_graph6), status,
                         ideal_digest(lhs_ideal), ideal_digest(rhs_ideal), witness)
 
 
-def check_even_connection_depth(G: Graph, edge, A, field=GF2) -> CheckOutcome:
+def check_even_connection_depth(G: Graph, edge, A, computer=None) -> CheckOutcome:
     """depth of K = I(G'_A) + (L), from the contracted graph, over the
     shrunken ring is at least the packing number of the original graph, and K
     equals J = (I(G-A):u) meet (I(G-A):v).  So whenever this holds, depth(J) =
     depth(K) clears the same bound: the colon-intersection depth statement."""
     u, v = edge
-    computer = _as_computer(field)
+    computer = computer or DepthComputer()
     J, K, L = _colon_intersection_pair(G, u, v, A)
     identity = K == J
     lhs = computer.ideal_depth(K)
-    pieces = _pieces(G)
-    rhs = pieces.alpha2
+    rhs = _piece(G, star_packing_number).size
     status = HOLDS if identity and lhs >= rhs else FAILS
     witness = {"edge": [u, v], "A": sorted(A), "L": list(L), "identity": identity}
-    return CheckOutcome("even_connection_depth", pieces.gid, status, lhs, rhs, witness,
-                        computer.field.characteristic)
+    return CheckOutcome("even_connection_depth", _piece(G, emit_graph6), status, lhs, rhs,
+                        witness, computer.field.characteristic)
 
 
-def check_square_colon_depth(G: Graph, edge, A, field=GF2) -> CheckOutcome:
+def check_square_colon_depth(G: Graph, edge, A, computer=None) -> CheckOutcome:
     """depth of (I(G-A)^2 : uv) over the shrunken ring is at least the packing
     number minus 2, minus 1 only when no whiskered triangle is induced."""
     u, v = edge
-    computer = _as_computer(field)
+    computer = computer or DepthComputer()
     _, _, colon = _square_colon(G, u, v, A)
     lhs = computer.ideal_depth(colon)
-    pieces = _pieces(G)
-    rhs = pieces.alpha2 - (1 if pieces.wk3_free else 2)
+    wk3_free = _piece(G, is_wk3_free)
+    rhs = _piece(G, star_packing_number).size - (1 if wk3_free else 2)
     status = HOLDS if lhs >= rhs else FAILS
-    witness = {"edge": [u, v], "A": sorted(A), "wk3_free": pieces.wk3_free}
-    return CheckOutcome("square_colon_depth", pieces.gid, status, lhs, rhs, witness,
+    witness = {"edge": [u, v], "A": sorted(A), "wk3_free": wk3_free}
+    return CheckOutcome("square_colon_depth", _piece(G, emit_graph6), status, lhs, rhs, witness,
                         computer.field.characteristic)
 
 
@@ -286,25 +297,25 @@ def check_square_colon_formula(G: Graph, edge, A) -> CheckOutcome:
     if not ok:
         witness["lhs_gens"] = lhs_ideal.pretty()
         witness["rhs_gens"] = rhs_ideal.pretty()
-    return CheckOutcome("square_colon_formula", _pieces(G).gid, HOLDS if ok else FAILS,
+    return CheckOutcome("square_colon_formula", _piece(G, emit_graph6), HOLDS if ok else FAILS,
                         ideal_digest(lhs_ideal), ideal_digest(rhs_ideal), witness)
 
 
-def check_square_depth_bounds(G: Graph, field=GF2) -> list[CheckOutcome]:
+def check_square_depth_bounds(G: Graph, computer=None) -> list[CheckOutcome]:
     """Lower bounds for depth of the squared edge ideal: packing number minus
     2 in general, minus 1 without induced whiskered triangles, and unchanged
     for triangle-free graphs.  Always three outcomes, in that order, with ids
     square_general, square_wk3_free and square_triangle_free; a part whose
     hypothesis fails (every part, for an edgeless graph) is not_applicable."""
-    gid = emit_graph6(G)
+    gid = _piece(G, emit_graph6)
     parts = {"square_general": 2, "square_wk3_free": 1, "square_triangle_free": 0}
     if not any(G.adj):
         return [CheckOutcome(part, gid, NOT_APPLICABLE) for part in parts]
-    computer = _as_computer(field)
-    pack = star_packing_number(G)
-    wk3free = is_wk3_free(G)
-    trifree = not triangles(G)
-    lhs = computer.ideal_depth(edge_ideal(G) ** 2)
+    computer = computer or DepthComputer()
+    pack = _piece(G, star_packing_number)
+    wk3free = _piece(G, is_wk3_free)
+    trifree = not _piece(G, triangles)
+    lhs = computer.ideal_depth(_square(G))
     applicable = {
         "square_general": True,
         "square_wk3_free": wk3free,
@@ -334,10 +345,10 @@ def sharp_example_graphs() -> list[tuple[str, Graph, int, int, int]]:
     ]
 
 
-def check_sharp_examples(field=GF2) -> list[CheckOutcome]:
+def check_sharp_examples(computer=None) -> list[CheckOutcome]:
     """Exact reproduction of the sharpness table: the depth of each squared
     edge ideal must hit its bound with equality."""
-    computer = _as_computer(field)
+    computer = computer or DepthComputer()
     out = []
     for name, G, want_depth, want_alpha2, slack in sharp_example_graphs():
         gid = emit_graph6(G)
@@ -359,20 +370,19 @@ def check_sharp_examples(field=GF2) -> list[CheckOutcome]:
     return out
 
 
-def check_symbolic_square(G: Graph, field=GF2) -> CheckOutcome:
+def check_symbolic_square(G: Graph, computer=None) -> CheckOutcome:
     """Second symbolic power: equals the ordinary square for triangle-free
     graphs, and its depth is at least the packing number."""
-    gid = emit_graph6(G)
+    gid = _piece(G, emit_graph6)
     if not any(G.adj):
         return CheckOutcome("symbolic_square", gid, NOT_APPLICABLE)
-    computer = _as_computer(field)
-    I = edge_ideal(G)
-    square = I ** 2
+    computer = computer or DepthComputer()
+    square = _square(G)
     symbolic = symbolic_square_edge_ideal(G)
-    trifree = not triangles(G)
+    trifree = not _piece(G, triangles)
     equal = square == symbolic
     lhs = computer.ideal_depth(symbolic)
-    rhs = star_packing_number(G).size
+    rhs = _piece(G, star_packing_number).size
     ok = lhs >= rhs and (equal or not trifree)
     witness = {"triangle_free": trifree, "square_equals_symbolic": equal}
     if trifree and not equal:
@@ -391,7 +401,7 @@ def check_generator_order_decomposition(G: Graph) -> CheckOutcome:
     ((I^2 + (u_1..u_{k-1})) : u_k) splits as (I^2 : u_k) plus variables from
     the open neighborhoods of u_k's endpoints.  Graphs with more than
     ORDER_MAX_EDGES edges are not_applicable."""
-    gid = emit_graph6(G)
+    gid = _piece(G, emit_graph6)
     edges = G.edge_labels()
     m = len(edges)
     if m == 0:
@@ -400,22 +410,18 @@ def check_generator_order_decomposition(G: Graph) -> CheckOutcome:
     if m > ORDER_MAX_EDGES:
         return CheckOutcome("order_decomposition", gid, NOT_APPLICABLE,
                             witness={"reason": f"more than {ORDER_MAX_EDGES} edges"})
-    I = edge_ideal(G)
-    I2 = I ** 2
+    I, I2 = _minus(G)[1], _square(G)
     gens = list(I.gens)
     order_of_gen = {_edge_monomial(I, u, v): (u, v) for u, v in edges}
     pool_of = {k: set(_admissible_pool(G, *order_of_gen[g])) for k, g in enumerate(gens)}
     base_colon = [I2.colon(g) for g in gens]
-    width = len(I.ambient)
 
     def condition(used: frozenset, t: int) -> bool:
         partial = I2 + MonomialIdeal(I.ambient, tuple(gens[k] for k in used))
         left = partial.colon(gens[t])
         linear = [g for g in left.gens if sum(g) == 1]
-        for g in linear:
-            name = I.ambient[g.index(1)]
-            if name not in pool_of[t]:
-                return False
+        if any(I.ambient[g.index(1)] not in pool_of[t] for g in linear):
+            return False
         return left == base_colon[t] + MonomialIdeal(I.ambient, tuple(linear))
 
     dead: set[frozenset] = set()
@@ -449,16 +455,12 @@ def check_packing_deletion_bound(G: Graph, edge, A) -> CheckOutcome:
     both closed neighborhoods, lowers the packing number by at most 2."""
     u, v = edge
     _admissible_pool(G, u, v, A)
-    pieces = _pieces(G)
-    rhs = pieces.alpha2 - 2
+    rhs = _piece(G, star_packing_number).size - 2
     a, cu, cv = _mask(G, A), G.closed_mask(G.index(u)), G.closed_mask(G.index(v))
     variants = {"A_plus_closed_u": a | cu, "A_plus_closed_v": a | cv,
                 "closed_u_plus_closed_v": cu | cv}
-    values = {
-        name: star_packing_number(G.induced(((1 << G.n) - 1) & ~drop)).size
-        for name, drop in variants.items()
-    }
+    values = {name: _alpha2_without(G, drop) for name, drop in variants.items()}
     lhs = min(values.values())
     status = HOLDS if lhs >= rhs else FAILS
     witness = {"edge": [u, v], "A": sorted(A), "values": values}
-    return CheckOutcome("deletion_bound", pieces.gid, status, lhs, rhs, witness)
+    return CheckOutcome("deletion_bound", _piece(G, emit_graph6), status, lhs, rhs, witness)

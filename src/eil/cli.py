@@ -12,9 +12,8 @@ import argparse
 import os
 import sys
 
-from . import checks as _checks
 from .catalog import all_graphs
-from .checks import NOT_APPLICABLE, DepthComputer
+from .checks import NOT_APPLICABLE
 from .depth import GF2, QQ
 from .graphs import Graph, Graph6Error, parse_edge_list, parse_graph6, star_packing_number
 from .suite import CHECKS, hunt_counterexamples, resolve_checks, run_suite
@@ -30,8 +29,11 @@ def _read_text(arg: str) -> tuple[str, str]:
     if arg == "-":
         return sys.stdin.read(), "stdin"
     if os.path.exists(arg):
-        with open(arg) as handle:
-            return handle.read(), arg
+        try:
+            with open(arg) as handle:
+                return handle.read(), arg
+        except OSError as err:
+            raise CliError(f"{arg}: {err.strerror}") from None
     if any(not "?" <= ch <= "~" for ch in arg.removeprefix(">>graph6<<")):
         raise CliError(f"{arg}: no such file")  # no graph6 token has that character
     return arg, "inline"  # one inline graph6 token
@@ -136,27 +138,25 @@ def _cmd_alpha2(args) -> int:
 def _cmd_depth(args) -> int:
     if args.symbolic and args.power == 1:
         raise CliError("--symbolic implies power 2; drop --power 1")
-    name = ("symbolic_square" if args.symbolic
-            else "square_general" if args.power == 2 else "first_power")
-    check = getattr(_checks, CHECKS[name].fn)
+    checks = resolve_checks(["symbolic_square" if args.symbolic
+                             else "main" if args.power == 2 else "first_power"])
     field, cross = _field_mode(args.field)
     _warn_cap(args.max_polarized)
     for G in _read_graphs(args.input, args.edges):
         if not any(G.adj):
             raise CliError("edgeless graph: the edge ideal is zero, depth is undefined")
-        _gate_polarized([name], G.n, sum(1 for m in G.adj if m), args.max_polarized)
-        computer = DepthComputer(field, cross_check=cross)
-        result = check(G, computer)
+        _gate_polarized(checks, G.n, sum(1 for m in G.adj if m), args.max_polarized)
+        report = run_suite([G], checks, field, cross_check=cross)
         # the sharpest applicable bound; its id names the rule
-        oc = max((oc for oc in (result if isinstance(result, list) else [result])
-                  if oc.status != NOT_APPLICABLE), key=lambda oc: oc.rhs)
+        oc = max((oc for oc in report.outcomes if oc.status != NOT_APPLICABLE),
+                 key=lambda oc: oc.rhs)
         line = (
             f"graph={oc.graph_id} alpha2={star_packing_number(G).size} depth={oc.lhs} "
             f"bound={oc.rhs} slack={oc.lhs - oc.rhs} "
             f"rule={oc.check_id.removeprefix('square_')} field={field}"
         )
-        if computer.findings:
-            line += f" finding=field_disagreement char0={computer.findings[0]['char0']}"
+        if report.findings:
+            line += f" finding=field_disagreement char0={report.findings[0]['char0']}"
         elif cross:
             line += " field_agreement=ok"
         print(line)
@@ -164,9 +164,12 @@ def _cmd_depth(args) -> int:
 
 
 def _require_output(args):
-    """A json or csv report goes to a file; stdout carries the text summary."""
+    """A json or csv report goes to a file, in a directory that exists;
+    stdout carries the text summary."""
     if args.format != "text" and not args.output:
         raise CliError(f"--format {args.format} needs --output FILE")
+    if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
+        raise CliError(f"{args.output}: no such directory")
 
 
 def _cmd_verify(args) -> int:

@@ -153,8 +153,11 @@ def _bound_check(name: str, computer: DepthComputer):
     return call
 
 
-def _run_checks_on_graph(G: Graph, checks, computer: DepthComputer,
-                         seed: int) -> list[CheckOutcome]:
+def _graph_task(args) -> tuple[list[CheckOutcome], list[dict], int]:
+    """The outcomes, graph-tagged findings and depth comparisons of one graph."""
+    g6, checks, characteristic, cross, seed = args
+    G = parse_graph6(g6)
+    computer = DepthComputer(FieldChoice(characteristic), cross_check=cross)
     gid = emit_graph6(G)
     out: list[CheckOutcome] = []
     for name in checks:
@@ -175,17 +178,9 @@ def _run_checks_on_graph(G: Graph, checks, computer: DepthComputer,
                     oc.witness = dict(oc.witness or {})
                     oc.witness["sampled"] = True
                 out.append(oc)
-    return out
-
-
-def _graph_task(args) -> tuple[list[CheckOutcome], list[dict], int]:
-    g6, checks, characteristic, cross, seed = args
-    G = parse_graph6(g6)
-    computer = DepthComputer(FieldChoice(characteristic), cross_check=cross)
-    outcomes = _run_checks_on_graph(G, checks, computer, seed)
     for finding in computer.findings:
         finding["graph_id"] = g6
-    return outcomes, computer.findings, computer.comparisons
+    return out, computer.findings, computer.comparisons
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Named checks: worked instances, hypothesis filtering, witnesses."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
+import eil.checks
 from eil.checks import (
     FAILS,
     HOLDS,
@@ -30,6 +32,7 @@ from eil.graphs import (
     _mask,
     complete_graph,
     delete_vertices,
+    emit_graph6,
     empty_graph,
     graph_from_edges,
     path_graph,
@@ -37,6 +40,7 @@ from eil.graphs import (
     whiskered_triangle,
 )
 from eil.ideals import edge_ideal
+from eil.cli import main
 from eil.suite import resolve_checks, run_suite
 
 K2 = complete_graph(2)
@@ -282,7 +286,7 @@ def test_checks_all_hold_on_random_graphs():
 
 
 # ---------------------------------------------------------------------------
-# the per-graph memo of the edge-set checks
+# the per-graph memo every check reads
 
 EDGE_SET_CHECKS = {
     "colon_intersection": lambda G, edge, A: check_colon_intersection(G, edge),
@@ -290,6 +294,18 @@ EDGE_SET_CHECKS = {
     "square_colon_depth": check_square_colon_depth,
     "square_colon_formula": check_square_colon_formula,
     "deletion_bound": check_packing_deletion_bound,
+}
+
+# one instance per graph each, keeping the outcomes that carry the id, as the
+# suite does with the three square ids of one function
+GRAPH_CHECKS = {
+    "first_power": check_first_power,
+    "triangle_deletion_packing": check_triangle_neighborhood_packing,
+    "square_general": check_square_depth_bounds,
+    "square_wk3_free": check_square_depth_bounds,
+    "square_triangle_free": check_square_depth_bounds,
+    "symbolic_square": check_symbolic_square,
+    "order_decomposition": check_generator_order_decomposition,
 }
 
 
@@ -311,22 +327,30 @@ def _row(oc):
 
 
 def _cold(G, name, edge, A):
+    """The rows of one call on an empty memo; edge None: a graph-level check."""
     _pieces.cache_clear()
-    return _row(EDGE_SET_CHECKS[name](G, edge, A))
+    if edge is None:
+        result = GRAPH_CHECKS[name](G)
+        return [_row(oc) for oc in (result if isinstance(result, list) else [result])
+                if oc.check_id == name]
+    return [_row(EDGE_SET_CHECKS[name](G, edge, A))]
 
 
 def test_memo_matches_cold_calls_on_every_edge_set_instance(catalog5):
+    # the graph-level checks are instances too, with no edge and no deletion set
     warm = {}
-    for oc in run_suite(catalog5, list(EDGE_SET_CHECKS)).outcomes:
-        w = oc.witness
-        warm[oc.check_id, oc.graph_id, tuple(w["edge"]), tuple(w.get("A", ()))] = _row(oc)
+    for oc in run_suite(catalog5, [*GRAPH_CHECKS, *EDGE_SET_CHECKS]).outcomes:
+        w = oc.witness if oc.check_id in EDGE_SET_CHECKS else {"edge": None}
+        key = (oc.check_id, oc.graph_id, w["edge"] and tuple(w["edge"]), tuple(w.get("A", ())))
+        warm.setdefault(key, []).append(_row(oc))
     cold = 0
     for G in catalog5:
-        for name, edge, A in _edge_set_instances(G):
-            row = _cold(G, name, edge, A)
-            assert row == warm[name, row["graph_id"], edge, A], (row, A)
-            cold += 1
-    assert cold == len(warm)
+        graph_level = [(name, None, ()) for name in GRAPH_CHECKS]
+        for name, edge, A in [*graph_level, *_edge_set_instances(G)]:
+            rows = _cold(G, name, edge, A)
+            assert rows == warm[name, rows[0]["graph_id"], edge, A], (rows, A)
+            cold += len(rows)
+    assert cold == sum(map(len, warm.values()))
 
 
 def test_memo_interleaved_graphs_match_cold_calls():
@@ -335,7 +359,7 @@ def test_memo_interleaved_graphs_match_cold_calls():
     cold = {G: [_cold(G, *inst) for inst in _edge_set_instances(G)] for G in (G1, G2)}
     _pieces.cache_clear()
     for G in (G1, G2, G1):
-        assert [_row(EDGE_SET_CHECKS[name](G, edge, A))
+        assert [[_row(EDGE_SET_CHECKS[name](G, edge, A))]
                 for name, edge, A in _edge_set_instances(G)] == cold[G]
     info = _pieces.cache_info()
     assert info.misses == 3 and info.hits > 0 and info.currsize == 1  # one graph at a time
@@ -364,3 +388,33 @@ def test_edge_set_suite_same_body_for_one_and_two_jobs(catalog5):
     one = run_suite(catalog5, list(EDGE_SET_CHECKS), jobs=1)
     two = run_suite(catalog5, list(EDGE_SET_CHECKS), jobs=2)
     assert one.canonical_body() == two.canonical_body()
+
+
+def test_shared_memo_work_counts(catalog5, tmp_path, capsys, monkeypatch):
+    # pinned: one packing per edged graph under main (141 while each square id
+    # made its own), one per graph and deletion mask under the edge-set checks
+    # (3329 while each instance made its own), and no wk3 scan where no check
+    # reads wk3-freeness
+    calls = Counter()
+    for fn in ("star_packing_number", "is_wk3_free"):
+        def counting(G, _real=getattr(eil.checks, fn), _fn=fn):
+            calls[_fn] += 1
+            return _real(G)
+        monkeypatch.setattr(eil.checks, fn, counting)
+
+    def count(run):
+        _pieces.cache_clear()
+        calls.clear()
+        return run(), dict(calls)
+
+    report, seen = count(lambda: run_suite(catalog5, ["main"], cross_check=True))
+    assert seen == {"star_packing_number": 47, "is_wk3_free": 47}
+    assert report.summary["depth_comparisons"] == 141  # three DepthComputer calls per graph
+    assert count(lambda: run_suite(catalog5, list(EDGE_SET_CHECKS)))[1] == {
+        "star_packing_number": 296, "is_wk3_free": 47}
+    assert count(lambda: run_suite(catalog5, ["colon_intersection"]))[1] == {}
+    path = tmp_path / "n5.g6"
+    path.write_text("".join(emit_graph6(G) + "\n" for G in catalog5 if G.num_edges()))
+    assert count(lambda: main(["depth", str(path), "--power", "1"])) == (
+        0, {"star_packing_number": 47})
+    assert len(capsys.readouterr().out.splitlines()) == 47

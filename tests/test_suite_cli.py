@@ -528,6 +528,29 @@ def test_cli_missing_file_is_not_read_as_graph6(tmp_path, capsys, monkeypatch):
     assert "alpha2=4" in capsys.readouterr().out
 
 
+def test_cli_unreadable_input_or_report_directory_is_a_usage_error(tmp_path, capsys,
+                                                                   monkeypatch):
+    # exit 2 naming the path, before any check runs: no traceback, no report
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graphs").mkdir()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr("eil.cli.run_suite", no_run)
+    monkeypatch.setattr("eil.cli.hunt_counterexamples", no_run)
+    report = "missing/r.json"
+    for argv, name in ((["alpha2", "graphs"], "graphs"),
+                       (["verify", "--suite", "main", "--corpus", "graphs"], "graphs"),
+                       (["verify", "--suite", "examples", "--output", report], report),
+                       (["hunt", "--n", "3", "--random", "1", "--seed", "1",
+                         "--output", report], report)):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}: ") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["graphs"]
+
+
 def test_cli_input_without_graphs_rejected(tmp_path, capsys):
     path = tmp_path / "comments.g6"
     path.write_text("# no graph here\n\n# nor here\n")
