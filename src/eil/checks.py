@@ -38,7 +38,7 @@ from .graphs import (
     triangles,
     whiskered_triangle,
 )
-from .ideals import MonomialIdeal, _mul, edge_ideal, ideal_digest, symbolic_square_edge_ideal
+from .ideals import MonomialIdeal, edge_ideal, ideal_digest, symbolic_square_edge_ideal
 
 __all__ = [
     "HOLDS",
@@ -123,8 +123,12 @@ class DepthComputer:
         return d2 if self.field.characteristic == 2 else d0
 
 
-def _edge_monomial(I: MonomialIdeal, u: str, v: str):
-    return _mul(I.var(u), I.var(v))
+def _monomial(I: MonomialIdeal, *names: str):
+    """The product of the named variables, as a monomial of I's ambient."""
+    vec = [0] * len(I.ambient)
+    for name in names:
+        vec[I.ambient.index(name)] += 1
+    return tuple(vec)
 
 
 @lru_cache(maxsize=1)
@@ -164,21 +168,34 @@ def _alpha2_without(G: Graph, drop: int) -> int:
                  lambda: star_packing_number(G.induced(((1 << G.n) - 1) & ~drop)).size)
 
 
+def _digests(lhs: MonomialIdeal, rhs: MonomialIdeal) -> tuple[str, str]:
+    """ideal_digest of both sides, made once when the ideals are equal."""
+    left = ideal_digest(lhs)
+    return left, left if rhs == lhs else ideal_digest(rhs)
+
+
+def _var_colon(G: Graph, A: frozenset, u: str) -> MonomialIdeal:
+    """(I(G-A):u), made once per graph, deletion set and vertex."""
+    IA = _minus(G, A)[1]
+    return _memo(G, (A, u), lambda: IA.colon(IA.var(u)))
+
+
 def _colon_intersection_pair(G: Graph, u: str, v: str, A):
     """J = (I(G-A):u) meet (I(G-A):v) and K = I(G'_A) + (L), both over the
     ring of G-A, where G'_A is the contracted graph and L the common neighbors
     of u and v outside A.  Returns (J, K, L); raises ValueError unless uv is
     an edge and A lies in its pool."""
     _admissible_pool(G, u, v, A)
+    A = frozenset(A)
 
     def build():
         gprime, L = even_connection_graph(G, u, v, A)
         GA, IA = _minus(G, A)
-        J = IA.colon(IA.var(u)).intersect(IA.colon(IA.var(v)))
-        K = (edge_ideal(gprime).with_ambient(GA.labels)
-             + MonomialIdeal(GA.labels, tuple(IA.var(c) for c in L)))
+        J = _var_colon(G, A, u).intersect(_var_colon(G, A, v))
+        K = MonomialIdeal(GA.labels, tuple(_monomial(IA, *e) for e in gprime.edge_labels())
+                          + tuple(_monomial(IA, c) for c in L))
         return J, K, L
-    return _memo(G, ("pair", u, v, frozenset(A)), build)
+    return _memo(G, ("pair", u, v, A), build)
 
 
 def _square_colon(G: Graph, u: str, v: str, A):
@@ -187,7 +204,7 @@ def _square_colon(G: Graph, u: str, v: str, A):
     _admissible_pool(G, u, v, A)
     GA, IA = _minus(G, A)
     colon = _memo(G, ("colon", u, v, frozenset(A)),
-                  lambda: _square(G, A).colon(_edge_monomial(IA, u, v)))
+                  lambda: _square(G, A).colon(_monomial(IA, u, v)))
     return GA, IA, colon
 
 
@@ -244,7 +261,7 @@ def check_colon_intersection(G: Graph, edge: tuple[str, str]) -> CheckOutcome:
         witness["lhs_gens"] = lhs_ideal.pretty()
         witness["rhs_gens"] = rhs_ideal.pretty()
     return CheckOutcome("colon_intersection", _piece(G, emit_graph6), status,
-                        ideal_digest(lhs_ideal), ideal_digest(rhs_ideal), witness)
+                        *_digests(lhs_ideal, rhs_ideal), witness)
 
 
 def check_even_connection_depth(G: Graph, edge, A, computer=None) -> CheckOutcome:
@@ -288,9 +305,9 @@ def check_square_colon_formula(G: Graph, edge, A) -> CheckOutcome:
     i, j = GA.index(u), GA.index(v)
     ni, nj = _labels(GA, GA.adj[i]), _labels(GA, GA.adj[j])
     common = _labels(GA, GA.adj[i] & GA.adj[j])
-    extra = [_mul(IA.var(p), IA.var(q)) for p in ni for q in nj if p != q]
-    extra += [_mul(IA.var(c), IA.var(c)) for c in common]
-    rhs_ideal = IA + MonomialIdeal(GA.labels, tuple(extra))
+    extra = [_monomial(IA, p, q) for p in ni for q in nj if p != q]
+    extra += [_monomial(IA, c, c) for c in common]
+    rhs_ideal = MonomialIdeal(GA.labels, IA.gens + tuple(extra))
     isolated = GA.degree(i) == 1 and GA.degree(j) == 1
     ok = lhs_ideal == rhs_ideal and (not isolated or lhs_ideal == IA)
     witness = {"edge": [u, v], "A": sorted(A), "L": list(common), "isolated_edge_case": isolated}
@@ -298,7 +315,7 @@ def check_square_colon_formula(G: Graph, edge, A) -> CheckOutcome:
         witness["lhs_gens"] = lhs_ideal.pretty()
         witness["rhs_gens"] = rhs_ideal.pretty()
     return CheckOutcome("square_colon_formula", _piece(G, emit_graph6), HOLDS if ok else FAILS,
-                        ideal_digest(lhs_ideal), ideal_digest(rhs_ideal), witness)
+                        *_digests(lhs_ideal, rhs_ideal), witness)
 
 
 def check_square_depth_bounds(G: Graph, computer=None) -> list[CheckOutcome]:
@@ -412,7 +429,7 @@ def check_generator_order_decomposition(G: Graph) -> CheckOutcome:
                             witness={"reason": f"more than {ORDER_MAX_EDGES} edges"})
     I, I2 = _minus(G)[1], _square(G)
     gens = list(I.gens)
-    order_of_gen = {_edge_monomial(I, u, v): (u, v) for u, v in edges}
+    order_of_gen = {_monomial(I, u, v): (u, v) for u, v in edges}
     pool_of = {k: set(_admissible_pool(G, *order_of_gen[g])) for k, g in enumerate(gens)}
     base_colon = [I2.colon(g) for g in gens]
 

@@ -150,8 +150,10 @@ def _cmd_depth(args) -> int:
         # the sharpest applicable bound; its id names the rule
         oc = max((oc for oc in report.outcomes if oc.status != NOT_APPLICABLE),
                  key=lambda oc: oc.rhs)
+        # the check's own packing: its centers, or (symbolic) its rhs
+        alpha2 = oc.rhs if args.symbolic else len(oc.witness["centers"])
         line = (
-            f"graph={oc.graph_id} alpha2={star_packing_number(G).size} depth={oc.lhs} "
+            f"graph={oc.graph_id} alpha2={alpha2} depth={oc.lhs} "
             f"bound={oc.rhs} slack={oc.lhs - oc.rhs} "
             f"rule={oc.check_id.removeprefix('square_')} field={field}"
         )

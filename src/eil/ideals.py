@@ -13,6 +13,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations_with_replacement
+from operator import or_
 
 from .graphs import Graph, minimal_vertex_covers
 
@@ -32,62 +33,82 @@ __all__ = [
 Monomial = tuple[int, ...]
 
 
-def _divides(u: Monomial, v: Monomial) -> bool:
-    return all(a <= b for a, b in zip(u, v))
+# Packed monomials (Bachmann-Schoenemann, ISSAC 1998): an exponent tuple as
+# one int of b bits per variable, first variable highest, every field's top
+# (guard) bit clear.  Numeric order on words is lex order on tuples, and per
+# field comparisons are one subtraction: (g | GUARD) - h keeps a field's guard
+# bit exactly where g's exponent is at least h's, and leaves g - h below it.
 
 
-def _lcm(u: Monomial, v: Monomial) -> Monomial:
-    return tuple(a if a >= b else b for a, b in zip(u, v))
+def _guard(b: int, width: int) -> int:
+    return ((1 << b * width) - 1) // ((1 << b) - 1) << (b - 1)
 
 
-def _mul(u: Monomial, v: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(u, v))
+def _pack_at(gens, b: int) -> list[int]:
+    if b == 8:
+        return [int.from_bytes(bytes(g), "big") for g in gens]
+    return [reduce(lambda p, e: p << b | e, g, 0) for g in gens]
 
 
-def _quotient_by_gcd(u: Monomial, m: Monomial) -> Monomial:
-    """u / gcd(u, m), the generator-wise colon step."""
-    return tuple(a - b if a > b else 0 for a, b in zip(u, m))
+def _pack(gens, width: int, top: int = 0) -> tuple[int, list[int]]:
+    """(b, words): b is 8 while every exponent (and top) is below 128, else
+    one bit above the largest of them, so every guard bit is clear.  Raises
+    ValueError on a negative exponent."""
+    if top < 128:
+        try:
+            words = _pack_at(gens, 8)
+            if not reduce(or_, words, 0) & _guard(8, width):
+                return 8, words
+        except ValueError:  # an exponent outside 0..255
+            if min(map(min, gens)) < 0:
+                raise ValueError("monomial exponents must be nonnegative") from None
+    b = max(top, max(map(max, gens), default=0)).bit_length() + 1
+    return b, _pack_at(gens, b)
 
 
-def _packed_rows(unique) -> tuple[int, list]:
-    """(b, rows): rows = (degree, -packed, g) sorted, g packed into one int of
-    b bits per variable, first variable highest; so degree first, then
-    descending lex (x*y before z^2).  Every field's top (guard) bit stays
-    clear: b = 8 while the degree is below 128, else one bit above need."""
-    try:
-        rows = sorted((sum(g), -int.from_bytes(bytes(g), "big"), g) for g in unique)
-        if not rows or rows[-1][0] < 128:
-            return 8, rows
-    except ValueError:  # an exponent outside 0..255
-        if any(e < 0 for g in unique for e in g):
-            raise ValueError("monomial exponents must be nonnegative") from None
-    b = max(map(max, unique)).bit_length() + 1
-    return b, sorted((sum(g), -reduce(lambda p, e: p << b | e, g, 0), g) for g in unique)
+def _monus(g: int, h: int, guard: int, shift: int) -> int:
+    """Per field max(g - h, 0) of two packed words; shift is b - 1."""
+    x = (g | guard) - h
+    keep = x & guard
+    return x & (keep - (keep >> shift))
 
 
-def minimalize(gens, width: int) -> tuple[Monomial, ...]:
-    """Divisibility antichain of the given monomials, canonically sorted.
-
-    h | g is one test on packed words (Bachmann-Schoenemann, ISSAC 1998):
-    g - h, with g's guard bits set, clears a field's guard exactly where h
-    has the larger exponent, so h | g iff ((g | GUARD) - h) & GUARD == GUARD.
-    """
-    unique = set(map(tuple, gens))
-    for g in unique:
-        if len(g) != width:
-            raise ValueError(f"monomial width {len(g)} does not match ambient {width}")
-    b, rows = _packed_rows(unique)
-    guard = ((1 << b * width) - 1) // ((1 << b) - 1) << (b - 1)
-    kept, packed = [], []
-    for _, neg, g in rows:
-        g_guarded = guard - neg
-        for h in packed:
+def _minimal(words, b: int, width: int, gens=None) -> tuple[tuple[Monomial, ...], list[int]]:
+    """(tuples, words) of the divisibility antichain of the packed words, the
+    tuples sorted by degree, then descending lex.  gens, when given, are the
+    tuples of the words, position by position; otherwise the kept words are
+    unpacked.  h | g iff ((g | GUARD) - h) & GUARD == GUARD; ascending words
+    put each divisor before its multiples, so one pass, testing each word
+    against those kept so far, finds the antichain."""
+    guard = _guard(b, width)
+    table = dict(zip(words, gens)) if gens is not None else dict.fromkeys(words)
+    kept = []
+    for g in sorted(table):
+        g_guarded = g | guard
+        for h in kept:
             if (g_guarded - h) & guard == guard:
                 break
         else:
             kept.append(g)
-            packed.append(-neg)
-    return tuple(kept)
+    if gens is not None:
+        out = [table[w] for w in reversed(kept)]
+    elif b == 8:
+        out = [tuple(w.to_bytes(width, "big")) for w in reversed(kept)]
+    else:
+        shifts, field = range(b * (width - 1), -1, -b), (1 << b) - 1
+        out = [tuple(w >> s & field for s in shifts) for w in reversed(kept)]
+    out.sort(key=sum)  # stable: descending lex within each degree
+    return tuple(out), kept
+
+
+def minimalize(gens, width: int) -> tuple[Monomial, ...]:
+    """Divisibility antichain of the given monomials, canonically sorted."""
+    unique = list(set(map(tuple, gens)))
+    for g in unique:
+        if len(g) != width:
+            raise ValueError(f"monomial width {len(g)} does not match ambient {width}")
+    b, words = _pack(unique, width)
+    return _minimal(words, b, width, unique)[0]
 
 
 @dataclass(frozen=True)
@@ -153,15 +174,48 @@ class MonomialIdeal:
         if min(m, default=0) < 0:
             raise ValueError("monomial exponents must be nonnegative")
 
+    def _packed(self) -> tuple[int, list[int]]:
+        """(b, words) of the generators (see _pack), made on first use; an
+        ideal that arithmetic made keeps the words it was made from."""
+        try:
+            return self._words
+        except AttributeError:
+            object.__setattr__(self, "_words", _pack(self.gens, len(self.ambient)))
+            return self._words
+
+    def _at(self, b: int) -> list[int]:
+        """The packed generators with b bits per field."""
+        own, words = self._packed()
+        return words if own == b else _pack_at(self.gens, b)
+
+    def _derived(self, words, b: int) -> "MonomialIdeal":
+        """The ideal of this ambient generated by the packed words."""
+        gens, kept = _minimal(words, b, len(self.ambient))
+        out = object.__new__(MonomialIdeal)
+        object.__setattr__(out, "ambient", self.ambient)
+        object.__setattr__(out, "gens", gens)
+        object.__setattr__(out, "_words", (b, kept))
+        return out
+
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_same_ambient(other)
-        return MonomialIdeal(self.ambient, self.gens + other.gens)
+        b = max(self._packed()[0], other._packed()[0])
+        return self._derived(self._at(b) + other._at(b), b)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        """Generated by the pairwise products, each one word addition.  The
+        sums fit their fields; where one reaches a guard bit, all are redone
+        with fields wide enough for the largest sum."""
         self._check_same_ambient(other)
-        return MonomialIdeal(
-            self.ambient, tuple(_mul(u, v) for u in self.gens for v in other.gens)
-        )
+        b = max(self._packed()[0], other._packed()[0])
+        right = other._at(b)
+        words = [u + v for u in self._at(b) for v in right]
+        if reduce(or_, words, 0) & _guard(b, len(self.ambient)):
+            top = max(map(max, self.gens)) + max(map(max, other.gens))
+            b, left = _pack(self.gens, len(self.ambient), top)
+            right = _pack_at(other.gens, b)
+            words = [u + v for u in left for v in right]
+        return self._derived(words, b)
 
     def __pow__(self, k: int) -> "MonomialIdeal":
         if k < 1:
@@ -171,20 +225,34 @@ class MonomialIdeal:
             out = out * self
         return out
 
-    def colon(self, m: Monomial) -> "MonomialIdeal":
-        """(I : m) = monomials v with v*m in I."""
+    def _with_monomial(self, m: Monomial) -> tuple[int, list[int], int]:
+        """(b, packed generators, packed m), at one field width."""
         self._check_monomial(m)
-        return MonomialIdeal(self.ambient, tuple(_quotient_by_gcd(u, m) for u in self.gens))
+        own, (word,) = _pack((m,), len(self.ambient))
+        b = max(own, self._packed()[0])
+        if b != own:
+            (word,) = _pack_at((m,), b)
+        return b, self._at(b), word
+
+    def colon(self, m: Monomial) -> "MonomialIdeal":
+        """(I : m) = monomials v with v*m in I: generator-wise u / gcd(u, m)."""
+        b, words, mono = self._with_monomial(m)
+        guard = _guard(b, len(self.ambient))
+        return self._derived([_monus(u, mono, guard, b - 1) for u in words], b)
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        """Generated by the pairwise lcms, max(u, v) = u + max(v - u, 0)."""
         self._check_same_ambient(other)
-        return MonomialIdeal(
-            self.ambient, tuple(_lcm(u, v) for u in self.gens for v in other.gens)
-        )
+        b = max(self._packed()[0], other._packed()[0])
+        guard, right = _guard(b, len(self.ambient)), other._at(b)
+        return self._derived([u + _monus(v, u, guard, b - 1)
+                              for u in self._at(b) for v in right], b)
 
     def contains(self, m: Monomial) -> bool:
-        self._check_monomial(m)
-        return any(_divides(g, m) for g in self.gens)
+        b, words, mono = self._with_monomial(m)
+        guard = _guard(b, len(self.ambient))
+        mono |= guard
+        return any((mono - g) & guard == guard for g in words)
 
     def with_ambient(self, ambient) -> "MonomialIdeal":
         """Rewrite the generators over another ambient (matched by name).

@@ -20,9 +20,12 @@ import os
 import random
 import tempfile
 from contextlib import nullcontext
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _json_str
+from math import inf
 from multiprocessing import Pool
+from operator import attrgetter
 from time import perf_counter
 from typing import NamedTuple
 
@@ -179,12 +182,71 @@ def _graph_task(args) -> tuple[list[CheckOutcome], list[dict], int]:
                     oc.witness["sampled"] = True
                 out.append(oc)
     for finding in computer.findings:
-        finding["graph_id"] = g6
+        finding["graph_id"] = gid
     return out, computer.findings, computer.comparisons
 
 
 # ---------------------------------------------------------------------------
 # reports
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (inf, -inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _json_str(key)
+    if isinstance(key, (int, float)) or key is None:  # bool is an int
+        return _json_str(_json(key, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json(value, pad: str) -> str:
+    """value as json.dumps(value, indent=2) lays it out where pad ("\n" and
+    the spaces of its line) is the current indentation; leaves go through
+    the C string escaper and int/float reprs, as the stdlib encoder does."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_json_key(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# one report row, in CheckOutcome's field order (that of to_dict), at the depth
+# json.dumps(indent=2) gives the rows of the report's "outcomes" list
+_ROW_NAMES = tuple(f.name for f in fields(CheckOutcome))
+_ROW_VALUES = attrgetter(*_ROW_NAMES)
+_ROW_PAD = "\n      "
+_ROW = ("\n    {{" + ",".join(f"{_ROW_PAD}{_json_str(k)}: {{}}" for k in _ROW_NAMES)
+        + "\n    }}")
+
+
+def _json_row(oc: CheckOutcome) -> str:
+    return _ROW.format(*[_json(v, _ROW_PAD) for v in _ROW_VALUES(oc)])
 
 
 @dataclass
@@ -222,13 +284,7 @@ class VerificationReport:
     def failures(self) -> list[CheckOutcome]:
         return [oc for oc in self.outcomes if oc.status == FAILS]
 
-    def to_json_dict(self, with_timing: bool = True) -> dict:
-        rows = []
-        for oc in self.outcomes:
-            row = oc.to_dict()
-            if not with_timing:
-                row.pop("elapsed_ms")
-            rows.append(row)
+    def _head(self) -> dict:
         return {
             "schema": "eil-verification-report/1",
             "corpus": self.corpus,
@@ -238,44 +294,67 @@ class VerificationReport:
             "seed": self.seed,
             "summary": self.summary,
             "findings": self.findings,
-            "outcomes": rows,
         }
 
+    def to_json_dict(self, with_timing: bool = True) -> dict:
+        rows = []
+        for oc in self.outcomes:
+            row = oc.to_dict()
+            if not with_timing:
+                row.pop("elapsed_ms")
+            rows.append(row)
+        return {**self._head(), "outcomes": rows}
+
+    def _json_chunks(self):
+        """json.dumps(self.to_json_dict(), indent=2) in pieces, one per
+        outcome row, each encoded straight from its CheckOutcome."""
+        pad = "\n  "
+        head = "{" + "".join(f"{pad}{_json_str(k)}: {_json(v, pad)},"
+                             for k, v in self._head().items()) + pad + '"outcomes": '
+        if not self.outcomes:
+            yield head + "[]\n}"
+            return
+        rows = map(_json_row, self.outcomes)
+        yield head + "[" + next(rows)
+        for row in rows:
+            yield "," + row
+        yield "\n  ]\n}"
+
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
+        return "".join(self._json_chunks())
 
     def canonical_body(self) -> str:
         """Deterministic report body: identical runs give identical bytes."""
         return json.dumps(self.to_json_dict(with_timing=False), sort_keys=True)
 
+    def _csv_rows(self):
+        yield ["check_id", "graph_id", "status", "lhs", "rhs", "field_char",
+               "elapsed_ms", "witness"]
+        for oc in self.outcomes:
+            yield [oc.check_id, oc.graph_id, oc.status, oc.lhs, oc.rhs,
+                   oc.field_char if oc.field_char is not None else "",
+                   oc.elapsed_ms,
+                   json.dumps(oc.witness, sort_keys=True) if oc.witness else ""]
+
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["check_id", "graph_id", "status", "lhs", "rhs", "field_char",
-             "elapsed_ms", "witness"]
-        )
-        for oc in self.outcomes:
-            writer.writerow(
-                [oc.check_id, oc.graph_id, oc.status, oc.lhs, oc.rhs,
-                 oc.field_char if oc.field_char is not None else "",
-                 oc.elapsed_ms,
-                 json.dumps(oc.witness, sort_keys=True) if oc.witness else ""]
-            )
+        csv.writer(buf).writerows(self._csv_rows())
         return buf.getvalue()
 
     def write(self, path: str, fmt: str = "json"):
         """Atomic write of fmt "json" or "csv": the file appears complete or
-        not at all."""
+        not at all.  Rows are streamed, so the file's bytes are those of
+        to_json() or to_csv() without either text being held whole."""
         if fmt not in ("json", "csv"):
             raise ValueError(f"report format must be json or csv, got {fmt!r}")
-        chunks = (json.JSONEncoder(indent=2).iterencode(self.to_json_dict())
-                  if fmt == "json" else [self.to_csv()])  # JSON: to_json()'s bytes, streamed
         directory = os.path.dirname(os.path.abspath(path)) or "."
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", text=True)
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.writelines(chunks)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                if fmt == "json":
+                    handle.writelines(self._json_chunks())
+                else:
+                    csv.writer(handle).writerows(self._csv_rows())
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -39,7 +39,8 @@ from eil.graphs import (
     random_graph,
     whiskered_triangle,
 )
-from eil.ideals import edge_ideal
+from eil.ideals import MonomialIdeal, edge_ideal
+import eil.cli
 from eil.cli import main
 from eil.suite import resolve_checks, run_suite
 
@@ -401,6 +402,8 @@ def test_shared_memo_work_counts(catalog5, tmp_path, capsys, monkeypatch):
             calls[_fn] += 1
             return _real(G)
         monkeypatch.setattr(eil.checks, fn, counting)
+    # eil depth reads alpha2 off its check's outcome; a packing of its own counts too
+    monkeypatch.setattr(eil.cli, "star_packing_number", eil.checks.star_packing_number)
 
     def count(run):
         _pieces.cache_clear()
@@ -418,3 +421,24 @@ def test_shared_memo_work_counts(catalog5, tmp_path, capsys, monkeypatch):
     assert count(lambda: main(["depth", str(path), "--power", "1"])) == (
         0, {"star_packing_number": 47})
     assert len(capsys.readouterr().out.splitlines()) == 47
+    for flags in (["--power", "1"], ["--power", "2"], ["--symbolic"]):
+        code, seen = count(lambda: main(["depth", "Bw", *flags]))
+        assert (code, seen["star_packing_number"]) == (0, 1), flags
+    assert capsys.readouterr().out.count("alpha2=1 ") == 3
+
+
+def test_colon_work_count(catalog5, monkeypatch):
+    # pinned: I(G-A):u is made once per graph, deletion set and vertex and
+    # shared by the edges at u, so a cold edge-set run on n <= 5 computes
+    # 2539 colons (3282 while each edge made its own two)
+    calls = Counter()
+    real = MonomialIdeal.colon
+
+    def counting(self, m):
+        calls["colon"] += 1
+        return real(self, m)
+
+    monkeypatch.setattr(MonomialIdeal, "colon", counting)
+    _pieces.cache_clear()
+    run_suite(catalog5, list(EDGE_SET_CHECKS), GF2)
+    assert calls["colon"] == 2539

@@ -21,7 +21,6 @@ from eil.graphs import (
 )
 from eil.ideals import (
     MonomialIdeal,
-    _divides,
     edge_ideal,
     format_monomial,
     ideal_digest,
@@ -62,6 +61,14 @@ def test_minimalize_mixed_example():
 def test_minimalize_rejects_wrong_width():
     with pytest.raises(ValueError):
         minimalize([(1, 0)], 3)
+
+
+# ---------------------------------------------------------------------------
+# tuple references for the packed kernels
+
+
+def _divides(u, v):
+    return all(a <= b for a, b in zip(u, v))
 
 
 def _minimalize_by_scan(gens, width):
@@ -226,6 +233,62 @@ def test_contains_examples():
     for m in ((-1, 0, 0), (2, -1, 1)):
         with pytest.raises(ValueError, match="must be nonnegative"):
             ideal("x*y").contains(m)
+
+
+def _random_ideal(rng, width):
+    """Seeded gens over one of the value sets, or the zero or unit ideal."""
+    kind = rng.randrange(12)
+    if kind == 0:
+        return ()
+    if kind == 1:
+        return ((0,) * width,)
+    values = rng.choice([(0, 1), (0, 1, 2), STRADDLE, WIDE, (0, 63, 64, 127)])
+    return tuple(tuple(rng.choice(values) for _ in range(width))
+                 for _ in range(rng.randint(1, 6)))
+
+
+def test_packed_arithmetic_matches_tuple_reference():
+    # products, colons, lcms and sums of packed words against the tuple
+    # formulas; WIDE exponents take fields wider than a byte, and 64 + 64 or
+    # 127 + 127 push a product past a byte field's guard bit
+    rng = random.Random(1998)
+    ambient = tuple(f"x{k}" for k in range(6))
+    for _ in range(600):
+        width = rng.randint(0, 6)
+        amb = ambient[:width]
+        a, c = _random_ideal(rng, width), _random_ideal(rng, width)
+        m = rng.choice(_random_ideal(rng, width) or ((0,) * width,))
+        I, J = MonomialIdeal(amb, a), MonomialIdeal(amb, c)
+        assert (I * J).gens == _minimalize_by_scan(
+            [tuple(x + y for x, y in zip(u, v)) for u in I.gens for v in J.gens], width)
+        assert I.intersect(J).gens == _minimalize_by_scan(
+            [tuple(max(x, y) for x, y in zip(u, v)) for u in I.gens for v in J.gens], width)
+        assert (I + J).gens == _minimalize_by_scan(I.gens + J.gens, width)
+        assert I.colon(m).gens == _minimalize_by_scan(
+            [tuple(max(x - y, 0) for x, y in zip(u, m)) for u in I.gens], width)
+        assert I.contains(m) == any(_divides(g, m) for g in I.gens)
+        assert I ** 2 == I * I
+
+
+def test_packed_arithmetic_edge_cases():
+    for width in (0, 1, 3):
+        amb = XYZ[:width]
+        zero, unit = MonomialIdeal.zero(amb), MonomialIdeal(amb, [(0,) * width])
+        I = MonomialIdeal(amb, [(300,) * width, (2,) * width])  # wide fields
+        one = (0,) * width
+        assert unit * I == I and zero * I == zero and unit * unit == unit
+        assert unit.intersect(I) == I and zero.intersect(I) == zero
+        assert zero + I == I and unit + I == unit
+        assert I.colon(one) == I and unit.colon((5,) * width) == unit
+        assert zero.colon((1,) * width) == zero and not zero.contains(one)
+        assert I.colon((2,) * width) == unit
+    I = ideal("x^2*y", "z^130")
+    assert I.colon(parse_monomial(XYZ, "x*z^129")) == ideal("x*y", "z")
+    assert (I * I).gens[-1] == (0, 0, 260)
+    for m in ((1, 0), (1, 0, 0, 0), (-1, 0, 0), (0, 0, -300)):
+        for op in (I.colon, I.contains, ideal("x").colon):
+            with pytest.raises(ValueError, match="width|nonnegative"):
+                op(m)
 
 
 def test_membership_laws_random():

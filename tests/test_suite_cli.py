@@ -26,6 +26,7 @@ from eil.suite import (
     EXHAUSTIVE_LIMIT,
     SAMPLE_SIZE,
     SUITE_ALIASES,
+    VerificationReport,
     hunt_counterexamples,
     resolve_checks,
     run_suite,
@@ -233,6 +234,41 @@ def test_report_write_streams_the_bytes_of_to_json(tmp_path):
     assert jpath.read_bytes() == report.to_json().encode()
     assert cpath.read_bytes() == report.to_csv().encode()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.json"]
+
+
+def _synthetic_report(with_outcomes: bool) -> VerificationReport:
+    """Every JSON leaf and layout case the writer must lay out as json.dumps does."""
+    report = VerificationReport("caf\u00e9 \u2265 n", ("x", "\u00fc"), 0, True, -1,
+                                depth_comparisons=2)
+    report.findings = [{"kind": "note", "nested": {"a": [1, {"b": [None, True, []]}]},
+                        "empty": {}}, {}]
+    if with_outcomes:
+        witness = {"inf": float("inf"), "neg": float("-inf"), "t": (1, "\u2264"), 7: [],
+                   "e": {}, "n": [[{}], {"k": None}], 2.5: False, None: "\n\"q\""}
+        report.outcomes = [
+            CheckOutcome("c\u00e9", "G?", "holds", 0.1 + 0.2, float("nan"), witness, None, 1e-7),
+            CheckOutcome("x", "y", "fails", None, -3, None, 2, 0.0),
+            CheckOutcome("x", "y", "holds", (), {}, {"edge": ["a", "b"]}, 0, 10 ** 20),
+        ]
+    return report
+
+
+def test_report_writer_lays_out_what_json_dumps_does(tmp_path, catalog5):
+    edge_sets = ["colon_intersection", "even_connection_depth", "square_colon_depth",
+                 "square_colon_formula", "deletion_bound"]
+    reports = [run_suite(catalog5, ["all"], cross_check=True), run_suite(catalog5, edge_sets),
+               _synthetic_report(True), _synthetic_report(False)]
+    for k, report in enumerate(reports):
+        path = tmp_path / f"report{k}.json"
+        report.write(str(path), "json")
+        assert path.read_bytes() == json.dumps(report.to_json_dict(), indent=2).encode(), k
+
+
+def test_findings_carry_the_outcomes_graph_id(monkeypatch):
+    monkeypatch.setattr(eil.checks, "depth_ideal_both", lambda I: (1, 2))
+    report = run_suite([">>graph6<<Bw"], ["main1"], cross_check=True)
+    assert [oc.graph_id for oc in report.outcomes] == ["Bw"]
+    assert [f["graph_id"] for f in report.findings] == ["Bw"]
 
 
 def test_run_suite_accepts_graph6_lines():
