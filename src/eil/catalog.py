@@ -104,6 +104,8 @@ def _search(n: int, adj: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
 
 def canonical_key(n: int, adj: tuple[int, ...]) -> int:
     """Canonical edge bit string: equal for two graphs iff they are isomorphic."""
+    if n < 0:
+        raise ValueError(f"canonical_key needs n >= 0, got n = {n}")
     G = Graph(default_labels(n), adj)
     return _search(G.n, G.adj)[0]
 

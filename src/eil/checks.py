@@ -12,7 +12,11 @@ disagreements as findings (a separate channel from check failures).
 
 Every per-graph check reads the pieces of its graph (graph6 id, packing
 witness, triangles, wk3-freeness, I(G), I(G)^2, edge-set constructions) from
-one memo, _pieces, which makes each piece once, on its first use.
+one memo, _pieces, which makes each piece once, on its first use: _memo(G,
+fn, *args) is fn(G, *args), keyed by (fn, *args), whose args are vertex
+labels and masks.  An edge-set check validates its edge and deletion set
+first, with graphs._admissible_pool, which reads the set once and returns it
+as a vertex mask; the pieces and the witness take it from there.
 
 Checks compute verdicts only; the suite times each check call and fills in
 elapsed_ms, which stays 0.0 when a check is called directly.
@@ -28,7 +32,6 @@ from .graphs import (
     Graph,
     _admissible_pool,
     _labels,
-    _mask,
     delete_vertices,
     emit_graph6,
     even_connection_graph,
@@ -138,34 +141,28 @@ def _pieces(G: Graph) -> dict:
     return {}
 
 
-def _memo(G: Graph, key, build):
-    """build(), made once per graph and key."""
+def _memo(G: Graph, fn, *args):
+    """fn(G, *args), made once per graph and key (fn, *args); the builders
+    below take masks the calling check has validated."""
     memo = _pieces(G)
-    return memo[key] if key in memo else memo.setdefault(key, build())
+    key = (fn, *args)
+    return memo[key] if key in memo else memo.setdefault(key, fn(G, *args))
 
 
-def _piece(G: Graph, fn):
-    """fn(G), made once per graph: fn is emit_graph6, star_packing_number,
-    triangles or is_wk3_free."""
-    return _memo(G, fn, lambda: fn(G))
+def _minus(G: Graph, a: int) -> tuple[Graph, MonomialIdeal]:
+    """(G-A, I(G-A)) for the mask a of A."""
+    GA = G.induced(((1 << G.n) - 1) & ~a)
+    return GA, edge_ideal(GA)
 
 
-def _minus(G: Graph, A=()) -> tuple[Graph, MonomialIdeal]:
-    """(G-A, I(G-A)), made once per graph and deletion set."""
-    A = frozenset(A)
-    GA = _memo(G, A, lambda: delete_vertices(G, A)) if A else G
-    return GA, _memo(G, ("ideal", A), lambda: edge_ideal(GA))
-
-
-def _square(G: Graph, A=()) -> MonomialIdeal:
-    """I(G-A)^2, made once per graph and deletion set."""
-    return _memo(G, ("square", frozenset(A)), lambda: _minus(G, A)[1] ** 2)
+def _square(G: Graph, a: int) -> MonomialIdeal:
+    """I(G-A)^2 for the mask a of A."""
+    return _memo(G, _minus, a)[1] ** 2
 
 
 def _alpha2_without(G: Graph, drop: int) -> int:
-    """alpha2 of G less the vertices in the mask drop, once per graph and mask."""
-    return _memo(G, ("alpha2", drop),
-                 lambda: star_packing_number(G.induced(((1 << G.n) - 1) & ~drop)).size)
+    """alpha2 of G less the vertices in the mask drop."""
+    return star_packing_number(G.induced(((1 << G.n) - 1) & ~drop)).size
 
 
 def _digests(lhs: MonomialIdeal, rhs: MonomialIdeal) -> tuple[str, str]:
@@ -174,38 +171,27 @@ def _digests(lhs: MonomialIdeal, rhs: MonomialIdeal) -> tuple[str, str]:
     return left, left if rhs == lhs else ideal_digest(rhs)
 
 
-def _var_colon(G: Graph, A: frozenset, u: str) -> MonomialIdeal:
-    """(I(G-A):u), made once per graph, deletion set and vertex."""
-    IA = _minus(G, A)[1]
-    return _memo(G, (A, u), lambda: IA.colon(IA.var(u)))
+def _var_colon(G: Graph, a: int, u: str) -> MonomialIdeal:
+    """(I(G-A):u) for the mask a of A, shared by the edges at u."""
+    IA = _memo(G, _minus, a)[1]
+    return IA.colon(IA.var(u))
 
 
-def _colon_intersection_pair(G: Graph, u: str, v: str, A):
+def _colon_intersection_pair(G: Graph, u: str, v: str, a: int):
     """J = (I(G-A):u) meet (I(G-A):v) and K = I(G'_A) + (L), both over the
-    ring of G-A, where G'_A is the contracted graph and L the common neighbors
-    of u and v outside A.  Returns (J, K, L); raises ValueError unless uv is
-    an edge and A lies in its pool."""
-    _admissible_pool(G, u, v, A)
-    A = frozenset(A)
-
-    def build():
-        gprime, L = even_connection_graph(G, u, v, A)
-        GA, IA = _minus(G, A)
-        J = _var_colon(G, A, u).intersect(_var_colon(G, A, v))
-        K = MonomialIdeal(GA.labels, tuple(_monomial(IA, *e) for e in gprime.edge_labels())
-                          + tuple(_monomial(IA, c) for c in L))
-        return J, K, L
-    return _memo(G, ("pair", u, v, A), build)
+    ring of G-A, where A has the mask a, G'_A is the contracted graph and L
+    the common neighbors of u and v outside A.  Returns (J, K, L)."""
+    gprime, L = even_connection_graph(G, u, v, _labels(G, a))
+    GA, IA = _memo(G, _minus, a)
+    J = _memo(G, _var_colon, a, u).intersect(_memo(G, _var_colon, a, v))
+    K = MonomialIdeal(GA.labels, tuple(_monomial(IA, *e) for e in gprime.edge_labels())
+                      + tuple(_monomial(IA, c) for c in L))
+    return J, K, L
 
 
-def _square_colon(G: Graph, u: str, v: str, A):
-    """(I(G-A)^2 : uv) over the ring of G-A.  Returns (G-A, I(G-A), colon);
-    raises ValueError unless uv is an edge and A lies in its pool."""
-    _admissible_pool(G, u, v, A)
-    GA, IA = _minus(G, A)
-    colon = _memo(G, ("colon", u, v, frozenset(A)),
-                  lambda: _square(G, A).colon(_monomial(IA, u, v)))
-    return GA, IA, colon
+def _square_colon(G: Graph, u: str, v: str, a: int) -> MonomialIdeal:
+    """(I(G-A)^2 : uv) over the ring of G-A, for the mask a of A."""
+    return _memo(G, _square, a).colon(_monomial(_memo(G, _minus, a)[1], u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +200,12 @@ def _square_colon(G: Graph, u: str, v: str, A):
 
 def check_first_power(G: Graph, computer=None) -> CheckOutcome:
     """depth of the edge ideal >= packing number + 1."""
-    gid = _piece(G, emit_graph6)
+    gid = _memo(G, emit_graph6)
     if not any(G.adj):
         return CheckOutcome("first_power", gid, NOT_APPLICABLE)
     computer = computer or DepthComputer()
-    pack = _piece(G, star_packing_number)
-    lhs = computer.ideal_depth(_minus(G)[1])
+    pack = _memo(G, star_packing_number)
+    lhs = computer.ideal_depth(_memo(G, _minus, 0)[1])
     rhs = pack.size + 1
     status = HOLDS if lhs >= rhs else FAILS
     witness = {"centers": list(pack.centers)}
@@ -231,18 +217,18 @@ def check_triangle_neighborhood_packing(G: Graph) -> list[CheckOutcome]:
     """Deleting the union of open neighborhoods of a triangle costs the
     packing number at most 2, provided no induced whiskered triangle exists.
     One outcome per triangle."""
-    gid = _piece(G, emit_graph6)
-    tris = _piece(G, triangles)
-    if not tris or not _piece(G, is_wk3_free):
+    gid = _memo(G, emit_graph6)
+    tris = _memo(G, triangles)
+    if not tris or not _memo(G, is_wk3_free):
         reason = "no triangle" if not tris else "whiskered triangle present"
         return [CheckOutcome("triangle_deletion_packing", gid, NOT_APPLICABLE,
                              witness={"reason": reason})]
-    base = _piece(G, star_packing_number).size
+    base = _memo(G, star_packing_number).size
     out = []
     for tri in tris:
         a, b, c = map(G.index, tri)
         drop = G.adj[a] | G.adj[b] | G.adj[c]
-        lhs = _alpha2_without(G, drop)
+        lhs = _memo(G, _alpha2_without, drop)
         rhs = base - 2
         status = HOLDS if lhs >= rhs else FAILS
         witness = {"triangle": list(tri), "deleted": sorted(_labels(G, drop))}
@@ -254,13 +240,14 @@ def check_colon_intersection(G: Graph, edge: tuple[str, str]) -> CheckOutcome:
     """(I : u) meet (I : v) equals the edge ideal of the contracted graph plus
     the common neighbors, as an exact ideal identity."""
     u, v = edge
-    lhs_ideal, rhs_ideal, L = _colon_intersection_pair(G, u, v, ())
+    a = _admissible_pool(G, u, v)[3]
+    lhs_ideal, rhs_ideal, L = _memo(G, _colon_intersection_pair, u, v, a)
     status = HOLDS if lhs_ideal == rhs_ideal else FAILS
     witness = {"edge": [u, v], "L": list(L)}
     if status == FAILS:
         witness["lhs_gens"] = lhs_ideal.pretty()
         witness["rhs_gens"] = rhs_ideal.pretty()
-    return CheckOutcome("colon_intersection", _piece(G, emit_graph6), status,
+    return CheckOutcome("colon_intersection", _memo(G, emit_graph6), status,
                         *_digests(lhs_ideal, rhs_ideal), witness)
 
 
@@ -270,14 +257,15 @@ def check_even_connection_depth(G: Graph, edge, A, computer=None) -> CheckOutcom
     equals J = (I(G-A):u) meet (I(G-A):v).  So whenever this holds, depth(J) =
     depth(K) clears the same bound: the colon-intersection depth statement."""
     u, v = edge
+    a = _admissible_pool(G, u, v, A)[3]
     computer = computer or DepthComputer()
-    J, K, L = _colon_intersection_pair(G, u, v, A)
+    J, K, L = _memo(G, _colon_intersection_pair, u, v, a)
     identity = K == J
     lhs = computer.ideal_depth(K)
-    rhs = _piece(G, star_packing_number).size
+    rhs = _memo(G, star_packing_number).size
     status = HOLDS if identity and lhs >= rhs else FAILS
-    witness = {"edge": [u, v], "A": sorted(A), "L": list(L), "identity": identity}
-    return CheckOutcome("even_connection_depth", _piece(G, emit_graph6), status, lhs, rhs,
+    witness = {"edge": [u, v], "A": sorted(_labels(G, a)), "L": list(L), "identity": identity}
+    return CheckOutcome("even_connection_depth", _memo(G, emit_graph6), status, lhs, rhs,
                         witness, computer.field.characteristic)
 
 
@@ -285,14 +273,14 @@ def check_square_colon_depth(G: Graph, edge, A, computer=None) -> CheckOutcome:
     """depth of (I(G-A)^2 : uv) over the shrunken ring is at least the packing
     number minus 2, minus 1 only when no whiskered triangle is induced."""
     u, v = edge
+    a = _admissible_pool(G, u, v, A)[3]
     computer = computer or DepthComputer()
-    _, _, colon = _square_colon(G, u, v, A)
-    lhs = computer.ideal_depth(colon)
-    wk3_free = _piece(G, is_wk3_free)
-    rhs = _piece(G, star_packing_number).size - (1 if wk3_free else 2)
+    lhs = computer.ideal_depth(_memo(G, _square_colon, u, v, a))
+    wk3_free = _memo(G, is_wk3_free)
+    rhs = _memo(G, star_packing_number).size - (1 if wk3_free else 2)
     status = HOLDS if lhs >= rhs else FAILS
-    witness = {"edge": [u, v], "A": sorted(A), "wk3_free": wk3_free}
-    return CheckOutcome("square_colon_depth", _piece(G, emit_graph6), status, lhs, rhs, witness,
+    witness = {"edge": [u, v], "A": sorted(_labels(G, a)), "wk3_free": wk3_free}
+    return CheckOutcome("square_colon_depth", _memo(G, emit_graph6), status, lhs, rhs, witness,
                         computer.field.characteristic)
 
 
@@ -301,7 +289,9 @@ def check_square_colon_formula(G: Graph, edge, A) -> CheckOutcome:
     description: I(G-A) + mixed neighbor products + squares of common
     neighbors.  When the edge is its own component, both collapse to I(G-A)."""
     u, v = edge
-    GA, IA, lhs_ideal = _square_colon(G, u, v, A)
+    a = _admissible_pool(G, u, v, A)[3]
+    lhs_ideal = _memo(G, _square_colon, u, v, a)
+    GA, IA = _memo(G, _minus, a)
     i, j = GA.index(u), GA.index(v)
     ni, nj = _labels(GA, GA.adj[i]), _labels(GA, GA.adj[j])
     common = _labels(GA, GA.adj[i] & GA.adj[j])
@@ -310,11 +300,12 @@ def check_square_colon_formula(G: Graph, edge, A) -> CheckOutcome:
     rhs_ideal = MonomialIdeal(GA.labels, IA.gens + tuple(extra))
     isolated = GA.degree(i) == 1 and GA.degree(j) == 1
     ok = lhs_ideal == rhs_ideal and (not isolated or lhs_ideal == IA)
-    witness = {"edge": [u, v], "A": sorted(A), "L": list(common), "isolated_edge_case": isolated}
+    witness = {"edge": [u, v], "A": sorted(_labels(G, a)), "L": list(common),
+               "isolated_edge_case": isolated}
     if not ok:
         witness["lhs_gens"] = lhs_ideal.pretty()
         witness["rhs_gens"] = rhs_ideal.pretty()
-    return CheckOutcome("square_colon_formula", _piece(G, emit_graph6), HOLDS if ok else FAILS,
+    return CheckOutcome("square_colon_formula", _memo(G, emit_graph6), HOLDS if ok else FAILS,
                         *_digests(lhs_ideal, rhs_ideal), witness)
 
 
@@ -324,15 +315,15 @@ def check_square_depth_bounds(G: Graph, computer=None) -> list[CheckOutcome]:
     for triangle-free graphs.  Always three outcomes, in that order, with ids
     square_general, square_wk3_free and square_triangle_free; a part whose
     hypothesis fails (every part, for an edgeless graph) is not_applicable."""
-    gid = _piece(G, emit_graph6)
+    gid = _memo(G, emit_graph6)
     parts = {"square_general": 2, "square_wk3_free": 1, "square_triangle_free": 0}
     if not any(G.adj):
         return [CheckOutcome(part, gid, NOT_APPLICABLE) for part in parts]
     computer = computer or DepthComputer()
-    pack = _piece(G, star_packing_number)
-    wk3free = _piece(G, is_wk3_free)
-    trifree = not _piece(G, triangles)
-    lhs = computer.ideal_depth(_square(G))
+    pack = _memo(G, star_packing_number)
+    wk3free = _memo(G, is_wk3_free)
+    trifree = not _memo(G, triangles)
+    lhs = computer.ideal_depth(_memo(G, _square, 0))
     applicable = {
         "square_general": True,
         "square_wk3_free": wk3free,
@@ -390,16 +381,16 @@ def check_sharp_examples(computer=None) -> list[CheckOutcome]:
 def check_symbolic_square(G: Graph, computer=None) -> CheckOutcome:
     """Second symbolic power: equals the ordinary square for triangle-free
     graphs, and its depth is at least the packing number."""
-    gid = _piece(G, emit_graph6)
+    gid = _memo(G, emit_graph6)
     if not any(G.adj):
         return CheckOutcome("symbolic_square", gid, NOT_APPLICABLE)
     computer = computer or DepthComputer()
-    square = _square(G)
+    square = _memo(G, _square, 0)
     symbolic = symbolic_square_edge_ideal(G)
-    trifree = not _piece(G, triangles)
+    trifree = not _memo(G, triangles)
     equal = square == symbolic
     lhs = computer.ideal_depth(symbolic)
-    rhs = _piece(G, star_packing_number).size
+    rhs = _memo(G, star_packing_number).size
     ok = lhs >= rhs and (equal or not trifree)
     witness = {"triangle_free": trifree, "square_equals_symbolic": equal}
     if trifree and not equal:
@@ -418,7 +409,7 @@ def check_generator_order_decomposition(G: Graph) -> CheckOutcome:
     ((I^2 + (u_1..u_{k-1})) : u_k) splits as (I^2 : u_k) plus variables from
     the open neighborhoods of u_k's endpoints.  Graphs with more than
     ORDER_MAX_EDGES edges are not_applicable."""
-    gid = _piece(G, emit_graph6)
+    gid = _memo(G, emit_graph6)
     edges = G.edge_labels()
     m = len(edges)
     if m == 0:
@@ -427,17 +418,17 @@ def check_generator_order_decomposition(G: Graph) -> CheckOutcome:
     if m > ORDER_MAX_EDGES:
         return CheckOutcome("order_decomposition", gid, NOT_APPLICABLE,
                             witness={"reason": f"more than {ORDER_MAX_EDGES} edges"})
-    I, I2 = _minus(G)[1], _square(G)
+    I, I2 = _memo(G, _minus, 0)[1], _memo(G, _square, 0)
     gens = list(I.gens)
     order_of_gen = {_monomial(I, u, v): (u, v) for u, v in edges}
-    pool_of = {k: set(_admissible_pool(G, *order_of_gen[g])) for k, g in enumerate(gens)}
+    pool_of = {k: _admissible_pool(G, *order_of_gen[g])[2] for k, g in enumerate(gens)}
     base_colon = [I2.colon(g) for g in gens]
 
     def condition(used: frozenset, t: int) -> bool:
         partial = I2 + MonomialIdeal(I.ambient, tuple(gens[k] for k in used))
         left = partial.colon(gens[t])
         linear = [g for g in left.gens if sum(g) == 1]
-        if any(I.ambient[g.index(1)] not in pool_of[t] for g in linear):
+        if any(not pool_of[t] >> g.index(1) & 1 for g in linear):
             return False
         return left == base_colon[t] + MonomialIdeal(I.ambient, tuple(linear))
 
@@ -471,13 +462,13 @@ def check_packing_deletion_bound(G: Graph, edge, A) -> CheckOutcome:
     """Deleting A together with a closed neighborhood (either endpoint), or
     both closed neighborhoods, lowers the packing number by at most 2."""
     u, v = edge
-    _admissible_pool(G, u, v, A)
-    rhs = _piece(G, star_packing_number).size - 2
-    a, cu, cv = _mask(G, A), G.closed_mask(G.index(u)), G.closed_mask(G.index(v))
+    i, j, _, a = _admissible_pool(G, u, v, A)
+    rhs = _memo(G, star_packing_number).size - 2
+    cu, cv = G.closed_mask(i), G.closed_mask(j)
     variants = {"A_plus_closed_u": a | cu, "A_plus_closed_v": a | cv,
                 "closed_u_plus_closed_v": cu | cv}
-    values = {name: _alpha2_without(G, drop) for name, drop in variants.items()}
+    values = {name: _memo(G, _alpha2_without, drop) for name, drop in variants.items()}
     lhs = min(values.values())
     status = HOLDS if lhs >= rhs else FAILS
-    witness = {"edge": [u, v], "A": sorted(A), "values": values}
-    return CheckOutcome("deletion_bound", _piece(G, emit_graph6), status, lhs, rhs, witness)
+    witness = {"edge": [u, v], "A": sorted(_labels(G, a)), "values": values}
+    return CheckOutcome("deletion_bound", _memo(G, emit_graph6), status, lhs, rhs, witness)

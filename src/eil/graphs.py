@@ -428,18 +428,21 @@ def is_wk3_free(G: Graph) -> bool:
     return True
 
 
-def _admissible_pool(G: Graph, u: str, v: str, A=()) -> tuple[str, ...]:
-    """Vertices an edge-parameterized statement may delete at the edge uv:
-    the neighbors of u or v, minus u and v, in vertex order.  Raises
-    ValueError when uv is not an edge or A leaves the pool."""
+def _admissible_pool(G: Graph, u: str, v: str, A=()) -> tuple[int, int, int, int]:
+    """The one check of an edge uv and a deletion set A, which it reads once.
+    Returns (i, j, pool, a): the indices of u and v, the mask of the vertices
+    a statement may delete at uv (the neighbors of u or v, minus u and v) and
+    the mask of A.  Raises ValueError when uv is not an edge or A leaves the
+    pool."""
     i, j = G.index(u), G.index(v)
     if not G.has_edge(i, j):
         raise ValueError(f"{u!r} {v!r} is not an edge")
-    pool = _labels(G, (G.adj[i] | G.adj[j]) & ~(1 << i) & ~(1 << j))
-    bad = set(A) - set(pool)
+    pool = (G.adj[i] | G.adj[j]) & ~(1 << i) & ~(1 << j)
+    names = set(A)
+    bad = names - set(_labels(G, pool))
     if bad:
         raise ValueError(f"inadmissible deletion set, {sorted(bad)} outside the neighborhood pool")
-    return pool
+    return i, j, pool, _mask(G, names)
 
 
 def even_connection_graph(G: Graph, u: str, v: str, A=()) -> tuple[Graph, tuple[str, ...]]:
@@ -450,9 +453,7 @@ def even_connection_graph(G: Graph, u: str, v: str, A=()) -> tuple[Graph, tuple[
     common neighbors L of u and v, and joins every remaining neighbor of u to
     every remaining neighbor of v.  Returns the new graph together with L.
     """
-    _admissible_pool(G, u, v, A)
-    i, j = G.index(u), G.index(v)
-    a_mask = _mask(G, A)
+    i, j, _, a_mask = _admissible_pool(G, u, v, A)
     l_mask = G.adj[i] & G.adj[j] & ~a_mask
     keep = ((1 << G.n) - 1) & ~a_mask & ~l_mask
     ni, nj = G.adj[i] & keep, G.adj[j] & keep

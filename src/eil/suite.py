@@ -32,7 +32,8 @@ from typing import NamedTuple
 from . import checks as _checks
 from .checks import FAILS, HOLDS, NOT_APPLICABLE, CheckOutcome, DepthComputer
 from .depth import GF2, FieldChoice
-from .graphs import Graph, _admissible_pool, _bits, emit_graph6, parse_graph6, random_graph
+from .graphs import (Graph, _admissible_pool, _bits, _labels, emit_graph6, parse_graph6,
+                     random_graph)
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
@@ -89,7 +90,10 @@ SUITE_ALIASES: dict[str, tuple[str, ...]] = {
 
 
 def resolve_checks(names) -> tuple[str, ...]:
-    """Expand aliases and validate before any work; unknown names raise."""
+    """Expand aliases and validate before any work; unknown names raise.  A
+    bare string is one name."""
+    if isinstance(names, str):
+        names = (names,)
     out: list[str] = []
     for name in names:
         if name in SUITE_ALIASES:
@@ -173,7 +177,7 @@ def _graph_task(args) -> tuple[list[CheckOutcome], list[dict], int]:
             if kind == "edge":
                 out.extend(check(G, (u, v)))
                 continue
-            pool = _admissible_pool(G, u, v)
+            pool = _labels(G, _admissible_pool(G, u, v)[2])
             subsets, sampled = _deletion_sets(pool, seed, f"{name}:{gid}:{u}:{v}")
             for A in subsets:
                 (oc,) = check(G, (u, v), A)
@@ -431,8 +435,6 @@ def hunt_counterexamples(checks, n: int, count: int, seed: int,
     """
     _require_at_least(1, n=n)
     _require_at_least(0, count=count)
-    if isinstance(checks, str):
-        checks = [checks]
     names = resolve_checks(checks)
     rng = _derived_rng(seed, "hunt", ",".join(names), str(n))
     graphs = [random_graph(n, rng) for _ in range(count)]

@@ -206,6 +206,9 @@ def test_negative_order_is_rejected():
         graph_classes(-1)
     with pytest.raises(ValueError, match="n = -1"):
         list(all_graphs(2, min_n=-1))
+    for n in (-1, -5):
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            canonical_key(n, ())
     assert list(all_graphs(0, min_n=0)) == [Graph((), ())]
 
 

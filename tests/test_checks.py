@@ -29,11 +29,13 @@ from eil.checks import (
 from eil.depth import GF2, QQ, depth_ideal
 from eil.graphs import (
     _admissible_pool,
+    _labels,
     _mask,
     complete_graph,
     delete_vertices,
     emit_graph6,
     empty_graph,
+    even_connection_graph,
     graph_from_edges,
     path_graph,
     random_graph,
@@ -314,7 +316,7 @@ def _edge_set_instances(G):
     """(check id, edge, A) for every edge-set check, edge and admissible A."""
     for name in EDGE_SET_CHECKS:
         for u, v in G.edge_labels():
-            pool = _admissible_pool(G, u, v)
+            pool = _labels(G, _admissible_pool(G, u, v)[2])
             sets = [()] if name == "colon_intersection" else [
                 A for k in range(len(pool) + 1) for A in combinations(pool, k)]
             for A in sets:
@@ -383,6 +385,16 @@ def test_memo_hit_still_rejects_inadmissible_sets():
             with pytest.raises(ValueError, match="inadmissible deletion set"):
                 fn(G, (u, v), A)
     assert _pieces.cache_info().hits == hits  # raised before reading the memo
+
+
+def test_one_shot_deletion_sets_read_like_tuples():
+    # the deletion set is read once, so an iterator gives what its tuple gives
+    G = whiskered_triangle()
+    for name, edge, A in _edge_set_instances(G):
+        assert _cold(G, name, edge, iter(A)) == _cold(G, name, edge, A), (name, edge, A)
+        assert even_connection_graph(G, *edge, iter(A)) == even_connection_graph(G, *edge, A)
+    oc = check_square_colon_depth(G, ("x1", "x2"), iter(("x3", "z1")))
+    assert (oc.lhs, oc.witness["A"]) == (3, ["x3", "z1"])
 
 
 def test_edge_set_suite_same_body_for_one_and_two_jobs(catalog5):

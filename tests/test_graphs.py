@@ -397,7 +397,7 @@ def test_even_connection_matches_label_construction(catalog5):
     cases = 0
     for G in catalog5:
         for u, v in G.edge_labels():
-            pool = _admissible_pool(G, u, v)
+            pool = _labels(G, _admissible_pool(G, u, v)[2])
             for r in range(len(pool) + 1):
                 for A in combinations(pool, r):
                     gprime, L = even_connection_graph(G, u, v, A)

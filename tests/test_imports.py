@@ -1,7 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every module-level private name of the package is used somewhere in it.
 
-A stdlib stand-in for a linter's unused-import rule.  __init__.py is left
-out: it imports to re-export.
+Stdlib stand-ins for a linter's unused-import and dead-code rules.  The
+import scan leaves __init__.py out: it imports to re-export.
 """
 
 import ast
@@ -35,3 +36,53 @@ def test_unused_import_scan_sees_every_form():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _top_level_names(stmt) -> set[str]:
+    """Names a module-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """module:name for each module-level private name (one leading _, no
+    dunder) that no other module-level statement of any module reads, by
+    name, as an attribute or in an import."""
+    defined, read = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            binds = _top_level_names(stmt)
+            defined += [(module, name, stmt) for name in sorted(binds)
+                        if name.startswith("_") and not name.startswith("__")]
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(a.name for a in node.names)
+            read.append((stmt, names))
+    return [f"{module}:{name}" for module, name, home in defined
+            if not any(name in names for stmt, names in read if stmt is not home)]
+
+
+def test_private_name_scan_sees_every_form():
+    sources = {
+        "a": ("_used = 1\n_orphan: int = 2\n__dunder__ = 3\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "def _helper():\n    return _used\nclass _Dead:\n    pass\n"),
+        "b": "from .a import _helper\nimport a\nX = a._via_attr\n",
+        "c": "def _via_attr():\n    pass\n",
+    }
+    assert _unreferenced_private_names(sources) == [
+        "a:_orphan", "a:_recursive", "a:_Dead"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert _unreferenced_private_names(sources) == []

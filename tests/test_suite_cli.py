@@ -47,6 +47,8 @@ def test_resolve_checks_aliases():
     )
     assert resolve_checks(["main1", "main1"]) == ("square_general",)
     assert resolve_checks(["examples"]) == ("sharp_examples",)
+    assert resolve_checks("main") == resolve_checks(["main"])
+    assert run_suite([complete_graph(3)], "main").checks == resolve_checks(["main"])
     assert set(resolve_checks(["all"])) == set(SUITE_ALIASES["all"])
 
 
