@@ -40,7 +40,6 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     delete_vertices,
-    distance,
     emit_graph6,
     empty_graph,
     even_connection_graph,

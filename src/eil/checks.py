@@ -31,10 +31,10 @@ from .depth import GF2, FieldChoice, depth_ideal, depth_ideal_both
 from .graphs import (
     Graph,
     _admissible_pool,
+    _contract,
     _labels,
     delete_vertices,
     emit_graph6,
-    even_connection_graph,
     is_wk3_free,
     path_graph,
     star_packing_number,
@@ -174,14 +174,15 @@ def _digests(lhs: MonomialIdeal, rhs: MonomialIdeal) -> tuple[str, str]:
 def _var_colon(G: Graph, a: int, u: str) -> MonomialIdeal:
     """(I(G-A):u) for the mask a of A, shared by the edges at u."""
     IA = _memo(G, _minus, a)[1]
-    return IA.colon(IA.var(u))
+    return IA.colon(_monomial(IA, u))
 
 
 def _colon_intersection_pair(G: Graph, u: str, v: str, a: int):
     """J = (I(G-A):u) meet (I(G-A):v) and K = I(G'_A) + (L), both over the
     ring of G-A, where A has the mask a, G'_A is the contracted graph and L
     the common neighbors of u and v outside A.  Returns (J, K, L)."""
-    gprime, L = even_connection_graph(G, u, v, _labels(G, a))
+    gprime, l_mask = _contract(G, G.index(u), G.index(v), a)
+    L = _labels(G, l_mask)
     GA, IA = _memo(G, _minus, a)
     J = _memo(G, _var_colon, a, u).intersect(_memo(G, _var_colon, a, v))
     K = MonomialIdeal(GA.labels, tuple(_monomial(IA, *e) for e in gprime.edge_labels())

@@ -43,10 +43,11 @@ def _read_graphs(arg: str, force_edges: bool = False) -> list[Graph]:
     """Graphs from a file, stdin ('-'), or an inline graph6 string.
 
     Edge-list input is recognized by lines with two tokens; --edges forces it.
+    A ``#`` starts a comment in either format, as in parse_edge_list.
     """
     text, origin = _read_text(arg)
-    lines = [(k + 1, line.strip()) for k, line in enumerate(text.splitlines())]
-    lines = [(no, line) for no, line in lines if line and not line.startswith("#")]
+    lines = [(k + 1, line.split("#", 1)[0].strip()) for k, line in enumerate(text.splitlines())]
+    lines = [(no, line) for no, line in lines if line]
     if not lines:
         raise CliError(f"{origin}: no graphs in input")
     looks_like_edges = force_edges or any(len(line.split()) >= 2 for _, line in lines)

@@ -8,7 +8,6 @@ operation returns a fresh Graph and is safe to call concurrently.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -22,9 +21,7 @@ __all__ = [
     "emit_graph6",
     "parse_edge_list",
     "delete_vertices",
-    "distance",
     "star_packing_number",
-    "is_valid_packing",
     "triangles",
     "is_wk3_free",
     "even_connection_graph",
@@ -320,27 +317,6 @@ def delete_vertices(G: Graph, drop) -> Graph:
     return G.induced(((1 << G.n) - 1) & ~_mask(G, drop))
 
 
-def distance(G: Graph, u: str, v: str):
-    """Shortest-path edge count between two vertices, math.inf if disconnected."""
-    s, t = G.index(u), G.index(v)
-    if s == t:
-        return 0
-    seen = 1 << s
-    frontier = 1 << s
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        for i in _bits(frontier):
-            nxt |= G.adj[i]
-        nxt &= ~seen
-        if nxt & (1 << t):
-            return d
-        seen |= nxt
-        frontier = nxt
-    return math.inf
-
-
 def star_packing_number(G: Graph) -> StarPackingWitness:
     """Largest family of stars with pairwise disjoint vertex sets.
 
@@ -384,15 +360,6 @@ def star_packing_number(G: Graph) -> StarPackingWitness:
     return StarPackingWitness(_labels(G, best_mask), best_size)
 
 
-def is_valid_packing(G: Graph, centers) -> bool:
-    """True when the closed neighborhoods of the given centers are pairwise disjoint."""
-    masks = [G.closed_mask(G.index(c)) for c in centers]
-    for a, b in combinations(masks, 2):
-        if a & b:
-            return False
-    return True
-
-
 def triangles(G: Graph) -> list[tuple[str, str, str]]:
     """All 3-cliques as label triples, each once, in index order."""
     out = []
@@ -429,20 +396,32 @@ def is_wk3_free(G: Graph) -> bool:
 
 
 def _admissible_pool(G: Graph, u: str, v: str, A=()) -> tuple[int, int, int, int]:
-    """The one check of an edge uv and a deletion set A, which it reads once.
-    Returns (i, j, pool, a): the indices of u and v, the mask of the vertices
-    a statement may delete at uv (the neighbors of u or v, minus u and v) and
-    the mask of A.  Raises ValueError when uv is not an edge or A leaves the
-    pool."""
+    """The one check of an edge uv and a deletion set A, which it reads once;
+    a bare string is one label.  Returns (i, j, pool, a): the indices of u
+    and v, the mask of the vertices a statement may delete at uv (the
+    neighbors of u or v, minus u and v) and the mask of A.  Raises ValueError
+    when uv is not an edge or A leaves the pool."""
     i, j = G.index(u), G.index(v)
     if not G.has_edge(i, j):
         raise ValueError(f"{u!r} {v!r} is not an edge")
     pool = (G.adj[i] | G.adj[j]) & ~(1 << i) & ~(1 << j)
-    names = set(A)
+    names = {A} if isinstance(A, str) else set(A)
     bad = names - set(_labels(G, pool))
     if bad:
         raise ValueError(f"inadmissible deletion set, {sorted(bad)} outside the neighborhood pool")
     return i, j, pool, _mask(G, names)
+
+
+def _contract(G: Graph, i: int, j: int, a: int) -> tuple[Graph, int]:
+    """G'_A and the mask of L, for the edge of vertices i and j and the mask a
+    of a deletion set _admissible_pool has passed (see even_connection_graph)."""
+    l_mask = G.adj[i] & G.adj[j] & ~a
+    keep = ((1 << G.n) - 1) & ~a & ~l_mask
+    ni, nj = G.adj[i] & keep, G.adj[j] & keep
+    # ni and nj are disjoint (their meet lies in A or L), so no loop appears
+    adj = tuple(m | (nj if ni >> p & 1 else ni if nj >> p & 1 else 0)
+                for p, m in enumerate(G.adj))
+    return Graph(G.labels, adj).induced(keep), l_mask
 
 
 def even_connection_graph(G: Graph, u: str, v: str, A=()) -> tuple[Graph, tuple[str, ...]]:
@@ -453,14 +432,9 @@ def even_connection_graph(G: Graph, u: str, v: str, A=()) -> tuple[Graph, tuple[
     common neighbors L of u and v, and joins every remaining neighbor of u to
     every remaining neighbor of v.  Returns the new graph together with L.
     """
-    i, j, _, a_mask = _admissible_pool(G, u, v, A)
-    l_mask = G.adj[i] & G.adj[j] & ~a_mask
-    keep = ((1 << G.n) - 1) & ~a_mask & ~l_mask
-    ni, nj = G.adj[i] & keep, G.adj[j] & keep
-    # ni and nj are disjoint (their meet lies in A or L), so no loop appears
-    adj = tuple(m | (nj if ni >> p & 1 else ni if nj >> p & 1 else 0)
-                for p, m in enumerate(G.adj))
-    return Graph(G.labels, adj).induced(keep), _labels(G, l_mask)
+    i, j, _, a = _admissible_pool(G, u, v, A)
+    gprime, l_mask = _contract(G, i, j, a)
+    return gprime, _labels(G, l_mask)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Monomials are exponent tuples aligned with the ambient; ideals always store
 their minimal generating set in graded-lexicographic order, so structural
 equality of MonomialIdeal values is ideal equality.  Deleting ring variables
-is modeled by shrinking the ambient (see with_ambient), never by quotients,
-because depth bookkeeping depends on the ambient size.
+is modeled by shrinking the ambient, never by quotients, because depth
+bookkeeping depends on the ambient size: I(G - A) is the edge_ideal of
+G.induced on the vertices outside A, over their labels only.
 """
 
 from __future__ import annotations
@@ -144,15 +145,6 @@ class MonomialIdeal:
     @property
     def is_squarefree(self) -> bool:
         return all(e <= 1 for g in self.gens for e in g)
-
-    def var(self, name: str) -> Monomial:
-        """The variable `name` as a monomial of this ambient."""
-        i = self.ambient.index(name)
-        return tuple(1 if k == i else 0 for k in range(len(self.ambient)))
-
-    def gens_rows(self) -> list[tuple[int, ...]]:
-        """Machine-readable generator dump: one exponent-vector row per generator."""
-        return [tuple(g) for g in self.gens]
 
     def pretty(self) -> str:
         if self.is_zero:

@@ -7,6 +7,8 @@ from itertools import combinations
 import pytest
 
 import eil.checks
+import eil.graphs
+import eil.suite
 from eil.checks import (
     FAILS,
     HOLDS,
@@ -41,7 +43,7 @@ from eil.graphs import (
     random_graph,
     whiskered_triangle,
 )
-from eil.ideals import MonomialIdeal, edge_ideal
+from eil.ideals import MonomialIdeal, edge_ideal, parse_monomial
 import eil.cli
 from eil.cli import main
 from eil.suite import resolve_checks, run_suite
@@ -98,7 +100,8 @@ def test_colon_intersection_depth_examples():
     for G, A, rhs in [(K3, (), 1), (K2, (), 1), (K3, ("x3",), 1)]:
         oc = check_even_connection_depth(G, ("x1", "x2"), A)
         IA = edge_ideal(delete_vertices(G, A))
-        J = IA.colon(IA.var("x1")).intersect(IA.colon(IA.var("x2")))
+        x1, x2 = (parse_monomial(IA.ambient, x) for x in ("x1", "x2"))
+        J = IA.colon(x1).intersect(IA.colon(x2))
         assert oc.status == HOLDS and oc.witness["identity"] is True
         assert oc.lhs == depth_ideal(J) >= oc.rhs == rhs
     with pytest.raises(ValueError):
@@ -395,6 +398,11 @@ def test_one_shot_deletion_sets_read_like_tuples():
         assert even_connection_graph(G, *edge, iter(A)) == even_connection_graph(G, *edge, A)
     oc = check_square_colon_depth(G, ("x1", "x2"), iter(("x3", "z1")))
     assert (oc.lhs, oc.witness["A"]) == (3, ["x3", "z1"])
+    # and a bare string is one label, not a run of characters
+    edge = ("x1", "x2")
+    for name in EDGE_SET_CHECKS:
+        assert _cold(G, name, edge, "x3") == _cold(G, name, edge, ("x3",)), name
+    assert even_connection_graph(G, *edge, "x3") == even_connection_graph(G, *edge, ("x3",))
 
 
 def test_edge_set_suite_same_body_for_one_and_two_jobs(catalog5):
@@ -437,6 +445,25 @@ def test_shared_memo_work_counts(catalog5, tmp_path, capsys, monkeypatch):
         code, seen = count(lambda: main(["depth", "Bw", *flags]))
         assert (code, seen["star_packing_number"]) == (0, 1), flags
     assert capsys.readouterr().out.count("alpha2=1 ") == 3
+
+
+def test_validator_work_count(catalog5, monkeypatch):
+    # pinned: the edge-set checks and the suite validate each (edge, deletion
+    # set) once, and the contraction takes the checked mask, so a cold
+    # edge-set run on n <= 5 calls _admissible_pool 5426 times (6520 while
+    # the pair builder went through even_connection_graph, which validated again)
+    calls = Counter()
+    real = eil.graphs._admissible_pool
+
+    def counting(*args):
+        calls["pool"] += 1
+        return real(*args)
+
+    for module in (eil.graphs, eil.checks, eil.suite):
+        monkeypatch.setattr(module, "_admissible_pool", counting)
+    _pieces.cache_clear()
+    run_suite(catalog5, list(EDGE_SET_CHECKS), GF2)
+    assert calls["pool"] == 5426
 
 
 def test_colon_work_count(catalog5, monkeypatch):

@@ -15,17 +15,16 @@ from eil.graphs import (
     Graph,
     Graph6Error,
     _admissible_pool,
+    _bits,
     _labels,
     _mask,
     complete_graph,
     cycle_graph,
     delete_vertices,
-    distance,
     emit_graph6,
     empty_graph,
     even_connection_graph,
     graph_from_edges,
-    is_valid_packing,
     is_wk3_free,
     maximal_independent_sets,
     minimal_vertex_covers,
@@ -52,6 +51,33 @@ def brute_alpha2(G):
         if all(not closed[a] & closed[b] for a, b in combinations(chosen, 2)):
             best = max(best, len(chosen))
     return best
+
+
+def distance(G, u, v):
+    """Shortest-path edge count between two vertices, math.inf if disconnected."""
+    s, t = G.index(u), G.index(v)
+    if s == t:
+        return 0
+    seen = 1 << s
+    frontier = 1 << s
+    d = 0
+    while frontier:
+        d += 1
+        nxt = 0
+        for i in _bits(frontier):
+            nxt |= G.adj[i]
+        nxt &= ~seen
+        if nxt & (1 << t):
+            return d
+        seen |= nxt
+        frontier = nxt
+    return math.inf
+
+
+def is_valid_packing(G, centers):
+    """True when the closed neighborhoods of the given centers are pairwise disjoint."""
+    masks = [G.closed_mask(G.index(c)) for c in centers]
+    return all(not a & b for a, b in combinations(masks, 2))
 
 
 def brute_triangles(G):

@@ -140,10 +140,6 @@ def test_pretty_and_parse_roundtrip():
     assert MonomialIdeal.zero(XYZ).pretty() == "(0)"
 
 
-def test_gens_rows_dump():
-    assert ideal("x*y", "z^2").gens_rows() == [(1, 1, 0), (0, 0, 2)]
-
-
 def test_ideal_digest_short_and_hashed():
     assert ideal_digest(ideal("x*y")) == "(x*y)"
     wide = tuple(f"v{i}" for i in range(40))

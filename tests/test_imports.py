@@ -1,16 +1,20 @@
-"""Every name a module of the package imports is used in that module, and
-every module-level private name of the package is used somewhere in it.
+"""Every name a module of the package imports is used in that module, every
+module-level private name of the package is used somewhere in it, and every
+public module-level function is used in it or named in the README.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules.  The
-import scan leaves __init__.py out: it imports to re-export.
+import scan leaves __init__.py out: it imports to re-export.  So does the
+public-function scan, for the same reason.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eil"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "eil"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -48,16 +52,16 @@ def _top_level_names(stmt) -> set[str]:
     return set()
 
 
-def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """module:name for each module-level private name (one leading _, no
-    dunder) that no other module-level statement of any module reads, by
-    name, as an attribute or in an import."""
+def _unread_names(sources: dict[str, str], defines) -> list[str]:
+    """module:name for each name that defines(stmt) yields for a module-level
+    statement and that no other module-level statement of any module reads,
+    by name, as an attribute, in an import or as a whole string (a getattr
+    key); the strings of __all__ export and do not read."""
     defined, read = [], []
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            binds = _top_level_names(stmt)
-            defined += [(module, name, stmt) for name in sorted(binds)
-                        if name.startswith("_") and not name.startswith("__")]
+            defined += [(module, name, stmt) for name in sorted(defines(stmt))]
+            exports = "__all__" in _top_level_names(stmt)
             names = set()
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -66,9 +70,29 @@ def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
                     names.add(node.attr)
                 elif isinstance(node, ast.ImportFrom):
                     names.update(a.name for a in node.names)
+                elif isinstance(node, ast.Constant) and not exports:
+                    names.add(node.value)
             read.append((stmt, names))
     return [f"{module}:{name}" for module, name, home in defined
             if not any(name in names for stmt, names in read if stmt is not home)]
+
+
+def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level private names (one leading _, no dunder) no other
+    statement reads."""
+    return _unread_names(sources, lambda stmt: {
+        name for name in _top_level_names(stmt)
+        if name.startswith("_") and not name.startswith("__")})
+
+
+def _unused_public_functions(sources: dict[str, str], readme: str) -> list[str]:
+    """The public module-level functions no other statement reads and the
+    README does not name: each is either dead or undocumented API."""
+    def public_function(stmt):
+        is_function = isinstance(stmt, ast.FunctionDef)
+        return {stmt.name} if is_function and not stmt.name.startswith("_") else set()
+    return [hit for hit in _unread_names(sources, public_function)
+            if not re.search(rf"\b{hit.split(':')[1]}\b", readme)]
 
 
 def test_private_name_scan_sees_every_form():
@@ -86,3 +110,21 @@ def test_private_name_scan_sees_every_form():
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert _unreferenced_private_names(sources) == []
+
+
+def test_public_function_scan_sees_every_form():
+    sources = {
+        "a": ("def dead():\n    return dead()\ndef documented():\n    pass\n"
+              "def _private():\n    pass\nclass Unused:\n    pass\n"
+              "__all__ = ['dead', 'documented', 'via_attr']\n"),
+        "b": "import c\nX = c.via_attr\nY = getattr(c, 'by_key')\nZ = 'deadly, said'\n",
+        "c": ("def via_attr():\n    pass\ndef by_key():\n    pass\n"
+              "def deadly():\n    pass\n"),
+    }
+    readme = "Call `documented()`; `dead_end` and `undead` are other words."
+    assert _unused_public_functions(sources, readme) == ["a:dead", "c:deadly"]
+
+
+def test_no_unused_public_functions():
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert _unused_public_functions(sources, (ROOT / "README.md").read_text()) == []

@@ -598,6 +598,17 @@ def test_cli_input_without_graphs_rejected(tmp_path, capsys):
         assert "no graphs in input" in capsys.readouterr().err
 
 
+def test_cli_graph6_trailing_comment(tmp_path, capsys):
+    # the comment goes before the format is read: two graph6 lines, not an edge list
+    path = tmp_path / "commented.g6"
+    path.write_text("Bw # P3\nCF\n")
+    assert main(["alpha2", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "alpha2=1 centers={x1}", "alpha2=1 centers={x4}"]
+    assert main(["verify", "--suite", "main1", "--corpus", str(path)]) == 0
+    assert "summary outcomes=2 holds=2 " in capsys.readouterr().out
+
+
 def test_cli_empty_sweeps_rejected(capsys):
     for argv in (["verify", "--suite", "main", "--max-n", "0"],
                  ["verify", "--suite", "main", "--max-n", "-1"],
