@@ -126,9 +126,6 @@ class Graph:
     def edge_labels(self) -> list[tuple[str, str]]:
         return [(self.labels[i], self.labels[j]) for i, j in self.edges()]
 
-    def num_edges(self) -> int:
-        return sum(self.degree(i) for i in range(self.n)) // 2
-
     def induced(self, keep_mask: int) -> "Graph":
         """Induced subgraph on the masked vertices, label order preserved."""
         pos = {v: k for k, v in enumerate(_bits(keep_mask))}
@@ -175,7 +172,8 @@ def default_labels(n: int) -> tuple[str, ...]:
 
 
 class Graph6Error(ValueError):
-    """Malformed graph6 input; ``offset`` is the zero-based offending byte."""
+    """Malformed graph6 input; ``offset`` is the zero-based offending byte,
+    counted from the start of the input, ``>>graph6<<`` header included."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
@@ -191,23 +189,23 @@ def parse_graph6(text: str) -> Graph:
     if isinstance(text, bytes):
         text = text.decode("ascii", errors="replace")
     s = text.rstrip("\r\n")
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
-    if not s:
-        raise Graph6Error("empty graph6 input", 0)
-    for k, ch in enumerate(s):
+    at = len(">>graph6<<") if s.startswith(">>graph6<<") else 0  # offsets count it
+    if len(s) == at:
+        raise Graph6Error("empty graph6 input", at)
+    for k, ch in enumerate(s[at:], at):
         if not 63 <= ord(ch) <= 126:
             raise Graph6Error(f"invalid graph6 character {ch!r}", k)
-    if s[0] == "~":
-        if len(s) < 4:
+    if s[at] == "~":
+        if len(s) < at + 4:
             raise Graph6Error("truncated extended vertex-count header", len(s))
-        if s[1] == "~":
-            raise Graph6Error("graphs beyond 258047 vertices are not supported", 1)
-        n = ((ord(s[1]) - 63) << 12) | ((ord(s[2]) - 63) << 6) | (ord(s[3]) - 63)
-        body_at = 4
+        if s[at + 1] == "~":
+            raise Graph6Error("graphs beyond 258047 vertices are not supported", at + 1)
+        hi, mid, lo = (ord(ch) - 63 for ch in s[at + 1:at + 4])
+        n = (hi << 12) | (mid << 6) | lo
+        body_at = at + 4
     else:
-        n = ord(s[0]) - 63
-        body_at = 1
+        n = ord(s[at]) - 63
+        body_at = at + 1
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     body = s[body_at:]

@@ -272,11 +272,6 @@ class MonomialIdeal:
     def zero(cls, ambient) -> "MonomialIdeal":
         return cls(tuple(ambient), ())
 
-    @classmethod
-    def from_strings(cls, ambient, texts) -> "MonomialIdeal":
-        ambient = tuple(ambient)
-        return cls(ambient, tuple(parse_monomial(ambient, t) for t in texts))
-
 
 @dataclass(frozen=True)
 class PolarizationResult:
@@ -313,7 +308,10 @@ def parse_monomial(ambient, text: str) -> Monomial:
         name, caret, exp = factor.strip().partition("^")
         if name not in pos:
             raise ValueError(f"unknown variable {name!r}")
-        vec[pos[name]] += int(exp) if caret else 1
+        e = int(exp) if caret else 1
+        if e < 0:
+            raise ValueError("monomial exponents must be nonnegative")
+        vec[pos[name]] += e
     return tuple(vec)
 
 

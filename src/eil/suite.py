@@ -20,12 +20,9 @@ import os
 import random
 import tempfile
 from contextlib import nullcontext
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field
 from itertools import islice
-from json.encoder import encode_basestring_ascii as _json_str
-from math import inf
 from multiprocessing import Pool
-from operator import attrgetter
 from time import perf_counter
 from typing import NamedTuple
 
@@ -194,65 +191,6 @@ def _graph_task(args) -> tuple[list[CheckOutcome], list[dict], int]:
 # reports
 
 
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (inf, -inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return _json_str(key)
-    if isinstance(key, (int, float)) or key is None:  # bool is an int
-        return _json_str(_json(key, ""))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _json(value, pad: str) -> str:
-    """value as json.dumps(value, indent=2) lays it out where pad ("\n" and
-    the spaces of its line) is the current indentation; leaves go through
-    the C string escaper and int/float reprs, as the stdlib encoder does."""
-    if isinstance(value, str):
-        return _json_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
-    inner = pad + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [_json_key(k) + ": " + _json(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-# one report row, in CheckOutcome's field order (that of to_dict), at the depth
-# json.dumps(indent=2) gives the rows of the report's "outcomes" list
-_ROW_NAMES = tuple(f.name for f in fields(CheckOutcome))
-_ROW_VALUES = attrgetter(*_ROW_NAMES)
-_ROW_PAD = "\n      "
-_ROW = ("\n    {{" + ",".join(f"{_ROW_PAD}{_json_str(k)}: {{}}" for k in _ROW_NAMES)
-        + "\n    }}")
-
-
-def _json_row(oc: CheckOutcome) -> str:
-    return _ROW.format(*[_json(v, _ROW_PAD) for v in _ROW_VALUES(oc)])
-
-
 @dataclass
 class VerificationReport:
     """All outcomes of one suite run plus summary tallies and findings.
@@ -310,19 +248,14 @@ class VerificationReport:
         return {**self._head(), "outcomes": rows}
 
     def _json_chunks(self):
-        """json.dumps(self.to_json_dict(), indent=2) in pieces, one per
-        outcome row, each encoded straight from its CheckOutcome."""
-        pad = "\n  "
-        head = "{" + "".join(f"{pad}{_json_str(k)}: {_json(v, pad)},"
-                             for k, v in self._head().items()) + pad + '"outcomes": '
-        if not self.outcomes:
-            yield head + "[]\n}"
-            return
-        rows = map(_json_row, self.outcomes)
-        yield head + "[" + next(rows)
-        for row in rows:
-            yield "," + row
-        yield "\n  ]\n}"
+        """to_json() in pieces: the head, then one outcome row per line, each
+        encoded by json.dumps straight from its CheckOutcome."""
+        yield json.dumps(self._head())[:-1] + ', "outcomes": ['
+        sep = "\n"
+        for oc in self.outcomes:
+            yield sep + json.dumps(oc.to_dict())
+            sep = ",\n"
+        yield "\n]}\n"
 
     def to_json(self) -> str:
         return "".join(self._json_chunks())

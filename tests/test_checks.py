@@ -437,7 +437,7 @@ def test_shared_memo_work_counts(catalog5, tmp_path, capsys, monkeypatch):
         "star_packing_number": 296, "is_wk3_free": 47}
     assert count(lambda: run_suite(catalog5, ["colon_intersection"]))[1] == {}
     path = tmp_path / "n5.g6"
-    path.write_text("".join(emit_graph6(G) + "\n" for G in catalog5 if G.num_edges()))
+    path.write_text("".join(emit_graph6(G) + "\n" for G in catalog5 if G.edges()))
     assert count(lambda: main(["depth", str(path), "--power", "1"])) == (
         0, {"star_packing_number": 47})
     assert len(capsys.readouterr().out.splitlines()) == 47

@@ -36,6 +36,7 @@ from eil.depth import (
 from eil.graphs import complete_graph, cycle_graph, emit_graph6, path_graph, whiskered_triangle
 from eil.ideals import MonomialIdeal, edge_ideal, polarize
 from eil.suite import run_suite
+from test_ideals import ideal
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -237,7 +238,7 @@ def test_field_choice_validation():
 
 def test_complex_view_needs_squarefree():
     with pytest.raises(ValueError):
-        ComplexView.from_ideal(MonomialIdeal.from_strings(XY, ["x^2"]))
+        ComplexView.from_ideal(ideal("x^2", ambient=XY))
 
 
 def _brute_faces_by_size(W, nonfaces):
@@ -281,7 +282,7 @@ def test_rank_exact_matches_dense_rational_rank():
 
 
 def test_betti_principal_quadric():
-    I = MonomialIdeal.from_strings(XY, ["x*y"])
+    I = ideal("x*y", ambient=XY)
     assert betti_numbers(I, GF2) == {(0, 0): 1, (1, 0b11): 1}
 
 
@@ -291,15 +292,15 @@ def test_betti_zero_ideal():
 
 def test_betti_rejects_unit_and_nonsquarefree():
     with pytest.raises(ValueError):
-        betti_numbers(MonomialIdeal.from_strings(XY, ["1"]), GF2)
+        betti_numbers(ideal("1", ambient=XY), GF2)
     with pytest.raises(ValueError):
-        betti_numbers(MonomialIdeal.from_strings(XY, ["x^2"]), GF2)
+        betti_numbers(ideal("x^2", ambient=XY), GF2)
 
 
 def test_betti_shared_variable_pair():
     # two generators with a shared variable: the Taylor resolution is minimal
     amb = ("x1", "x2", "y1")
-    I = MonomialIdeal.from_strings(amb, ["x1*x2", "x1*y1"])
+    I = ideal("x1*x2", "x1*y1", ambient=amb)
     oracle = taylor_betti(I, 2)
     assert max(i for i, _ in oracle) == 2  # pd(S/I) = 2, settled by the oracle
     got = betti_numbers(I, GF2)
@@ -374,7 +375,7 @@ def test_cone_reduction_counts_whiskered_triangle_square():
 def test_cone_reduction_is_lossless_on_squares(catalog5):
     # the unreduced oracle scans every mask of the polarized I(G)^2
     for G in catalog5:
-        if not G.num_edges():
+        if not G.edges():
             continue
         I = polarize(edge_ideal(G) ** 2).ideal
         C = ComplexView.from_ideal(I)
@@ -388,7 +389,7 @@ def test_cone_reduction_is_lossless_on_squares(catalog5):
 
 
 def test_betti_table_rows_format():
-    I = MonomialIdeal.from_strings(XY, ["x*y"])
+    I = ideal("x*y", ambient=XY)
     assert betti_table_rows(betti_numbers(I, GF2)) == [(0, 0, "0", 1), (1, 2, "3", 1)]
 
 
@@ -397,7 +398,7 @@ def test_betti_table_rows_format():
 
 
 def test_depth_principal_quadric():
-    I = MonomialIdeal.from_strings(XY, ["x*y"])
+    I = ideal("x*y", ambient=XY)
     r = depth_quotient(I, GF2)
     assert (r.pd_quotient, r.depth_quotient, r.depth_ideal) == (1, 1, 2)
 
@@ -443,7 +444,7 @@ GOLDEN_SQUARES_N6 = "eba51dd2775d84a39c72d40520d859092d406a285ce3ffaf1bf136c050f
 def test_square_depths_n6_golden(catalog6):
     clear_depth_cache()
     rows = sorted((emit_graph6(G), depth_ideal_both(edge_ideal(G) ** 2))
-                  for G in catalog6 if G.num_edges())
+                  for G in catalog6 if G.edges())
     assert len(rows) == 202
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == GOLDEN_SQUARES_N6
 
@@ -474,7 +475,7 @@ def test_rational_ranks_only_where_mod2_is_alive_in_adjacent_sizes(catalog5, mon
                 forced.add(R)
         return forced
 
-    squares = [edge_ideal(G) ** 2 for G in catalog5 if G.num_edges()]
+    squares = [edge_ideal(G) ** 2 for G in catalog5 if G.edges()]
     assert len(squares) == 47
     for I in squares:
         clear_depth_cache()
@@ -506,7 +507,7 @@ def _check_bounded_sweep_is_exact(catalog):
     # unpruned Betti walk, per field and fused, with a cold memo per ideal
     compared = 0
     for G in catalog:
-        if not G.num_edges():
+        if not G.edges():
             continue
         for I in (edge_ideal(G), edge_ideal(G) ** 2):
             want = [max(i for i, _ in betti_numbers(polarize(I).ideal, field))
@@ -541,7 +542,7 @@ def test_bounded_sweep_work_counts(catalog5, monkeypatch):
 
     monkeypatch.setattr(eil.depth, "_faces_by_size", counting)
     for G in catalog5:
-        if G.num_edges():
+        if G.edges():
             clear_depth_cache()
             depth_ideal(edge_ideal(G) ** 2, GF2)
     assert len(calls) == 162
@@ -592,7 +593,7 @@ def test_depth_zero_and_unit_ideals():
     zero = MonomialIdeal.zero(XYZ)
     r = depth_quotient(zero, GF2)
     assert r.depth_quotient == 3 and r.pd_quotient == 0 and r.depth_ideal is None
-    unit = MonomialIdeal.from_strings(XYZ, ["1"])
+    unit = ideal("1")
     with pytest.raises(ValueError):
         depth_quotient(unit, GF2)
     with pytest.raises(ValueError):
@@ -607,7 +608,7 @@ def test_depth_result_bookkeeping_enforced():
 
 
 def test_maximal_ideal_quotient():
-    I = MonomialIdeal.from_strings(XYZ, ["x", "y", "z"])
+    I = ideal("x", "y", "z")
     r = depth_quotient(I, GF2)
     assert r.pd_quotient == 3 and r.depth_quotient == 0
 

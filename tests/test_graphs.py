@@ -137,7 +137,7 @@ def test_edges_and_degrees():
     G = path_graph(4)
     assert G.edge_labels() == [("x1", "x2"), ("x2", "x3"), ("x3", "x4")]
     assert [G.degree(i) for i in range(4)] == [1, 2, 2, 1]
-    assert G.num_edges() == 3
+    assert len(G.edges()) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ def test_parse_graph6_k2():
 
 def test_parse_graph6_two_isolated():
     G = parse_graph6("A?")
-    assert G.n == 2 and G.num_edges() == 0
+    assert G.n == 2 and len(G.edges()) == 0
 
 
 def test_parse_graph6_empty_input():
@@ -160,14 +160,23 @@ def test_parse_graph6_empty_input():
 
 
 def test_parse_graph6_errors_name_offset():
-    with pytest.raises(Graph6Error) as err:
-        parse_graph6("A_X")  # trailing garbage
-    assert err.value.offset == 2
-    with pytest.raises(Graph6Error) as err:
-        parse_graph6("B")  # truncated
-    with pytest.raises(Graph6Error) as err:
-        parse_graph6("A" + chr(30))  # non-printable
-    assert err.value.offset == 1
+    cases = {
+        "A_X": 2,  # trailing garbage
+        "B": 1,  # truncated edge data
+        "A" + chr(30): 1,  # non-printable
+        "~??": 3,  # truncated extended header
+        "~~??????": 1,  # beyond 258047 vertices
+        "": 0,  # empty
+        "\n": 0,
+    }
+    header = ">>graph6<<"
+    for text, offset in list(cases.items()):
+        cases[header + text] = len(header) + offset
+    cases[header + "B!"] = 11  # the "!" is the input's byte 11
+    for text, offset in cases.items():
+        with pytest.raises(Graph6Error) as err:
+            parse_graph6(text)
+        assert err.value.offset == offset, text
 
 
 def test_parse_graph6_header_prefix_and_newline():
@@ -199,7 +208,7 @@ def test_known_encodings():
 def test_parse_edge_list_triangle():
     G = parse_edge_list("x y\ny z\nx z")
     assert G.labels == ("x", "y", "z")
-    assert G.num_edges() == 3
+    assert len(G.edges()) == 3
 
 
 def test_parse_edge_list_path():
@@ -220,7 +229,7 @@ def test_parse_edge_list_too_many_tokens():
 def test_parse_edge_list_isolated_and_natural_order():
     G = parse_edge_list("x10 x2\nx1")
     assert G.labels == ("x1", "x2", "x10")
-    assert G.num_edges() == 1
+    assert len(G.edges()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +238,7 @@ def test_parse_edge_list_isolated_and_natural_order():
 
 def test_delete_vertices_triangle():
     G = delete_vertices(complete_graph(3), {"x3"})
-    assert G.labels == ("x1", "x2") and G.num_edges() == 1
+    assert G.labels == ("x1", "x2") and len(G.edges()) == 1
 
 
 def test_delete_nothing_is_identity():
@@ -239,7 +248,7 @@ def test_delete_nothing_is_identity():
 
 def test_delete_leaf_of_whiskered_triangle():
     G = delete_vertices(whiskered_triangle(), {"z3"})
-    assert G.n == 5 and G.num_edges() == 5
+    assert G.n == 5 and len(G.edges()) == 5
     assert sorted(G.labels) == ["x1", "x2", "x3", "z1", "z2"]
 
 
@@ -381,7 +390,7 @@ def test_wk3_free_random_seven_vertices():
 def test_even_connection_triangle():
     gprime, L = even_connection_graph(complete_graph(3), "x1", "x2", ())
     assert L == ("x3",)
-    assert gprime.labels == ("x1", "x2") and gprime.num_edges() == 1
+    assert gprime.labels == ("x1", "x2") and len(gprime.edges()) == 1
 
 
 def test_even_connection_single_edge_identity():
@@ -439,7 +448,7 @@ def test_even_connection_with_deletion_set():
     # deleting the common neighbor first leaves nothing to contract
     gprime, L = even_connection_graph(complete_graph(3), "x1", "x2", ("x3",))
     assert L == ()
-    assert gprime.labels == ("x1", "x2") and gprime.num_edges() == 1
+    assert gprime.labels == ("x1", "x2") and len(gprime.edges()) == 1
 
 
 # ---------------------------------------------------------------------------

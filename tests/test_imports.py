@@ -1,6 +1,8 @@
 """Every name a module of the package imports is used in that module, every
-module-level private name of the package is used somewhere in it, and every
-public module-level function is used in it or named in the README.
+module-level private name of the package is used somewhere in it, every
+public module-level function is used in it or named in the README, and every
+public method of its classes is used in it, read by the benchmark scripts or
+named in the README.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules.  The
 import scan leaves __init__.py out: it imports to re-export.  So does the
@@ -15,6 +17,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "eil"
+BENCH_SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -52,37 +55,50 @@ def _top_level_names(stmt) -> set[str]:
     return set()
 
 
-def _unread_names(sources: dict[str, str], defines) -> list[str]:
-    """module:name for each name that defines(stmt) yields for a module-level
-    statement and that no other module-level statement of any module reads,
-    by name, as an attribute, in an import or as a whole string (a getattr
-    key); the strings of __all__ export and do not read."""
-    defined, read = [], []
-    for module, source in sources.items():
+def _read_names(node, exports: bool):
+    """The names one node reads: by name, as an attribute, in an import or as
+    a whole string (a getattr key); the strings of __all__ export and do not
+    read."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.Constant) and not exports:
+        return [node.value]
+    return []
+
+
+def _unread_names(sources: dict[str, str], defines,
+                  readers: dict[str, str] | None = None) -> list[str]:
+    """module:name for each (name, home) that defines(stmt) yields for a
+    module-level statement of sources and that nothing outside home reads,
+    in sources or in readers (whose keys must differ from those of sources)."""
+    defined, reads = [], {}
+    for module, source in [*sources.items(), *(readers or {}).items()]:
         for stmt in ast.parse(source).body:
-            defined += [(module, name, stmt) for name in sorted(defines(stmt))]
+            if module in sources:
+                defined += [(module, name, home) for name, home
+                            in sorted(defines(stmt), key=lambda pair: pair[0])]
             exports = "__all__" in _top_level_names(stmt)
-            names = set()
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
-                    names.update(a.name for a in node.names)
-                elif isinstance(node, ast.Constant) and not exports:
-                    names.add(node.value)
-            read.append((stmt, names))
+                for name in _read_names(node, exports):
+                    reads.setdefault(name, []).append(node)
     return [f"{module}:{name}" for module, name, home in defined
-            if not any(name in names for stmt, names in read if stmt is not home)]
+            if not set(reads.get(name, ())) - set(ast.walk(home))]
 
 
 def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     """The module-level private names (one leading _, no dunder) no other
     statement reads."""
     return _unread_names(sources, lambda stmt: {
-        name for name in _top_level_names(stmt)
+        (name, stmt) for name in _top_level_names(stmt)
         if name.startswith("_") and not name.startswith("__")})
+
+
+def _undocumented(hits: list[str], readme: str) -> list[str]:
+    return [hit for hit in hits if not re.search(rf"\b{hit.split(':')[1]}\b", readme)]
 
 
 def _unused_public_functions(sources: dict[str, str], readme: str) -> list[str]:
@@ -90,9 +106,20 @@ def _unused_public_functions(sources: dict[str, str], readme: str) -> list[str]:
     README does not name: each is either dead or undocumented API."""
     def public_function(stmt):
         is_function = isinstance(stmt, ast.FunctionDef)
-        return {stmt.name} if is_function and not stmt.name.startswith("_") else set()
-    return [hit for hit in _unread_names(sources, public_function)
-            if not re.search(rf"\b{hit.split(':')[1]}\b", readme)]
+        return {(stmt.name, stmt)} if is_function and not stmt.name.startswith("_") else set()
+    return _undocumented(_unread_names(sources, public_function), readme)
+
+
+def _unused_public_methods(sources: dict[str, str], readers: dict[str, str],
+                           readme: str) -> list[str]:
+    """The public methods, properties and classmethods of the classes of
+    sources (dunders are not public) that nothing but their own body reads,
+    in sources or in readers, and the README does not name."""
+    def public_methods(stmt):
+        body = stmt.body if isinstance(stmt, ast.ClassDef) else []
+        return {(f.name, f) for f in body
+                if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
+    return _undocumented(_unread_names(sources, public_methods, readers), readme)
 
 
 def test_private_name_scan_sees_every_form():
@@ -128,3 +155,28 @@ def test_public_function_scan_sees_every_form():
 def test_no_unused_public_functions():
     sources = {p.name: p.read_text() for p in MODULES}
     assert _unused_public_functions(sources, (ROOT / "README.md").read_text()) == []
+
+
+def test_public_method_scan_sees_every_form():
+    sources = {
+        "a": ("class A:\n    def dead(self):\n        return self.dead()\n"
+              "    def helper(self):\n        pass\n"
+              "    def caller(self):\n        return self.helper()\n"
+              "    @property\n    def prop(self):\n        pass\n"
+              "    @classmethod\n    def by_key(cls):\n        pass\n"
+              "    def documented(self):\n        pass\n"
+              "    def benched(self):\n        pass\n"
+              "    def __len__(self):\n        return 0\n"
+              "    def _private(self):\n        pass\n"
+              "def unread_function():\n    pass\n"),
+        "b": "import a\nX = a.A().prop\nY = getattr(a.A, 'by_key')\n",
+    }
+    readers = {"bench.py": "TARGETS = (('a', 'A', 'benched'),)\n"}
+    readme = "Call `A.documented()`; `dead_end` and `undead` are other words."
+    assert _unused_public_methods(sources, readers, readme) == ["a:caller", "a:dead"]
+
+
+def test_no_unused_public_methods():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = {f"perfbench/{p.name}": p.read_text() for p in BENCH_SCRIPTS}
+    assert _unused_public_methods(sources, readers, (ROOT / "README.md").read_text()) == []

@@ -61,7 +61,7 @@ def test_registry_ids_match_emitted_ids():
     for name, spec in CHECKS.items():
         ids_of.setdefault(spec.fn, set()).add(name)
     for G in (complete_graph(3), path_graph(4), whiskered_triangle(), empty_graph(2)):
-        edge = G.edge_labels()[0] if G.num_edges() else None
+        edge = G.edge_labels()[0] if G.edges() else None
         for fn, ids in ids_of.items():
             kind = {CHECKS[name].kind for name in ids}.pop()
             if kind in ("edge", "edge_set") and edge is None:
@@ -239,7 +239,8 @@ def test_report_write_streams_the_bytes_of_to_json(tmp_path):
 
 
 def _synthetic_report(with_outcomes: bool) -> VerificationReport:
-    """Every JSON leaf and layout case the writer must lay out as json.dumps does."""
+    """Every JSON leaf and layout case the report file must carry: non-ASCII
+    text, non-finite floats, non-string keys, nested and empty containers."""
     report = VerificationReport("caf\u00e9 \u2265 n", ("x", "\u00fc"), 0, True, -1,
                                 depth_comparisons=2)
     report.findings = [{"kind": "note", "nested": {"a": [1, {"b": [None, True, []]}]},
@@ -255,7 +256,14 @@ def _synthetic_report(with_outcomes: bool) -> VerificationReport:
     return report
 
 
-def test_report_writer_lays_out_what_json_dumps_does(tmp_path, catalog5):
+def _assert_one_outcome_per_line(text: str, rows: list[dict]):
+    """The report file's layout: the head, then one json.dumps row per line."""
+    lines = text.splitlines()
+    assert len(lines) == len(rows) + 2
+    assert [line.removesuffix(",") for line in lines[1:-1]] == [json.dumps(r) for r in rows]
+
+
+def test_report_file_holds_one_outcome_per_line(tmp_path, catalog5):
     edge_sets = ["colon_intersection", "even_connection_depth", "square_colon_depth",
                  "square_colon_formula", "deletion_bound"]
     reports = [run_suite(catalog5, ["all"], cross_check=True), run_suite(catalog5, edge_sets),
@@ -263,7 +271,10 @@ def test_report_writer_lays_out_what_json_dumps_does(tmp_path, catalog5):
     for k, report in enumerate(reports):
         path = tmp_path / f"report{k}.json"
         report.write(str(path), "json")
-        assert path.read_bytes() == json.dumps(report.to_json_dict(), indent=2).encode(), k
+        text = path.read_text(encoding="utf-8")
+        payload = report.to_json_dict()
+        assert json.dumps(json.loads(text)) == json.dumps(payload), k
+        _assert_one_outcome_per_line(text, payload["outcomes"])
 
 
 def test_findings_carry_the_outcomes_graph_id(monkeypatch):
@@ -449,7 +460,7 @@ def test_cli_depth_cap(capsys):
     # 30 vertices square past the default 24-variable polarization cap
     from eil.graphs import emit_graph6, random_graph
     G = random_graph(30, random.Random(1))
-    assert G.num_edges() > 0
+    assert len(G.edges()) > 0
     assert main(["depth", emit_graph6(G), "--power", "2"]) == 2
     assert "cap" in capsys.readouterr().err
 
@@ -468,9 +479,12 @@ def test_cli_verify_main_small(tmp_path, capsys):
         "--output", str(out_path), "--format", "json", "--jobs", "1",
     ])
     assert code == 0
-    payload = json.loads(out_path.read_text())
+    text = out_path.read_text()
+    payload = json.loads(text)
     assert payload["summary"]["fails"] == 0
     assert payload["corpus"] == "generated:max_n=4"
+    assert len(payload["outcomes"]) == payload["summary"]["outcomes"]
+    _assert_one_outcome_per_line(text, payload["outcomes"])
 
 
 def test_cli_verify_corpus_file(tmp_path, capsys):
