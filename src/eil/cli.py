@@ -46,7 +46,7 @@ def _read_graphs(arg: str, force_edges: bool = False) -> list[Graph]:
     A ``#`` starts a comment in either format, as in parse_edge_list.
     """
     text, origin = _read_text(arg)
-    lines = [(k + 1, line.split("#", 1)[0].strip()) for k, line in enumerate(text.splitlines())]
+    lines = [(k + 1, line.split("#", 1)[0].rstrip()) for k, line in enumerate(text.splitlines())]
     lines = [(no, line) for no, line in lines if line]
     if not lines:
         raise CliError(f"{origin}: no graphs in input")
@@ -59,8 +59,9 @@ def _read_graphs(arg: str, force_edges: bool = False) -> list[Graph]:
     graphs = []
     for no, line in lines:
         try:
-            graphs.append(parse_graph6(line))
-        except Graph6Error as err:
+            graphs.append(parse_graph6(line.lstrip()))
+        except Graph6Error as err:  # the offset counts the line's leading blanks
+            err = Graph6Error(err.reason, err.offset + len(line) - len(line.lstrip()))
             raise CliError(f"{origin}: line {no}: {err}") from None
     return graphs
 

@@ -36,6 +36,14 @@ of W with fewer than k vertices is a face, so Delta_W holds the full
 masks by decreasing |W| and stops once |W| - k + 1 <= the best pd; with both
 fields, the smaller best, over Q, as s_W over Q >= s_W over F2 by universal
 coefficients.  Betti tables walk the whole lattice.
+
+Most depths need no sweep: over the n_used variables the generators use,
+depth S/I = 0 exactly when S/I has a socle monomial u (u outside I, u * x_i
+in I for each i), and each x_i then needs a generator g with g_i = u_i + 1,
+so u_i runs over the values g_i - 1 with g_i >= 1.  Associated primes do not
+depend on the field, so a socle gives pd = n_used in both.  Without one,
+depth >= 1, and the sweep also stops once its best pd reaches n_used - 1, the
+bound of Hilbert's syzygy theorem.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import _bits
-from .ideals import MonomialIdeal, polarize
+from .ideals import MonomialIdeal, _guard, _pack, polarize
 
 __all__ = [
     "FieldChoice",
@@ -377,28 +385,60 @@ def clear_depth_cache():
     _PD_CACHE.clear()
 
 
+def _has_socle(rows) -> bool:
+    """Whether S/I has a socle monomial over the used variables (module
+    docstring), each candidate tested on packed words: h | w iff
+    ((w | GUARD) - h) & GUARD == GUARD."""
+    n = len(rows[0])
+    b, words = _pack(rows, n)
+    guard = _guard(b, n)
+    units = [1 << b * (n - 1 - i) for i in range(n)]
+    cands = [0]
+    for unit, col in zip(units, zip(*rows)):
+        steps = [(e - 1) * unit for e in set(col) if e]
+        cands = [u + step for u in cands for step in steps]
+
+    def inside(u):
+        u |= guard
+        return any((u - g) & guard == guard for g in words)
+
+    return any(not inside(u) and all(inside(u + e) for e in units) for u in cands)
+
+
+def _sweep_pd(nonfaces, characteristics: tuple[int, ...], top: int) -> list[int]:
+    """pd of the squarefree quotient with these minimal nonfaces, in each
+    characteristic, by the Hochster sweep.  Per mask the scan stops at the
+    smallest nonvanishing dimension; the sweep stops at the first W with
+    min(|W| - k + 1, top) <= the smaller best pd, top being a bound on pd."""
+    pd = dict.fromkeys(characteristics, 0)
+    k = min(s.bit_count() for s in nonfaces)
+    for W, at in _lattice_homology(nonfaces, lambda faces: _first_alive_sizes(faces, characteristics)):
+        if min(W.bit_count() - k + 1, top) <= min(pd.values()):
+            break
+        for c, s in zip(characteristics, at(W)):
+            if s is not None:
+                pd[c] = max(pd[c], W.bit_count() - s)
+    return [pd[c] for c in characteristics]
+
+
 def _pd(I: MonomialIdeal, characteristics: tuple[int, ...]) -> list[int]:
     """pd of S/I for a proper nonzero I, in each characteristic.
 
-    The memo is read before polarizing; one sweep fills every missing
-    characteristic.  Per mask the smallest nonvanishing dimension carries the
-    largest homological degree, so the scan stops at it; the sweep stops at
-    the first W with |W| - k + 1 <= the smaller best pd (module docstring).
+    The memo is read before polarizing, and one answer fills every missing
+    characteristic.  A socle monomial over the n_used variables the
+    generators use gives pd = n_used in every field, with no sweep; without
+    one, the sweep runs with top = n_used - 1 (module docstring).
     """
     rows = tuple(zip(*(col for col in zip(*I.gens) if any(col))))
     missing = tuple(c for c in characteristics if (c, rows) not in _PD_CACHE)
     if missing:
-        pd = dict.fromkeys(missing, 0)
-        nonfaces = ComplexView.from_ideal(polarize(I).ideal).nonfaces
-        k = min(s.bit_count() for s in nonfaces)
-        for W, at in _lattice_homology(nonfaces, lambda faces: _first_alive_sizes(faces, missing)):
-            if W.bit_count() - k + 1 <= min(pd.values()):
-                break
-            for c, s in zip(missing, at(W)):
-                if s is not None:
-                    pd[c] = max(pd[c], W.bit_count() - s)
-        for c in missing:
-            _PD_CACHE[(c, rows)] = pd[c]
+        n_used = len(rows[0])
+        if _has_socle(rows):
+            pd = [n_used] * len(missing)
+        else:
+            nonfaces = ComplexView.from_ideal(polarize(I).ideal).nonfaces
+            pd = _sweep_pd(nonfaces, missing, n_used - 1)
+        _PD_CACHE.update(((c, rows), p) for c, p in zip(missing, pd))
     return [_PD_CACHE[(c, rows)] for c in characteristics]
 
 

@@ -502,9 +502,16 @@ def test_rational_ranks_only_where_mod2_is_alive_in_adjacent_sizes(catalog5, mon
     assert 0x3F in forced_masks(I)
 
 
+def _direct_sweep(I, characteristics):
+    """pd of S/I from the Hochster sweep alone, bounded only by n_used."""
+    nonfaces = ComplexView.from_ideal(polarize(I).ideal).nonfaces
+    return eil.depth._sweep_pd(nonfaces, characteristics, len(_used_columns(I)[0]))
+
+
 def _check_bounded_sweep_is_exact(catalog):
-    # the bounded depth sweep against the largest homological degree of the
-    # unpruned Betti walk, per field and fused, with a cold memo per ideal
+    # _pd (socle test, then the sweep bounded by n_used - 1) and the direct
+    # sweep against the largest homological degree of the unpruned Betti
+    # walk, per field and fused, with a cold memo per ideal
     compared = 0
     for G in catalog:
         if not G.edges():
@@ -514,9 +521,11 @@ def _check_bounded_sweep_is_exact(catalog):
                     for field in (GF2, QQ)]
             clear_depth_cache()
             assert eil.depth._pd(I, (2, 0)) == want, emit_graph6(G)
+            assert _direct_sweep(I, (2, 0)) == want, emit_graph6(G)
             for c, pd in zip((2, 0), want):
                 clear_depth_cache()
                 assert eil.depth._pd(I, (c,)) == [pd], emit_graph6(G)
+                assert _direct_sweep(I, (c,)) == [pd], emit_graph6(G)
             compared += 2
     return compared
 
@@ -530,9 +539,78 @@ def test_bounded_sweep_is_exact_n6(catalog6):
     assert _check_bounded_sweep_is_exact(catalog6) == 808
 
 
+def _check_socle_test_is_exact(ideals):
+    # depth S/I = 0 over the used variables exactly when the direct sweep
+    # reaches pd = n_used, in both fields
+    settled = 0
+    for I in ideals:
+        rows = _used_columns(I)
+        top = len(rows[0])
+        socle = eil.depth._has_socle(rows)
+        assert [pd == top for pd in _direct_sweep(I, (2, 0))] == [socle] * 2, I
+        settled += socle
+    return settled
+
+
+def _edge_set_suite_ideals(catalog):
+    """One ideal per memo key that the edge-set checks fill on this catalog."""
+    clear_depth_cache()
+    run_suite(catalog, ["colon_intersection", "even_connection_depth", "square_colon_depth",
+                        "square_colon_formula", "deletion_bound"], GF2)
+    rows = {key for _, key in eil.depth._PD_CACHE}
+    return [MonomialIdeal(tuple(f"v{j}" for j in range(len(r[0]))), r) for r in rows]
+
+
+def test_socle_test_matches_the_sweep_n5(catalog5):
+    squares = [edge_ideal(G) ** 2 for G in catalog5 if G.edges()]
+    assert (len(squares), _check_socle_test_is_exact(squares)) == (47, 23)
+    suite = _edge_set_suite_ideals(catalog5)
+    assert (len(suite), _check_socle_test_is_exact(suite)) == (162, 60)
+
+
+@pytest.mark.slow
+def test_socle_test_matches_the_sweep_n7(catalog7):
+    squares = [edge_ideal(G) ** 2 for G in catalog7 if G.n == 7 and G.edges()]
+    assert (len(squares), _check_socle_test_is_exact(squares)) == (1043, 725)
+
+
+# non-squarefree ideals, most with a candidate set of three or more values,
+# several m-primary (a pure power of every variable, so depth 0), with the
+# depth of S/I over their used variables
+SOCLE_TABLE = [
+    (("x^3", "x^2*y", "y^4"), XY, 0),
+    (("x^2", "x*y"), XY, 0),
+    (("x^2", "y^3"), XY, 0),
+    (("x^3", "x*y^2", "y^3", "x^2*y*z"), XYZ, 0),
+    (("x^4", "x^2*y^2", "y^4", "x*y*z^2", "z^3"), XYZ, 0),
+    (("x^3*y", "x^2*y^2", "x*y^3", "x*y*z^2"), XYZ, 0),
+    (("x^2", "y^2", "z^2", "x*y*z"), XYZ, 0),
+    (("x^3", "y^3", "x^2*y^2*z", "x*z^4"), XYZ, 0),
+    (("x^2*y", "x*y^2", "x^3*z"), XYZ, 1),
+    (("x*y^2", "x*y*z^4", "y^4*z^2"), XYZ, 1),
+    (("x^4", "x^3*z", "x^2*y^3*z^2"), XYZ, 1),
+    (("x*y^2*z", "y^3*z", "x*z^4", "x^2*y^4"), XYZ, 1),
+    (("x^3*y^2*z",), XYZ, 2),
+]
+
+
+def test_socle_test_on_non_squarefree_ideals():
+    from test_hochster_oracle import hochster_depth
+
+    wide = 0
+    for texts, ambient, depth in SOCLE_TABLE:
+        I = ideal(*texts, ambient=ambient)
+        rows = _used_columns(I)
+        wide += any(len({e for e in col if e}) >= 3 for col in zip(*rows))
+        assert eil.depth._has_socle(rows) == (depth == 0), texts
+        for c in (2, 0):
+            assert hochster_depth(I, c) == len(rows[0]) - _direct_sweep(I, (c,))[0] + 1 == depth + 1, texts
+    assert wide == 8
+
+
 def test_bounded_sweep_work_counts(catalog5, monkeypatch):
-    # pinned so that a change to the bound or the walk order shows in review;
-    # the unbounded sweep enumerated faces 1441 and 53 times
+    # pinned so that a change to the bound, the walk order or the socle test
+    # shows in review; the unbounded sweep enumerated faces 1441 and 53 times
     calls = []
     faces = eil.depth._faces_by_size
 
@@ -541,15 +619,28 @@ def test_bounded_sweep_work_counts(catalog5, monkeypatch):
         return faces(W, nonfaces)
 
     monkeypatch.setattr(eil.depth, "_faces_by_size", counting)
-    for G in catalog5:
-        if G.edges():
-            clear_depth_cache()
-            depth_ideal(edge_ideal(G) ** 2, GF2)
+    squares = [edge_ideal(G) ** 2 for G in catalog5 if G.edges()]
+    for I in squares:
+        _direct_sweep(I, (2,))
     assert len(calls) == 162
     calls.clear()
-    clear_depth_cache()
-    depth_ideal(edge_ideal(whiskered_triangle()) ** 2, GF2)
+    for I in squares:
+        clear_depth_cache()
+        depth_ideal(I, GF2)
+    assert len(calls) == 85
+    W3 = edge_ideal(whiskered_triangle()) ** 2
+    calls.clear()
+    _direct_sweep(W3, (2,))
     assert len(calls) == 3
+    calls.clear()
+    clear_depth_cache()
+    depth_ideal(W3, GF2)
+    assert calls == []
+
+
+def test_socle_test_settles_most_squares(catalog6):
+    squares = {_used_columns(edge_ideal(G) ** 2) for G in catalog6 if G.edges()}
+    assert (len(squares), sum(map(eil.depth._has_socle, squares))) == (155, 96)
 
 
 def test_lattice_walk_goes_by_decreasing_size():

@@ -569,6 +569,15 @@ def test_cli_verify_corrupt_corpus_names_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_cli_graph6_error_offset_counts_leading_blanks(tmp_path, capsys):
+    # the X is byte 4 of the line as written, and byte 2 once it is stripped
+    path = tmp_path / "indented.g6"
+    path.write_text("A_\n  A_X\n")
+    assert main(["alpha2", str(path)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "line 2: trailing garbage after edge data (byte offset 4)\n")
+
+
 def test_cli_missing_file_is_not_read_as_graph6(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv, name in ((["verify", "--suite", "main1", "--corpus", "corpus_typo.g6"],
