@@ -14,9 +14,13 @@ Every per-graph check reads the pieces of its graph (graph6 id, packing
 witness, triangles, wk3-freeness, I(G), I(G)^2, edge-set constructions) from
 one memo, _pieces, which makes each piece once, on its first use: _memo(G,
 fn, *args) is fn(G, *args), keyed by (fn, *args), whose args are vertex
-labels and masks.  An edge-set check validates its edge and deletion set
-first, with graphs._admissible_pool, which reads the set once and returns it
-as a vertex mask; the pieces and the witness take it from there.
+labels and masks.  A piece is keyed by the graph it depends on: the
+edge-set pieces by G-A, which many catalog graphs share, so each is made
+once per G-A and not once per (G, A).  The memo holds the last 128 graphs,
+since a check reads both G and G-A and a smaller memo thrashes between them.
+An edge-set check validates its edge and deletion set first, with
+graphs._admissible_pool, which reads the set once and returns it as a vertex
+mask; the pieces and the witness take it from there.
 
 Checks compute verdicts only; the suite times each check call and fills in
 elapsed_ms, which stays 0.0 when a check is called directly.
@@ -134,10 +138,13 @@ def _monomial(I: MonomialIdeal, *names: str):
     return tuple(vec)
 
 
-@lru_cache(maxsize=1)
+_MEMO_GRAPHS = 128  # G and its G-A graphs; fewer thrash between them
+
+
+@lru_cache(maxsize=_MEMO_GRAPHS)
 def _pieces(G: Graph) -> dict:
-    """The memo of one graph, each entry made on first use (see _memo).  Only
-    the graph being checked is held; an equal Graph value finds it."""
+    """The memo of one graph, each entry made on first use (see _memo), for
+    the last _MEMO_GRAPHS graphs, G-A included; an equal Graph finds it."""
     return {}
 
 
@@ -149,20 +156,19 @@ def _memo(G: Graph, fn, *args):
     return memo[key] if key in memo else memo.setdefault(key, fn(G, *args))
 
 
-def _minus(G: Graph, a: int) -> tuple[Graph, MonomialIdeal]:
-    """(G-A, I(G-A)) for the mask a of A."""
-    GA = G.induced(((1 << G.n) - 1) & ~a)
-    return GA, edge_ideal(GA)
+def _without(G: Graph, a: int) -> Graph:
+    """G-A for the mask a of A; G itself when A is empty."""
+    return G.induced(((1 << G.n) - 1) & ~a) if a else G
 
 
-def _square(G: Graph, a: int) -> MonomialIdeal:
-    """I(G-A)^2 for the mask a of A."""
-    return _memo(G, _minus, a)[1] ** 2
+def _square(G: Graph) -> MonomialIdeal:
+    """I(G)^2."""
+    return _memo(G, edge_ideal) ** 2
 
 
 def _alpha2_without(G: Graph, drop: int) -> int:
     """alpha2 of G less the vertices in the mask drop."""
-    return star_packing_number(G.induced(((1 << G.n) - 1) & ~drop)).size
+    return star_packing_number(_without(G, drop)).size
 
 
 def _digests(lhs: MonomialIdeal, rhs: MonomialIdeal) -> tuple[str, str]:
@@ -171,28 +177,45 @@ def _digests(lhs: MonomialIdeal, rhs: MonomialIdeal) -> tuple[str, str]:
     return left, left if rhs == lhs else ideal_digest(rhs)
 
 
-def _var_colon(G: Graph, a: int, u: str) -> MonomialIdeal:
-    """(I(G-A):u) for the mask a of A, shared by the edges at u."""
-    IA = _memo(G, _minus, a)[1]
-    return IA.colon(_monomial(IA, u))
+def _var_colon(G: Graph, u: str) -> MonomialIdeal:
+    """(I(G):u), shared by the edges at u."""
+    I = _memo(G, edge_ideal)
+    return I.colon(_monomial(I, u))
 
 
-def _colon_intersection_pair(G: Graph, u: str, v: str, a: int):
-    """J = (I(G-A):u) meet (I(G-A):v) and K = I(G'_A) + (L), both over the
-    ring of G-A, where A has the mask a, G'_A is the contracted graph and L
-    the common neighbors of u and v outside A.  Returns (J, K, L)."""
-    gprime, l_mask = _contract(G, G.index(u), G.index(v), a)
+def _colon_intersection_pair(G: Graph, u: str, v: str):
+    """(J, K, L): J = (I(G):u) meet (I(G):v) and K = I(G') + (L) over the ring
+    of G, where G' is the contracted graph and L the common neighbors of u
+    and v.  Read on G-A, they are the pair of the deletion set A."""
+    gprime, l_mask = _contract(G, G.index(u), G.index(v), 0)
     L = _labels(G, l_mask)
-    GA, IA = _memo(G, _minus, a)
-    J = _memo(G, _var_colon, a, u).intersect(_memo(G, _var_colon, a, v))
-    K = MonomialIdeal(GA.labels, tuple(_monomial(IA, *e) for e in gprime.edge_labels())
-                      + tuple(_monomial(IA, c) for c in L))
+    I = _memo(G, edge_ideal)
+    J = _memo(G, _var_colon, u).intersect(_memo(G, _var_colon, v))
+    K = MonomialIdeal(G.labels, tuple(_monomial(I, *e) for e in gprime.edge_labels())
+                      + tuple(_monomial(I, c) for c in L))
     return J, K, L
 
 
-def _square_colon(G: Graph, u: str, v: str, a: int) -> MonomialIdeal:
-    """(I(G-A)^2 : uv) over the ring of G-A, for the mask a of A."""
-    return _memo(G, _square, a).colon(_monomial(_memo(G, _minus, a)[1], u, v))
+def _square_colon(G: Graph, u: str, v: str) -> MonomialIdeal:
+    """(I(G)^2 : uv) over the ring of G."""
+    return _memo(G, _square).colon(_monomial(_memo(G, edge_ideal), u, v))
+
+
+def _formula(G: Graph, u: str, v: str):
+    """The square-colon formula at uv, read on G-A: (ok, both digests, common
+    neighbors, isolated-edge flag, both generator strings or None if ok)."""
+    lhs = _memo(G, _square_colon, u, v)
+    I = _memo(G, edge_ideal)
+    i, j = G.index(u), G.index(v)
+    ni, nj = _labels(G, G.adj[i]), _labels(G, G.adj[j])
+    common = _labels(G, G.adj[i] & G.adj[j])
+    extra = [_monomial(I, p, q) for p in ni for q in nj if p != q]
+    extra += [_monomial(I, c, c) for c in common]
+    rhs = MonomialIdeal(G.labels, I.gens + tuple(extra))
+    isolated = G.degree(i) == 1 and G.degree(j) == 1
+    ok = lhs == rhs and (not isolated or lhs == I)
+    return (ok, *_digests(lhs, rhs), common, isolated,
+            None if ok else (lhs.pretty(), rhs.pretty()))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +229,7 @@ def check_first_power(G: Graph, computer=None) -> CheckOutcome:
         return CheckOutcome("first_power", gid, NOT_APPLICABLE)
     computer = computer or DepthComputer()
     pack = _memo(G, star_packing_number)
-    lhs = computer.ideal_depth(_memo(G, _minus, 0)[1])
+    lhs = computer.ideal_depth(_memo(G, edge_ideal))
     rhs = pack.size + 1
     status = HOLDS if lhs >= rhs else FAILS
     witness = {"centers": list(pack.centers)}
@@ -242,7 +265,7 @@ def check_colon_intersection(G: Graph, edge: tuple[str, str]) -> CheckOutcome:
     the common neighbors, as an exact ideal identity."""
     u, v = edge
     a = _admissible_pool(G, u, v)[3]
-    lhs_ideal, rhs_ideal, L = _memo(G, _colon_intersection_pair, u, v, a)
+    lhs_ideal, rhs_ideal, L = _memo(G, _colon_intersection_pair, u, v)
     status = HOLDS if lhs_ideal == rhs_ideal else FAILS
     witness = {"edge": [u, v], "L": list(L)}
     if status == FAILS:
@@ -260,7 +283,7 @@ def check_even_connection_depth(G: Graph, edge, A, computer=None) -> CheckOutcom
     u, v = edge
     a = _admissible_pool(G, u, v, A)[3]
     computer = computer or DepthComputer()
-    J, K, L = _memo(G, _colon_intersection_pair, u, v, a)
+    J, K, L = _memo(_memo(G, _without, a), _colon_intersection_pair, u, v)
     identity = K == J
     lhs = computer.ideal_depth(K)
     rhs = _memo(G, star_packing_number).size
@@ -276,7 +299,7 @@ def check_square_colon_depth(G: Graph, edge, A, computer=None) -> CheckOutcome:
     u, v = edge
     a = _admissible_pool(G, u, v, A)[3]
     computer = computer or DepthComputer()
-    lhs = computer.ideal_depth(_memo(G, _square_colon, u, v, a))
+    lhs = computer.ideal_depth(_memo(_memo(G, _without, a), _square_colon, u, v))
     wk3_free = _memo(G, is_wk3_free)
     rhs = _memo(G, star_packing_number).size - (1 if wk3_free else 2)
     status = HOLDS if lhs >= rhs else FAILS
@@ -291,23 +314,13 @@ def check_square_colon_formula(G: Graph, edge, A) -> CheckOutcome:
     neighbors.  When the edge is its own component, both collapse to I(G-A)."""
     u, v = edge
     a = _admissible_pool(G, u, v, A)[3]
-    lhs_ideal = _memo(G, _square_colon, u, v, a)
-    GA, IA = _memo(G, _minus, a)
-    i, j = GA.index(u), GA.index(v)
-    ni, nj = _labels(GA, GA.adj[i]), _labels(GA, GA.adj[j])
-    common = _labels(GA, GA.adj[i] & GA.adj[j])
-    extra = [_monomial(IA, p, q) for p in ni for q in nj if p != q]
-    extra += [_monomial(IA, c, c) for c in common]
-    rhs_ideal = MonomialIdeal(GA.labels, IA.gens + tuple(extra))
-    isolated = GA.degree(i) == 1 and GA.degree(j) == 1
-    ok = lhs_ideal == rhs_ideal and (not isolated or lhs_ideal == IA)
-    witness = {"edge": [u, v], "A": sorted(_labels(G, a)), "L": list(common),
+    ok, lhs, rhs, L, isolated, gens = _memo(_memo(G, _without, a), _formula, u, v)
+    witness = {"edge": [u, v], "A": sorted(_labels(G, a)), "L": list(L),
                "isolated_edge_case": isolated}
-    if not ok:
-        witness["lhs_gens"] = lhs_ideal.pretty()
-        witness["rhs_gens"] = rhs_ideal.pretty()
+    if gens:
+        witness["lhs_gens"], witness["rhs_gens"] = gens
     return CheckOutcome("square_colon_formula", _memo(G, emit_graph6), HOLDS if ok else FAILS,
-                        *_digests(lhs_ideal, rhs_ideal), witness)
+                        lhs, rhs, witness)
 
 
 def check_square_depth_bounds(G: Graph, computer=None) -> list[CheckOutcome]:
@@ -324,7 +337,7 @@ def check_square_depth_bounds(G: Graph, computer=None) -> list[CheckOutcome]:
     pack = _memo(G, star_packing_number)
     wk3free = _memo(G, is_wk3_free)
     trifree = not _memo(G, triangles)
-    lhs = computer.ideal_depth(_memo(G, _square, 0))
+    lhs = computer.ideal_depth(_memo(G, _square))
     applicable = {
         "square_general": True,
         "square_wk3_free": wk3free,
@@ -386,7 +399,7 @@ def check_symbolic_square(G: Graph, computer=None) -> CheckOutcome:
     if not any(G.adj):
         return CheckOutcome("symbolic_square", gid, NOT_APPLICABLE)
     computer = computer or DepthComputer()
-    square = _memo(G, _square, 0)
+    square = _memo(G, _square)
     symbolic = symbolic_square_edge_ideal(G)
     trifree = not _memo(G, triangles)
     equal = square == symbolic
@@ -419,7 +432,7 @@ def check_generator_order_decomposition(G: Graph) -> CheckOutcome:
     if m > ORDER_MAX_EDGES:
         return CheckOutcome("order_decomposition", gid, NOT_APPLICABLE,
                             witness={"reason": f"more than {ORDER_MAX_EDGES} edges"})
-    I, I2 = _memo(G, _minus, 0)[1], _memo(G, _square, 0)
+    I, I2 = _memo(G, edge_ideal), _memo(G, _square)
     gens = list(I.gens)
     order_of_gen = {_monomial(I, u, v): (u, v) for u, v in edges}
     pool_of = {k: _admissible_pool(G, *order_of_gen[g])[2] for k, g in enumerate(gens)}

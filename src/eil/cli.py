@@ -60,8 +60,9 @@ def _read_graphs(arg: str, force_edges: bool = False) -> list[Graph]:
     for no, line in lines:
         try:
             graphs.append(parse_graph6(line.lstrip()))
-        except Graph6Error as err:  # the offset counts the line's leading blanks
-            err = Graph6Error(err.reason, err.offset + len(line) - len(line.lstrip()))
+        except Graph6Error as err:  # the offset counts the line's leading blanks, in bytes
+            lead = line[:len(line) - len(line.lstrip())].encode()
+            err = Graph6Error(err.reason, err.offset + len(lead))
             raise CliError(f"{origin}: line {no}: {err}") from None
     return graphs
 
@@ -265,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbolic", action="store_true",
                    help="second symbolic power instead of the ordinary square")
     p.add_argument("--field", default="2", help="2 (default), q, or both")
-    p.add_argument("--max-polarized", type=int, default=DEFAULT_POLARIZED_CAP)
+    p.add_argument("--max-polarized", type=_at_least(1), default=DEFAULT_POLARIZED_CAP)
     p.set_defaults(fn=_cmd_depth)
 
     p = sub.add_parser("verify", help="run check suites over a corpus")
@@ -291,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--field", default="2")
     p.add_argument("--jobs", type=_at_least(1), default=None)
-    p.add_argument("--max-polarized", type=int, default=DEFAULT_POLARIZED_CAP)
+    p.add_argument("--max-polarized", type=_at_least(1), default=DEFAULT_POLARIZED_CAP)
     p.add_argument("--output", help="report file")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.set_defaults(fn=_cmd_hunt)

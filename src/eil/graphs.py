@@ -405,10 +405,11 @@ def _admissible_pool(G: Graph, u: str, v: str, A=()) -> tuple[int, int, int, int
         raise ValueError(f"{u!r} {v!r} is not an edge")
     pool = (G.adj[i] | G.adj[j]) & ~(1 << i) & ~(1 << j)
     names = {A} if isinstance(A, str) else set(A)
-    bad = names - set(_labels(G, pool))
-    if bad:
-        raise ValueError(f"inadmissible deletion set, {sorted(bad)} outside the neighborhood pool")
-    return i, j, pool, _mask(G, names)
+    a = sum(1 << k for k in _bits(pool) if G.labels[k] in names)
+    if a.bit_count() != len(names):
+        bad = sorted(names - set(_labels(G, pool)))
+        raise ValueError(f"inadmissible deletion set, {bad} outside the neighborhood pool")
+    return i, j, pool, a
 
 
 def _contract(G: Graph, i: int, j: int, a: int) -> tuple[Graph, int]:

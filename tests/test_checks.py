@@ -368,7 +368,41 @@ def test_memo_interleaved_graphs_match_cold_calls():
         assert [[_row(EDGE_SET_CHECKS[name](G, edge, A))]
                 for name, edge, A in _edge_set_instances(G)] == cold[G]
     info = _pieces.cache_info()
-    assert info.misses == 3 and info.hits > 0 and info.currsize == 1  # one graph at a time
+    assert info.hits > 0 and info.maxsize == 128 and info.currsize <= 128
+
+
+def test_memo_shares_pieces_of_a_common_graph_minus_a(monkeypatch):
+    # G1 - e = G2 - e, the path a-b-c-d on the same labels: its edge ideal is
+    # made once, whichever of the two graphs asks first
+    G1 = graph_from_edges("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("b", "e"), ("a", "e")])
+    G2 = graph_from_edges("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("b", "e"), ("d", "e")])
+    built = Counter()
+
+    def counting(G):
+        built[G] += 1
+        return edge_ideal(G)
+
+    monkeypatch.setattr(eil.checks, "edge_ideal", counting)
+    _pieces.cache_clear()
+    for G in (G1, G2):
+        for name, fn in EDGE_SET_CHECKS.items():
+            fn(G, ("b", "c"), () if name == "colon_intersection" else ("e",))
+    path = graph_from_edges("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    assert G1.induced(0b1111) == G2.induced(0b1111) == path
+    assert built[path] == 1 and built[G1] == built[G2] == 1
+
+
+def test_memo_state_never_changes_a_row(catalog5):
+    # catalog order and reverse order evict different graphs from the memo
+    def rows(graphs):
+        _pieces.cache_clear()
+        return {emit_graph6(G): [_row(EDGE_SET_CHECKS[name](G, edge, A))
+                                 for name, edge, A in _edge_set_instances(G)]
+                for G in graphs}
+
+    forward = rows(catalog5)
+    assert _pieces.cache_info().currsize == 128  # full, and bounded
+    assert rows(catalog5[::-1]) == forward
 
 
 def test_memo_hit_still_rejects_inadmissible_sets():
@@ -467,9 +501,11 @@ def test_validator_work_count(catalog5, monkeypatch):
 
 
 def test_colon_work_count(catalog5, monkeypatch):
-    # pinned: I(G-A):u is made once per graph, deletion set and vertex and
-    # shared by the edges at u, so a cold edge-set run on n <= 5 computes
-    # 2539 colons (3282 while each edge made its own two)
+    # pinned: I(G-A):u is made once per graph G-A and vertex, shared by the
+    # edges at u and by every catalog graph and deletion set giving that G-A
+    # while it is in the memo, so a cold edge-set run on n <= 5 computes 1072
+    # colons (2539 while keyed by graph and deletion set, 3282 while each
+    # edge made its own two)
     calls = Counter()
     real = MonomialIdeal.colon
 
@@ -480,4 +516,4 @@ def test_colon_work_count(catalog5, monkeypatch):
     monkeypatch.setattr(MonomialIdeal, "colon", counting)
     _pieces.cache_clear()
     run_suite(catalog5, list(EDGE_SET_CHECKS), GF2)
-    assert calls["colon"] == 2539
+    assert calls["colon"] == 1072

@@ -293,6 +293,9 @@ def test_run_suite_accepts_graph6_lines():
 # a depth value, a witness or the outcome order moves these hashes
 GOLDEN_MAIN_EXAMPLES = "80bfff3127d05fac811020d45c0cfa0d11258974b465dc0045d958201b9d1e4d"
 GOLDEN_ALL = "bb74a5bd5bb1bdaadd429007a772edd9ed7e09ed1c842359ba4befcbc4dfe6d7"
+GOLDEN_EDGE_SETS = "7ba167f9f9d7a6520178b09117c55d547642b0d4ed3f1d16bdb4a4edcebe437d"
+EDGE_SET_IDS = ["colon_intersection", "even_connection_depth", "square_colon_depth",
+                "square_colon_formula", "deletion_bound"]
 
 
 def _body_sha(checks, max_n=5, jobs=1) -> str:
@@ -306,6 +309,12 @@ def test_golden_report_main_examples_n5():
 
 def test_golden_report_all_n5():
     assert _body_sha(["all"]) == GOLDEN_ALL
+
+
+def test_golden_report_edge_sets_n5():
+    # the edge-set pieces are shared by every graph with the same G - A, so
+    # this pins their verdicts and depth_comparisons apart from the other checks
+    assert _body_sha(EDGE_SET_IDS) == GOLDEN_EDGE_SETS
 
 
 # the same hashes for longer runs, outside the default test selection: run
@@ -576,6 +585,11 @@ def test_cli_graph6_error_offset_counts_leading_blanks(tmp_path, capsys):
     assert main(["alpha2", str(path)]) == 2
     assert capsys.readouterr().err.endswith(
         "line 2: trailing garbage after edge data (byte offset 4)\n")
+    # a stripped no-break space is two bytes in UTF-8, so the X is byte 4 again
+    path.write_bytes(b"\xc2\xa0A_X\n")
+    assert main(["alpha2", str(path)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "line 1: trailing garbage after edge data (byte offset 4)\n")
 
 
 def test_cli_missing_file_is_not_read_as_graph6(tmp_path, capsys, monkeypatch):
@@ -641,7 +655,10 @@ def test_cli_empty_sweeps_rejected(capsys):
                  ["verify", "--suite", "main", "--max-n", "3", "--budget", "0"],
                  ["verify", "--suite", "main", "--max-n", "3", "--budget", "-1"],
                  ["verify", "--suite", "main", "--max-n", "3", "--jobs", "0"],
-                 ["hunt", "--n", "3", "--random", "1", "--seed", "1", "--jobs", "0"]):
+                 ["hunt", "--n", "3", "--random", "1", "--seed", "1", "--jobs", "0"],
+                 *(["depth", "Bw", "--max-polarized", cap] for cap in ("0", "-3")),
+                 *(["hunt", "--n", "3", "--random", "1", "--seed", "1",
+                    "--max-polarized", cap] for cap in ("0", "-3"))):
         assert main(argv) == 2
         assert "must be at least" in capsys.readouterr().err
     # no random graphs at all is a valid request: only global checks run
