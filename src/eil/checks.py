@@ -72,7 +72,7 @@ FAILS = "fails"
 NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckOutcome:
     """Verdict for one check instance; witness makes failures replayable."""
 

@@ -46,7 +46,7 @@ def _read_graphs(arg: str, force_edges: bool = False) -> list[Graph]:
     A ``#`` starts a comment in either format, as in parse_edge_list.
     """
     text, origin = _read_text(arg)
-    lines = [(k + 1, line.split("#", 1)[0].rstrip()) for k, line in enumerate(text.splitlines())]
+    lines = [(k + 1, line.split("#", 1)[0].rstrip()) for k, line in enumerate(text.split("\n"))]
     lines = [(no, line) for no, line in lines if line]
     if not lines:
         raise CliError(f"{origin}: no graphs in input")

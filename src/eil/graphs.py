@@ -259,7 +259,7 @@ def parse_edge_list(text: str) -> Graph:
     """
     names: set[str] = set()
     edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -6,8 +6,9 @@ all edges and all admissible deletion sets whenever the subset space has at
 most EXHAUSTIVE_LIMIT elements; beyond that a seeded random sample is drawn
 and the affected outcomes are flagged as sampled.  Identical corpus, checks,
 seed and field always produce an identical report body (timings excluded),
-whatever the worker count.  Timing happens here, once per check call: each
-outcome a call keeps gets an equal share of the call's wall time.
+whatever the worker count; workers take one graph at a time, as a Graph.
+Timing happens here, once per check call: each outcome a call keeps gets an
+equal share of the call's wall time.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import random
 import tempfile
 from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from itertools import islice
 from multiprocessing import Pool
 from time import perf_counter
@@ -29,8 +31,8 @@ from typing import NamedTuple
 from . import checks as _checks
 from .checks import FAILS, HOLDS, NOT_APPLICABLE, CheckOutcome, DepthComputer
 from .depth import GF2, FieldChoice
-from .graphs import (Graph, _admissible_pool, _bits, _labels, emit_graph6, parse_graph6,
-                     random_graph)
+from .graphs import (Graph, Graph6Error, _admissible_pool, _bits, _labels, default_labels,
+                     emit_graph6, parse_graph6, random_graph)
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
@@ -157,11 +159,9 @@ def _bound_check(name: str, computer: DepthComputer):
     return call
 
 
-def _graph_task(args) -> tuple[list[CheckOutcome], list[dict], int]:
+def _graph_task(G: Graph, checks, field, cross, seed) -> tuple[list[CheckOutcome], list[dict], int]:
     """The outcomes, graph-tagged findings and depth comparisons of one graph."""
-    g6, checks, characteristic, cross, seed = args
-    G = parse_graph6(g6)
-    computer = DepthComputer(FieldChoice(characteristic), cross_check=cross)
+    computer = DepthComputer(field, cross_check=cross)
     gid = emit_graph6(G)
     out: list[CheckOutcome] = []
     for name in checks:
@@ -303,11 +303,14 @@ class VerificationReport:
 # drivers
 
 
-def _as_graph6(item) -> str:
+def _as_graph(k: int, item) -> Graph:
+    """Corpus item k (counted from 1) on the labels x1..xn, as its graph6 line reads."""
     if isinstance(item, Graph):
-        return emit_graph6(item)
-    parse_graph6(item)  # validate up front; errors name the offending byte
-    return item.strip()
+        return Graph(default_labels(item.n), item.adj)
+    try:
+        return parse_graph6(item)
+    except Graph6Error as err:
+        raise Graph6Error(f"corpus item {k}: {err.reason}", err.offset) from None
 
 
 def _require_at_least(lowest: int, **values):
@@ -322,10 +325,11 @@ def run_suite(corpus, checks, field: FieldChoice = GF2, *, cross_check: bool = F
               corpus_name: str = "corpus") -> VerificationReport:
     """Run the named checks on every graph of the corpus.
 
-    corpus: iterable of Graph values or graph6 lines.  budget caps the number
-    of graphs consumed.  jobs > 1 distributes whole graphs over worker
-    processes; outcome order stays the corpus order either way.  A budget or
-    jobs below 1 raises ValueError.
+    corpus: iterable of Graph values or graph6 lines, read on the labels x1..xn
+    as graph6 gives them.  budget caps the number of graphs consumed.  jobs > 1
+    hands the graphs to worker processes one at a time, as Graph values; outcome
+    order stays the corpus order either way.  A budget or jobs below 1 raises
+    ValueError.
     """
     _require_at_least(1, budget=budget, jobs=jobs)
     names = resolve_checks(checks)
@@ -337,7 +341,7 @@ def run_suite(corpus, checks, field: FieldChoice = GF2, *, cross_check: bool = F
         seed=seed,
     )
     items = islice(corpus, budget) if budget is not None else corpus
-    lines = [_as_graph6(g) for g in items]
+    graphs = [_as_graph(k, item) for k, item in enumerate(items, 1)]
     for name in names:
         if CHECKS[name].kind == "global":
             computer = DepthComputer(field, cross_check=cross_check)
@@ -347,11 +351,10 @@ def run_suite(corpus, checks, field: FieldChoice = GF2, *, cross_check: bool = F
     per_graph = tuple(n for n in names if CHECKS[n].kind != "global")
     if not per_graph:
         return report
-    tasks = [(g6, per_graph, field.characteristic, cross_check, seed) for g6 in lines]
-    parallel = jobs > 1 and len(tasks) > 1
-    with Pool(processes=min(jobs, len(tasks))) if parallel else nullcontext() as pool:
-        results = pool.imap(_graph_task, tasks, chunksize=8) if parallel else map(_graph_task, tasks)
-        for outcomes, findings, comparisons in results:
+    task = partial(_graph_task, checks=per_graph, field=field, cross=cross_check, seed=seed)
+    parallel = jobs > 1 and len(graphs) > 1
+    with Pool(processes=min(jobs, len(graphs))) if parallel else nullcontext() as pool:
+        for outcomes, findings, comparisons in (pool.imap if parallel else map)(task, graphs):
             report.outcomes.extend(outcomes)
             report.findings.extend(findings)
             report.depth_comparisons += comparisons

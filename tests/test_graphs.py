@@ -226,6 +226,13 @@ def test_parse_edge_list_too_many_tokens():
         parse_edge_list("a b c")
 
 
+def test_parse_edge_list_lines_end_at_newline_only():
+    # U+0085 (NEL) is whitespace inside a line, as a tab is
+    with pytest.raises(ValueError, match=r"^line 1: expected 'u v' or 'u', got 4 tokens$"):
+        parse_edge_list("a b\x85c d")
+    assert parse_edge_list("a b\r\nb c\r\n").edge_labels() == [("a", "b"), ("b", "c")]
+
+
 def test_parse_edge_list_isolated_and_natural_order():
     G = parse_edge_list("x10 x2\nx1")
     assert G.labels == ("x1", "x2", "x10")

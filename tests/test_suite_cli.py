@@ -13,10 +13,12 @@ from eil.depth import GF2
 import eil.checks
 from eil.checks import FAILS, CheckOutcome
 from eil.graphs import (
+    Graph6Error,
     complete_graph,
     emit_graph6,
     empty_graph,
     graph_from_edges,
+    parse_edge_list,
     parse_graph6,
     path_graph,
     whiskered_triangle,
@@ -128,9 +130,9 @@ def test_report_deterministic_across_runs_and_workers():
 
 
 def test_pool_has_at_most_one_worker_per_graph(monkeypatch):
-    started = []
+    started, handed = [], []
 
-    class RecordingPool:  # records its size, runs the tasks in this process
+    class RecordingPool:  # records its size and tasks, runs them in this process
         def __init__(self, processes):
             started.append(processes)
 
@@ -141,13 +143,34 @@ def test_pool_has_at_most_one_worker_per_graph(monkeypatch):
             return False
 
         def imap(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+            handed.append((list(tasks), chunksize))
+            return map(fn, handed[-1][0])
 
     monkeypatch.setattr("eil.suite.Pool", RecordingPool)
     corpus = ["A_", "Bw", "BW"]
     report = run_suite(corpus, ["main1"], jobs=64)
     assert started == [3]
+    # one task per graph, handed over as the Graph itself
+    assert handed == [([parse_graph6(g6) for g6 in corpus], 1)]
     assert report.canonical_body() == run_suite(corpus, ["main1"]).canonical_body()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_graph_with_own_labels_reports_as_its_graph6_line(jobs):
+    # a Graph is read on x1..xn, as its graph6 line is, so the bodies agree
+    G = parse_edge_list("a b\nb c\nc d\nd a\na e")
+    g6 = emit_graph6(G)
+    body = run_suite([G, "Bw"], ["all"], cross_check=True, jobs=jobs).canonical_body()
+    for line in (g6, ">>graph6<<" + g6, g6 + "\r\n", ">>graph6<<" + g6 + "\r\n"):
+        assert run_suite([line, "Bw"], ["all"], cross_check=True,
+                         jobs=jobs).canonical_body() == body
+
+
+def test_bad_corpus_item_is_named():
+    with pytest.raises(Graph6Error) as err:
+        run_suite(["A_", "B?x"], ["main1"])
+    assert str(err.value) == "corpus item 2: trailing garbage after edge data (byte offset 2)"
+    assert err.value.offset == 2
 
 
 def test_sampled_deletion_sets_flagged():
@@ -158,7 +181,7 @@ def test_sampled_deletion_sets_flagged():
     G = graph_from_edges(labels, edges)
     assert 1 << 12 > EXHAUSTIVE_LIMIT
     report = run_suite([G], ["deletion_bound"], seed=3)
-    # the corpus travels as graph6, so labels become x1..x14 with the hubs first
+    # the corpus is read on x1..xn, as graph6 gives them, so the hubs are x1 and x2
     hub_edge = [oc for oc in report.outcomes if set(oc.witness["edge"]) == {"x1", "x2"}]
     assert hub_edge and all(oc.witness.get("sampled") for oc in hub_edge)
     assert len(hub_edge) == SAMPLE_SIZE
@@ -590,6 +613,20 @@ def test_cli_graph6_error_offset_counts_leading_blanks(tmp_path, capsys):
     assert main(["alpha2", str(path)]) == 2
     assert capsys.readouterr().err.endswith(
         "line 1: trailing garbage after edge data (byte offset 4)\n")
+
+
+def test_cli_lines_end_at_newline_only(tmp_path, capsys):
+    # a form feed or NEL inside a line is blank space, not a line break
+    path = tmp_path / "one-line.txt"
+    for text, message in (("A_\x0cA_\n", "line 1: loop 'A_' 'A_'"),
+                          ("a b\x85c d\n", "line 1: expected 'u v' or 'u', got 4 tokens")):
+        path.write_bytes(text.encode())
+        assert main(["alpha2", str(path)]) == 2
+        assert capsys.readouterr().err.endswith(message + "\n")
+    for text in (b"a b\nc d\n", b"a b\r\nc d\r\n"):  # CRLF reads as LF does
+        path.write_bytes(text)
+        assert main(["alpha2", str(path)]) == 0
+        assert "alpha2=2" in capsys.readouterr().out
 
 
 def test_cli_missing_file_is_not_read_as_graph6(tmp_path, capsys, monkeypatch):
