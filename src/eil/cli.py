@@ -68,14 +68,16 @@ def _read_graphs(arg: str, force_edges: bool = False) -> list[Graph]:
 
 
 def _field_mode(name: str):
-    """Map --field to (primary field, cross_check)."""
-    if name == "2":
+    """Map --field to (primary field, cross_check).  Names are read in any
+    case, and F2 and Q, as the depth line prints them, are accepted too."""
+    key = name.lower()
+    if key in ("2", "f2"):
         return GF2, False
-    if name in ("q", "0"):
+    if key in ("q", "0"):
         return QQ, False
-    if name == "both":
+    if key == "both":
         return GF2, True
-    raise CliError(f"unknown field {name!r} (expected 2, q, or both)")
+    raise CliError(f"unknown field {name!r} (expected 2, F2, q, Q, 0 or both)")
 
 
 def _jobs(value) -> int:
@@ -121,7 +123,7 @@ def _warn_cap(cap: int):
     if cap > DEFAULT_POLARIZED_CAP:
         print(
             f"warning: polarized-ambient cap raised to {cap}; "
-            "the homology sweep can grow exponentially",
+            "depth work can grow exponentially in the variables and generators",
             file=sys.stderr,
         )
 
@@ -265,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="1 (default) or 2")
     p.add_argument("--symbolic", action="store_true",
                    help="second symbolic power instead of the ordinary square")
-    p.add_argument("--field", default="2", help="2 (default), q, or both")
+    p.add_argument("--field", default="2", help="2 or F2 (default), q, Q or 0, or both")
     p.add_argument("--max-polarized", type=_at_least(1), default=DEFAULT_POLARIZED_CAP)
     p.set_defaults(fn=_cmd_depth)
 

@@ -1,58 +1,82 @@
 """Exact depth and projective dimension of monomial quotients.
 
-Pipeline: polarize to a squarefree ideal, read its Stanley-Reisner complex
-(minimal nonfaces = generator supports), and recover multigraded Betti
-numbers from reduced homology of induced subcomplexes,
+pd of S/I does not see the variables no generator uses, so depth is found
+over the n_used variables that the generators use, in one of three exact
+ways, chosen from the generator matrix alone:
 
-    beta_{i,W}(S/I) = rank H~_{|W|-i-1}(Delta restricted to W)
+- Socle test.  depth S/I = 0 exactly when S/I has a socle monomial u (u
+  outside I, u * x_i in I for each i), and each x_i then needs a generator g
+  with g_i = u_i + 1, so u_i runs over the values g_i - 1 with g_i >= 1.
+  Associated primes do not depend on the field, so a socle gives
+  pd = n_used in both.
+- Degree complexes (Takayama, Bull. Math. Soc. Sci. Math. Roumanie 48 (2005);
+  Minh-Trung, J. Algebra 322 (2009), Lemma 1.2).  For a in Z^n with
+  G = {j : a_j < 0},
 
-over the chosen coefficient field.  Only masks W in the union closure of the
-generator supports (the lcm lattice) can carry homology, which keeps the scan
-exact and small.  Depth is ambient size minus projective dimension; the
-polarization shift cancels, so results are always relative to the ideal's own
-ambient.
+      dim H^i_m(S/I)_a = dim H~_{i-|G|-1}(Delta_a),
 
-Each lattice mask is first reduced: a vertex v of W whose link in Delta_W is
-a cone is deleted, and this repeats.  Delta_W is the union of the deletion
-Delta_{W-v} and the star of v, which meet in the link; star and link are
-acyclic, so Mayer-Vietoris gives H~(Delta_W) = H~(Delta_{W-v}) over any
-field.  Homology is then computed once per reduced mask of each ideal.
-reduced_homology_dims reads one mask as given, unreduced.
+  where Delta_a is the complex on V = [n] - G whose nonfaces are the sets
+  N_u = {j in V : u_j > a_j}, one per generator u.  So depth S/I is the
+  least |G| + s over all a, s being the first face size at which Delta_a
+  has homology (s = 0 for Delta_a = {emptyset}).  Only the localization of
+  I at the variables of G counts (a generator dominated there gives a
+  larger N_u), so its minimal generators stand for I; with rho_j their
+  largest exponent of x_j, a_j >= rho_j puts j in no N_u, and Delta_a is a
+  cone.  So a runs over [0, rho_j - 1] on V.  Delta_a is skipped when it is
+  void (some N_u is empty: no homology) or a cone over a vertex that no
+  minimal nonface holds, and its s is taken once per nonface set.  Layers
+  |G| = 0, 1, ... are walked until |G| reaches the best depth found, the
+  rational one when both fields are asked for: it is never below the mod-2
+  one.  The walk visits at most prod_j (rho_j + 1) pairs (G, a).
+- Hochster sweep.  Polarize to a squarefree ideal, read its Stanley-Reisner
+  complex (minimal nonfaces = generator supports), and recover multigraded
+  Betti numbers from reduced homology of induced subcomplexes,
+
+      beta_{i,W}(S/I) = rank H~_{|W|-i-1}(Delta restricted to W).
+
+  Only masks W in the union closure of the generator supports (the lcm
+  lattice, at most 2^m - 1 masks for m generators) can carry homology.
+  pd is the largest |W| - s_W.  With k the smallest nonface size, every
+  subset of W with fewer than k vertices is a face, so s_W >= k - 1; the
+  sweep walks masks by decreasing |W| and stops once |W| - k + 1, or
+  n_used - 1 (Hilbert's syzygy bound, as depth >= 1 without a socle), is
+  no more than the best pd, the rational one with both fields.  Each mask
+  is first reduced: a vertex v of W whose link in Delta_W is a cone is
+  deleted, and this repeats.  Delta_W is the union of the deletion
+  Delta_{W-v} and the star of v, which meet in the link; star and link are
+  acyclic, so Mayer-Vietoris gives H~(Delta_W) = H~(Delta_{W-v}) over any
+  field.  Homology is computed once per reduced mask.
+
+The degree complexes read depth from below, so their cost grows with the
+depth, and the sweep reads pd from above.  An ideal without a socle goes to
+the degree complexes when prod_j (rho_j + 1) <= 2^m, and to the sweep
+otherwise: an ideal with many variables and few generators has a small
+lattice and often a large depth.
+
+Homology ranks come from boundary-matrix ranks: bit-packed elimination over
+F2 (the default fast path) or fraction-free integer elimination for exact
+characteristic-zero ranks (the cross-check path).  Both depth walks need
+only the smallest nonvanishing size of each complex, and over Q that takes
+ranks only where mod-2 homology is alive at that size and the next:
+elsewhere universal coefficients force the rational answer to equal the
+mod-2 one.  Betti tables walk the whole lattice, and reduced_homology_dims
+reads one mask as given, unreduced.
 
 Module depth of a proper nonzero ideal is defined as depth of the quotient
 plus one (equivalently pd(I) = pd(S/I) - 1), and is undefined for the zero
 and unit ideals.
-
-Homology ranks come from boundary-matrix ranks: bit-packed elimination over
-F2 (the default fast path) or fraction-free integer elimination for exact
-characteristic-zero ranks (the cross-check path).  A depth sweep needs only
-the smallest nonvanishing size s_W per mask, and over Q it takes ranks only
-where mod-2 homology is alive at that size and the next: elsewhere universal
-coefficients force the rational answer to equal the mod-2 one.
-
-pd is the largest |W| - s_W.  With k the smallest nonface size, every subset
-of W with fewer than k vertices is a face, so Delta_W holds the full
-(k-2)-skeleton of the simplex on W and s_W >= k - 1.  The depth sweep walks
-masks by decreasing |W| and stops once |W| - k + 1 <= the best pd; with both
-fields, the smaller best, over Q, as s_W over Q >= s_W over F2 by universal
-coefficients.  Betti tables walk the whole lattice.
-
-Most depths need no sweep: over the n_used variables the generators use,
-depth S/I = 0 exactly when S/I has a socle monomial u (u outside I, u * x_i
-in I for each i), and each x_i then needs a generator g with g_i = u_i + 1,
-so u_i runs over the values g_i - 1 with g_i >= 1.  Associated primes do not
-depend on the field, so a socle gives pd = n_used in both.  Without one,
-depth >= 1, and the sweep also stops once its best pd reaches n_used - 1, the
-bound of Hilbert's syzygy theorem.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations, product
+from operator import or_
 
 from .graphs import _bits
-from .ideals import MonomialIdeal, _guard, _pack, polarize
+from .ideals import MonomialIdeal, _guard, _minimal, _pack, polarize
 
 __all__ = [
     "FieldChoice",
@@ -421,13 +445,78 @@ def _sweep_pd(nonfaces, characteristics: tuple[int, ...], top: int) -> list[int]
     return [pd[c] for c in characteristics]
 
 
+def _degree_depths(rows, characteristics: tuple[int, ...]) -> list[int]:
+    """depth S/I over the used variables, in each characteristic, from
+    Takayama's degree complexes (module docstring).  Exact with or without a
+    socle; _pd asks only when there is none.
+
+    Per G, the localization drops the columns of G from the packed rows and
+    keeps the divisibility antichain; above[t] lists {j : u_j > t} for its
+    generators u.  Per a, levels[t] = {j in V : a_j = t}, so N_u is the union
+    over t of levels[t] & above[t][u]: two mask operations per generator
+    when every exponent is at most 2.  A complex is read only when its
+    smallest nonface, of size q, leaves room below the best depth: faces
+    include every set of fewer than q vertices, so s >= q - 1.
+    """
+    n = len(rows[0])
+    b, words = _pack(rows, n)
+    field = (1 << b) - 1
+    depth = dict.fromkeys(characteristics, n - 1)  # pd >= 1 for a proper nonzero I
+    memo = {}
+    for k in range(n):
+        if k >= max(depth.values()):
+            break
+        for G in combinations(range(n), k):
+            V = (1 << n) - 1 ^ sum(1 << j for j in G)
+            keep = sum(field << b * (n - 1 - j) for j in _bits(V))
+            local = {w & keep for w in words}
+            if 0 in local:
+                continue  # a generator lives on G: every Delta_a is void
+            gens = _minimal(local, b, n)[0]
+            rho = [max(col) for col in zip(*gens)]
+            if sum(1 << j for j, r in enumerate(rho) if r) != V:
+                continue  # a vertex of V in no N_u: every Delta_a is a cone
+            above = [[sum(1 << j for j, e in enumerate(u) if e > t) for u in gens] for t in range(max(rho))]
+            wide = [j for j in _bits(V) if rho[j] > 1]
+            for a in product(*(range(rho[j]) for j in wide)):
+                levels = [V] + [0] * (len(above) - 1)
+                for j, t in zip(wide, a):
+                    if t:
+                        levels[0] ^= 1 << j
+                        levels[t] |= 1 << j
+                N = [0] * len(gens)
+                for level, masks in zip(levels, above):
+                    N = [x | level & m for x, m in zip(N, masks)]
+                if 0 in N:
+                    continue  # void
+                nonfaces = []  # the minimal N_u, smallest first
+                for x in sorted(set(N), key=int.bit_count):
+                    if all(m & ~x for m in nonfaces):
+                        nonfaces.append(x)
+                if reduce(or_, nonfaces) != V:
+                    continue  # a cone over a vertex in no minimal nonface
+                if k + nonfaces[0].bit_count() - 1 >= max(depth.values()):
+                    continue
+                key = frozenset(nonfaces)  # V is their union
+                if key not in memo:
+                    memo[key] = _first_alive_sizes(_faces_by_size(V, nonfaces), characteristics)
+                for c, s in zip(characteristics, memo[key]):
+                    if s is not None:
+                        depth[c] = min(depth[c], k + s)
+    return [depth[c] for c in characteristics]
+
+
 def _pd(I: MonomialIdeal, characteristics: tuple[int, ...]) -> list[int]:
     """pd of S/I for a proper nonzero I, in each characteristic.
 
-    The memo is read before polarizing, and one answer fills every missing
-    characteristic.  A socle monomial over the n_used variables the
-    generators use gives pd = n_used in every field, with no sweep; without
-    one, the sweep runs with top = n_used - 1 (module docstring).
+    The memo is read first, and one answer fills every missing
+    characteristic.  Over the n_used variables the generators use, a socle
+    monomial gives pd = n_used in every field.  Without one, an ideal with
+    prod_j (rho_j + 1) <= 2^m (rho_j the largest exponent of x_j, m the
+    number of generators) takes pd = n_used - depth from the degree
+    complexes, and any other is polarized for the sweep with
+    top = n_used - 1 (module docstring).  The path is a function of the
+    memo key alone, so no cache state can change which path answers.
     """
     rows = tuple(zip(*(col for col in zip(*I.gens) if any(col))))
     missing = tuple(c for c in characteristics if (c, rows) not in _PD_CACHE)
@@ -435,6 +524,8 @@ def _pd(I: MonomialIdeal, characteristics: tuple[int, ...]) -> list[int]:
         n_used = len(rows[0])
         if _has_socle(rows):
             pd = [n_used] * len(missing)
+        elif math.prod(max(col) + 1 for col in zip(*rows)) <= 1 << len(rows):
+            pd = [n_used - d for d in _degree_depths(rows, missing)]
         else:
             nonfaces = ComplexView.from_ideal(polarize(I).ideal).nonfaces
             pd = _sweep_pd(nonfaces, missing, n_used - 1)
@@ -445,11 +536,13 @@ def _pd(I: MonomialIdeal, characteristics: tuple[int, ...]) -> list[int]:
 def depth_quotient(I: MonomialIdeal, field: FieldChoice = GF2, want_betti: bool = False) -> DepthResult:
     """Depth and projective dimension of S/I over the ideal's own ambient.
 
-    Non-squarefree input is polarized first; the added-variable shift cancels
-    against the enlarged ambient, so pd is preserved and depth stays relative
-    to len(I.ambient).  The zero ideal gives depth = ambient size.  pd always
-    comes from the depth sweep; want_betti only attaches the full
-    multigraded table of the (polarized) ideal, computed separately.
+    pd comes from the socle test, the degree complexes or the bounded sweep
+    (see _pd), all over the variables the generators use; variables no
+    generator uses add to depth only.  The zero ideal gives depth = ambient
+    size.  want_betti only attaches the full multigraded table of the
+    polarized ideal, computed separately by the unbounded lattice walk: the
+    polarization shift cancels against the enlarged ambient, so its top
+    homological degree is pd.
     """
     if I.is_unit:
         raise ValueError("depth of the unit quotient is undefined")
@@ -473,7 +566,7 @@ def depth_ideal(I: MonomialIdeal, field: FieldChoice = GF2) -> int:
 
 
 def depth_ideal_both(I: MonomialIdeal) -> tuple[int, int]:
-    """Module depth in characteristics 2 and 0, sharing one homology sweep.
+    """Module depth in characteristics 2 and 0, sharing one depth walk.
 
     Cheaper than two depth_ideal calls; used by the cross-checking harness.
     """

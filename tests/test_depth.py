@@ -34,8 +34,8 @@ from eil.depth import (
     reduced_homology_dims,
 )
 from eil.graphs import complete_graph, cycle_graph, emit_graph6, path_graph, whiskered_triangle
-from eil.ideals import MonomialIdeal, edge_ideal, polarize
-from eil.suite import run_suite
+from eil.ideals import MonomialIdeal, edge_ideal, polarize, symbolic_square_edge_ideal
+from eil.suite import CHECKS, run_suite
 from test_ideals import ideal
 
 XY = ("x", "y")
@@ -450,18 +450,23 @@ def test_square_depths_n6_golden(catalog6):
 
 
 def test_rational_ranks_only_where_mod2_is_alive_in_adjacent_sizes(catalog5, monkeypatch):
-    # rational ranks are taken only for reduced masks whose first mod-2-alive
+    # rational ranks are taken only for complexes whose first mod-2-alive
     # size a has a+1 alive too; elsewhere the mod-2 scan decides, and an
-    # F2-only depth takes no rational ranks at all.  The bounded depth sweep
-    # visits a subset of the reduced masks, so its rational masks are checked
-    # against the forced set, and the forced count comes from the full walk
+    # F2-only depth takes no rational ranks at all.  That is checked on every
+    # complex either depth walk reads (degree complexes or reduced lattice
+    # masks); the forced count comes from the full lattice walk
     rational = []
     scan = eil.depth._ranks_by_size
 
     def counting(faces, characteristic, *args, **kwargs):
         if characteristic == 0:
-            rational.append(sum(faces[1]))  # the vertices: the reduced mask
+            rational.append(faces)
         return scan(faces, characteristic, *args, **kwargs)
+
+    def forced(faces):
+        mod2 = list(scan(faces, 2))
+        first = next(s for s, h in enumerate(mod2) if h)
+        return first + 1 < len(mod2) and mod2[first + 1] > 0
 
     monkeypatch.setattr(eil.depth, "_ranks_by_size", counting)
 
@@ -481,25 +486,25 @@ def test_rational_ranks_only_where_mod2_is_alive_in_adjacent_sizes(catalog5, mon
         clear_depth_cache()
         depth_ideal(I, GF2)
     assert rational == []
-    forced = 0
+    total = 0
     for I in squares:
         clear_depth_cache()
         rational.clear()
         depth_ideal_both(I)
-        assert set(rational) <= forced_masks(I)
-        forced += len(forced_masks(I))
-    assert forced == 2
-    # the bounded sweep takes no rational rank on these squares, so the subset
-    # test above holds vacuously; RP^2_6, whose mod-2 homology on its whole
-    # vertex set is alive in degrees 1 and 2, is a case where it has to hold
+        assert all(map(forced, rational))
+        total += len(forced_masks(I))
+    assert total == 2
+    # the depth walks take no rational rank on these squares, so the check
+    # above holds vacuously; RP^2_6, whose mod-2 homology on its whole vertex
+    # set is alive in degrees 1 and 2, is a case where it has to hold
     from test_hochster_oracle import _rp2_ideal
 
     I = _rp2_ideal()
     clear_depth_cache()
     rational.clear()
     depth_ideal_both(I)
-    assert rational == [0x3F]
-    assert 0x3F in forced_masks(I)
+    assert [sum(faces[1]) for faces in rational] == [0x3F]  # the vertices
+    assert all(map(forced, rational)) and 0x3F in forced_masks(I)
 
 
 def _direct_sweep(I, characteristics):
@@ -552,19 +557,22 @@ def _check_socle_test_is_exact(ideals):
     return settled
 
 
-def _edge_set_suite_ideals(catalog):
-    """One ideal per memo key that the edge-set checks fill on this catalog."""
+EDGE_SET_CHECKS = ["colon_intersection", "even_connection_depth", "square_colon_depth",
+                   "square_colon_formula", "deletion_bound"]
+
+
+def _suite_ideals(catalog, checks=EDGE_SET_CHECKS, cross_check=False):
+    """One ideal per memo key that these checks fill on this catalog."""
     clear_depth_cache()
-    run_suite(catalog, ["colon_intersection", "even_connection_depth", "square_colon_depth",
-                        "square_colon_formula", "deletion_bound"], GF2)
-    rows = {key for _, key in eil.depth._PD_CACHE}
+    run_suite(catalog, checks, GF2, cross_check=cross_check)
+    rows = sorted({key for _, key in eil.depth._PD_CACHE})
     return [MonomialIdeal(tuple(f"v{j}" for j in range(len(r[0]))), r) for r in rows]
 
 
 def test_socle_test_matches_the_sweep_n5(catalog5):
     squares = [edge_ideal(G) ** 2 for G in catalog5 if G.edges()]
     assert (len(squares), _check_socle_test_is_exact(squares)) == (47, 23)
-    suite = _edge_set_suite_ideals(catalog5)
+    suite = _suite_ideals(catalog5)
     assert (len(suite), _check_socle_test_is_exact(suite)) == (162, 60)
 
 
@@ -608,9 +616,96 @@ def test_socle_test_on_non_squarefree_ideals():
     assert wide == 8
 
 
+def _degree_pd(I, characteristics):
+    """pd of S/I from Takayama's degree complexes alone."""
+    rows = _used_columns(I)
+    return [len(rows[0]) - d for d in eil.depth._degree_depths(rows, characteristics)]
+
+
+def _check_degree_complexes_match_the_sweep(ideals, single=False):
+    # the fused walk, which stops on the rational best, and with single each
+    # field on its own, against the direct sweep, or against pd = n_used
+    # where the socle test (checked against the sweep above) fires; returns
+    # how many ideals have a depth that depends on the field
+    split = 0
+    for I in ideals:
+        rows = _used_columns(I)
+        want = [len(rows[0])] * 2 if eil.depth._has_socle(rows) else _direct_sweep(I, (2, 0))
+        assert _degree_pd(I, (2, 0)) == want, I
+        if single:
+            assert [_degree_pd(I, (c,))[0] for c in (2, 0)] == want, I
+        split += want[0] != want[1]
+    return split
+
+
+def test_degree_complexes_match_the_sweep_n6(catalog6):
+    # every distinct ideal that a cross-checked n <= 6 run of every check
+    # asks for, socle or not, whichever path the dispatch picks: the checks
+    # registered with no depth ask for none, so they are left out.  The
+    # single fields, through the dispatch, are compared on n <= 5 in
+    # test_bounded_sweep_is_exact_n5
+    ideals = _suite_ideals(catalog6, [c for c in CHECKS if CHECKS[c].depth], cross_check=True)
+    assert len(ideals) == 1529
+    assert _check_degree_complexes_match_the_sweep(ideals) == 0
+
+
+@pytest.mark.slow
+def test_degree_complexes_match_the_sweep_n7(catalog7):
+    # the ideals with no socle, the ones that reach either depth walk
+    graphs = [G for G in catalog7 if G.n == 7 and G.edges()]
+    for make, count in ((lambda G: edge_ideal(G) ** 2, 318), (symbolic_square_edge_ideal, 1043)):
+        ideals = [make(G) for G in graphs]
+        ideals = [I for I in ideals if not eil.depth._has_socle(_used_columns(I))]
+        assert len(ideals) == count
+        assert _check_degree_complexes_match_the_sweep(ideals) == 0
+
+
+def test_degree_complexes_on_non_squarefree_ideals():
+    # exponents up to 3, so a runs over up to three values per variable, and
+    # the hand table of non-squarefree ideals, whose depths are known
+    rng = random.Random(2005)
+    ideals = [random_monomial_ideal(rng, rng.randint(2, 5), 3, 6) for _ in range(80)]
+    ideals = [I for I in ideals if not I.is_unit]
+    assert sum(max(map(max, I.gens)) == 3 for I in ideals) == 59
+    assert _check_degree_complexes_match_the_sweep(ideals, single=True) == 0
+    for texts, ambient, depth in SOCLE_TABLE:
+        I = ideal(*texts, ambient=ambient)
+        assert eil.depth._degree_depths(_used_columns(I), (2, 0)) == [depth] * 2, texts
+        assert _check_degree_complexes_match_the_sweep([I], single=True) == 0
+
+
+def test_dispatch_sends_few_generator_ideals_to_the_sweep(monkeypatch):
+    # without a socle, prod (rho_j + 1) <= 2^m picks the degree complexes and
+    # anything else the sweep: a squarefree ideal on 12 variables with 3
+    # generators (depth S/I = 9, about 17 ms on the sweep and 0.6 s on the degree
+    # complexes, which walk the sets G up to size 8) and the path P5 (4
+    # generators on 5 variables) go to the sweep, the square of the 5-cycle
+    # (15 generators, 3^5 pairs) to the degree complexes
+    paths = []
+    for name in ("_degree_depths", "_sweep_pd"):
+        def spy(*args, _real=getattr(eil.depth, name), _name=name):
+            paths.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(eil.depth, name, spy)
+    amb = tuple(f"v{j}" for j in range(12))
+    wide = MonomialIdeal(amb, tuple(tuple(int(j in S) for j in range(12))
+                                    for S in (range(0, 5), range(4, 9), range(7, 12))))
+    cases = [(wide, "_sweep_pd", 10), (edge_ideal(path_graph(5)), "_sweep_pd", 3),
+             (edge_ideal(cycle_graph(5)) ** 2, "_degree_depths", 3)]
+    for I, path, depth in cases:
+        assert not eil.depth._has_socle(_used_columns(I))
+        for call in (lambda J: depth_ideal(J, GF2), lambda J: depth_ideal(J, QQ), depth_ideal_both):
+            clear_depth_cache()
+            paths.clear()
+            assert call(I) in (depth, (depth, depth))
+            assert paths == [path]
+
+
 def test_bounded_sweep_work_counts(catalog5, monkeypatch):
-    # pinned so that a change to the bound, the walk order or the socle test
-    # shows in review; the unbounded sweep enumerated faces 1441 and 53 times
+    # pinned so that a change to the bound, the walk order, the socle test or
+    # the degree-complex walk changes a count; the unbounded sweep enumerated
+    # faces 1441 and 53 times, and depth_ideal, when every depth without a
+    # socle went to the sweep, 85 times
     calls = []
     faces = eil.depth._faces_by_size
 
@@ -627,7 +722,7 @@ def test_bounded_sweep_work_counts(catalog5, monkeypatch):
     for I in squares:
         clear_depth_cache()
         depth_ideal(I, GF2)
-    assert len(calls) == 85
+    assert len(calls) == 86
     W3 = edge_ideal(whiskered_triangle()) ** 2
     calls.clear()
     _direct_sweep(W3, (2,))

@@ -2,21 +2,25 @@
 
     depth k[Delta] = min over faces F of |F| + 1 + min{j : H~_j(lk F) != 0}
 
-(Hochster 1977; Bruns-Herzog, Thm 5.3.8).  The engine reads depth off the
+(Hochster 1977; Bruns-Herzog, Thm 5.3.8).  The engine reads depth off
+Takayama's degree complexes on the variables the ideal uses, or off the
 projective dimension, from reduced homology of induced subcomplexes on the
-lcm lattice.  This oracle shares none of that code: it polarizes on its own,
-lists every face of the complex, builds each link from that list and takes
-dense ranks, mod 2 with the textbook elimination of test_depth.py and over Q
-by integer elimination with gcd reduction.  The two meet only in the answer.
+lcm lattice of the polarized ideal; both walks share the engine's face lists
+and ranks, and so does the F2-vs-Q cross-check.  This oracle shares none of
+that code: it polarizes on its own, lists every face of the complex, builds
+each link from that list and takes dense ranks, mod 2 with the textbook
+elimination of test_depth.py and over Q by integer elimination with gcd
+reduction.  The engine and the oracle meet only in the answer.
 """
 
 import math
 from itertools import combinations, permutations
 
 import pytest
-from test_depth import _dense_rank_f2
+from test_depth import _degree_pd, _dense_rank_f2
 
 import eil.checks
+import eil.depth
 from eil.catalog import all_graphs
 from eil.checks import sharp_example_graphs
 from eil.depth import GF2, QQ, ComplexView, clear_depth_cache, depth_ideal, depth_ideal_both, reduced_homology_dims
@@ -122,13 +126,19 @@ def hochster_depth(I, characteristic):
 
 
 def _both_cold(I):
-    """The engine's depth in characteristics 2 and 0, from the fused sweep and
-    from each single-field sweep, every one with a cold memo."""
+    """The engine's depth in characteristics 2 and 0, from the fused walk and
+    from each single-field walk, every one with a cold memo."""
     values = []
     for call in (depth_ideal_both, lambda J: (depth_ideal(J, GF2), depth_ideal(J, QQ))):
         clear_depth_cache()
         values.append(tuple(call(I)))
     return values
+
+
+def _degree_module_depths(I):
+    """Module depth in characteristics 2 and 0 from the engine's degree
+    complexes alone, whichever path depth_ideal would take."""
+    return tuple(len(I.ambient) - pd + 1 for pd in _degree_pd(I, (2, 0)))
 
 
 def _squarefree_ideal(ambient, *texts):
@@ -146,6 +156,7 @@ def test_oracle_on_known_depths():
         assert hochster_depth(xy, characteristic) == 2
         assert hochster_depth(K3, characteristic) == 2
         assert hochster_depth(K3 ** 2, characteristic) == 1
+    assert [_degree_module_depths(I) for I in (xy, K3, K3 ** 2)] == [(2, 2), (2, 2), (1, 1)]
 
 
 def test_oracle_matches_engine_on_squares_n5(catalog5):
@@ -155,6 +166,7 @@ def test_oracle_matches_engine_on_squares_n5(catalog5):
         I = edge_ideal(G) ** 2
         oracle = (hochster_depth(I, 2), hochster_depth(I, 0))
         assert _both_cold(I) == [oracle, oracle], emit_graph6(G)
+        assert _degree_module_depths(I) == oracle, emit_graph6(G)
 
 
 def test_oracle_matches_sharp_examples():
@@ -187,6 +199,10 @@ def test_rp2_torsion_splits_the_fields():
     assert {d: r for d, r in mod2.items() if r} == {1: 1, 2: 1}
     assert set(reduced_homology_dims(C, 0b111111, QQ).values()) == {0}
     assert (hochster_depth(I, 2), hochster_depth(I, 0)) == (3, 4)
+    # 10 generators on 6 variables: the dispatch takes the degree complexes,
+    # and both paths must see the torsion on their own
+    assert _degree_module_depths(I) == (3, 4)
+    assert eil.depth._sweep_pd(C.nonfaces, (2, 0), 6) == [4, 3]  # pd = 6 - depth S/I
     calls = {
         "both": depth_ideal_both,
         "F2": lambda J: depth_ideal(J, GF2),

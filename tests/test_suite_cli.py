@@ -435,6 +435,21 @@ def test_cli_depth_symbolic_triangle(capsys):
     assert "bound=1" in out and "rule=symbolic_square" in out
 
 
+def test_cli_field_names_match_the_printed_ones_in_any_case(capsys):
+    # --field takes back what the depth line prints (field=F2, field=Q)
+    outputs = {}
+    for names in (("2", "F2", "f2"), ("q", "Q", "0"), ("both", "BOTH", "Both")):
+        for name in names:
+            assert main(["depth", "Bw", "--power", "2", "--field", name]) == 0, name
+            outputs.setdefault(names[0], set()).add(capsys.readouterr().out)
+    assert {k: len(v) for k, v in outputs.items()} == {"2": 1, "q": 1, "both": 1}
+    assert "field=F2\n" in outputs["2"].pop() and "field=Q\n" in outputs["q"].pop()
+    assert main(["verify", "--suite", "main1", "--max-n", "3", "--field", "Q"]) == 0
+    for bad in ("F3", "QQ", "3", ""):
+        assert main(["depth", "Bw", "--field", bad]) == 2, bad
+        assert "unknown field" in capsys.readouterr().err
+
+
 def test_cli_depth_symbolic_conflicts_with_power_one(capsys):
     assert main(["depth", "Bw", "--symbolic", "--power", "1"]) == 2
 
