@@ -27,8 +27,6 @@ from .depth import (
     ComplexView,
     DepthResult,
     FieldChoice,
-    betti_numbers,
-    betti_table_rows,
     depth_ideal,
     depth_quotient,
     reduced_homology_dims,

@@ -206,8 +206,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
-    if args.seed is None:
-        raise CliError("--seed is required for hunting")
     _require_output(args)
     checks = resolve_checks([args.check])
     field, cross = _field_mode(args.field)
@@ -251,6 +249,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact depth bounds for powers of edge ideals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    field_help = "2 or F2 (default), q, Q or 0, or both"
+    cap_help = "cap on polarized variables, at least 1 (default %(default)s); raising it warns"
+    jobs_help = "worker processes (EIL_JOBS fallback, default 1)"
+    format_help = "json or text (default) write the --output report as JSON, csv as CSV"
 
     def add_input(p):
         p.add_argument("input", help="file path, '-' for stdin, or inline graph6")
@@ -267,8 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="1 (default) or 2")
     p.add_argument("--symbolic", action="store_true",
                    help="second symbolic power instead of the ordinary square")
-    p.add_argument("--field", default="2", help="2 or F2 (default), q, Q or 0, or both")
-    p.add_argument("--max-polarized", type=_at_least(1), default=DEFAULT_POLARIZED_CAP)
+    p.add_argument("--field", default="2", help=field_help)
+    p.add_argument("--max-polarized", type=_at_least(1), default=DEFAULT_POLARIZED_CAP,
+                   help=cap_help)
     p.set_defaults(fn=_cmd_depth)
 
     p = sub.add_parser("verify", help="run check suites over a corpus")
@@ -277,26 +280,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="file of graph6 lines")
     p.add_argument("--max-n", type=_at_least(1),
                    help="generate all isomorphism classes up to this size")
-    p.add_argument("--field", default="2")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_at_least(1), default=None,
-                   help="worker processes (EIL_JOBS fallback, default 1)")
+    p.add_argument("--field", default="2", help=field_help)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the sampled deletion sets (default 0)")
+    p.add_argument("--jobs", type=_at_least(1), default=None, help=jobs_help)
     p.add_argument("--budget", type=_at_least(1), default=None,
                    help="max graphs consumed from the corpus")
     p.add_argument("--output", help="report file")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    p.add_argument("--format", choices=("json", "csv", "text"), default="text", help=format_help)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("hunt", help="seeded random counterexample search")
-    p.add_argument("--check", default="main1")
-    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--check", default="main1",
+                   help="check name, alias or comma list (default main1)")
+    p.add_argument("--n", type=_at_least(1), required=True, help="vertices per graph")
     p.add_argument("--random", type=_at_least(0), required=True, help="number of graphs")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--field", default="2")
-    p.add_argument("--jobs", type=_at_least(1), default=None)
-    p.add_argument("--max-polarized", type=_at_least(1), default=DEFAULT_POLARIZED_CAP)
+    p.add_argument("--seed", type=int, required=True,
+                   help="seed of the random graphs and sampled deletion sets")
+    p.add_argument("--field", default="2", help=field_help)
+    p.add_argument("--jobs", type=_at_least(1), default=None, help=jobs_help)
+    p.add_argument("--max-polarized", type=_at_least(1), default=DEFAULT_POLARIZED_CAP,
+                   help=cap_help)
     p.add_argument("--output", help="report file")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    p.add_argument("--format", choices=("json", "csv", "text"), default="text", help=format_help)
     p.set_defaults(fn=_cmd_hunt)
 
     return parser

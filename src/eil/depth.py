@@ -1,8 +1,13 @@
 """Exact depth and projective dimension of monomial quotients.
 
-pd of S/I does not see the variables no generator uses, so depth is found
-over the n_used variables that the generators use, in one of three exact
-ways, chosen from the generator matrix alone:
+pd of S/I does not see the variables no generator uses, nor the size of an
+exponent, only its rank among 0 and the values in its column: a map of one
+column that keeps order and sends 0 to 0 commutes with max, so the lcm
+lattice stays the same up to isomorphism, and Betti numbers over any field,
+hence pd, depend on that lattice alone (Gasharov-Peeva-Welker, Math. Res.
+Lett. 6 (1999)).  So depth is found over the n_used variables that the
+generators use, with ranked exponents, in one of three exact ways, chosen
+from that matrix alone:
 
 - Socle test.  depth S/I = 0 exactly when S/I has a socle monomial u (u
   outside I, u * x_i in I for each i), and each x_i then needs a generator g
@@ -59,8 +64,7 @@ characteristic-zero ranks (the cross-check path).  Both depth walks need
 only the smallest nonvanishing size of each complex, and over Q that takes
 ranks only where mod-2 homology is alive at that size and the next:
 elsewhere universal coefficients force the rational answer to equal the
-mod-2 one.  Betti tables walk the whole lattice, and reduced_homology_dims
-reads one mask as given, unreduced.
+mod-2 one.  reduced_homology_dims reads one mask as given, unreduced.
 
 Module depth of a proper nonzero ideal is defined as depth of the quotient
 plus one (equivalently pd(I) = pd(S/I) - 1), and is undefined for the zero
@@ -85,11 +89,9 @@ __all__ = [
     "ComplexView",
     "DepthResult",
     "reduced_homology_dims",
-    "betti_numbers",
     "depth_quotient",
     "depth_ideal",
     "depth_ideal_both",
-    "betti_table_rows",
     "clear_depth_cache",
 ]
 
@@ -141,7 +143,6 @@ class DepthResult:
     depth_quotient: int
     depth_ideal: int | None
     field: FieldChoice
-    betti: dict | None = None
 
     def __post_init__(self):
         if self.depth_quotient + self.pd_quotient != self.ambient_size:
@@ -354,44 +355,6 @@ def _cone_reducer(nonfaces):
     return reduce
 
 
-def _lattice_homology(nonfaces, homology):
-    """The Hochster sweep: (W, at) for every nonempty mask W of the lcm
-    lattice (the unions of nonfaces), by decreasing |W| and then increasing W.
-    at(W) is homology of the faces, grouped by size, of W cone-reduced, run
-    once per reduced mask and only on the masks that a caller asks for."""
-    lattice = {0}
-    for s in nonfaces:
-        lattice |= {r | s for r in lattice}
-    lattice.discard(0)
-    reduce = _cone_reducer(nonfaces)
-    memo = {}
-    def at(W: int):
-        R = reduce(W)
-        if R not in memo:
-            memo[R] = homology(_faces_by_size(R, nonfaces))
-        return memo[R]
-    for W in sorted(lattice, key=lambda W: (-W.bit_count(), W)):
-        yield W, at
-
-
-def betti_numbers(I: MonomialIdeal, field: FieldChoice) -> dict[tuple[int, int], int]:
-    """All nonzero multigraded Betti numbers of S/I for squarefree I.
-
-    Keys are (homological degree, multidegree bit mask over I.ambient).  Only
-    union-of-support masks are scanned; that pruning is exact.
-    """
-    if I.is_unit:
-        raise ValueError("Betti numbers of the unit quotient are not defined here")
-    out = {(0, 0): 1}
-    nonfaces = ComplexView.from_ideal(I).nonfaces
-    c = field.characteristic
-    for W, at in _lattice_homology(nonfaces, lambda faces: list(_ranks_by_size(faces, c))):
-        for s, h in enumerate(at(W)):
-            if h:
-                out[(W.bit_count() - s, W)] = h
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public depth API
 
@@ -431,15 +394,24 @@ def _has_socle(rows) -> bool:
 
 def _sweep_pd(nonfaces, characteristics: tuple[int, ...], top: int) -> list[int]:
     """pd of the squarefree quotient with these minimal nonfaces, in each
-    characteristic, by the Hochster sweep.  Per mask the scan stops at the
-    smallest nonvanishing dimension; the sweep stops at the first W with
+    characteristic, by the Hochster sweep (module docstring): lcm-lattice
+    masks W by decreasing |W|, then increasing W, until
     min(|W| - k + 1, top) <= the smaller best pd, top being a bound on pd."""
+    lattice = {0}
+    for s in nonfaces:
+        lattice |= {r | s for r in lattice}
+    lattice.discard(0)
+    reduce = _cone_reducer(nonfaces)
+    alive = {}  # reduced mask -> _first_alive_sizes of its faces
     pd = dict.fromkeys(characteristics, 0)
     k = min(s.bit_count() for s in nonfaces)
-    for W, at in _lattice_homology(nonfaces, lambda faces: _first_alive_sizes(faces, characteristics)):
+    for W in sorted(lattice, key=lambda W: (-W.bit_count(), W)):
         if min(W.bit_count() - k + 1, top) <= min(pd.values()):
             break
-        for c, s in zip(characteristics, at(W)):
+        R = reduce(W)
+        if R not in alive:
+            alive[R] = _first_alive_sizes(_faces_by_size(R, nonfaces), characteristics)
+        for c, s in zip(characteristics, alive[R]):
             if s is not None:
                 pd[c] = max(pd[c], W.bit_count() - s)
     return [pd[c] for c in characteristics]
@@ -510,48 +482,47 @@ def _pd(I: MonomialIdeal, characteristics: tuple[int, ...]) -> list[int]:
     """pd of S/I for a proper nonzero I, in each characteristic.
 
     The memo is read first, and one answer fills every missing
-    characteristic.  Over the n_used variables the generators use, a socle
-    monomial gives pd = n_used in every field.  Without one, an ideal with
-    prod_j (rho_j + 1) <= 2^m (rho_j the largest exponent of x_j, m the
+    characteristic.  On a miss, the exponents of the n_used columns that the
+    generators use are ranked (module docstring).  Then a socle monomial
+    gives pd = n_used in every field.  Without one, an ideal with
+    prod_j (rho_j + 1) <= 2^m (rho_j the largest rank in column j, m the
     number of generators) takes pd = n_used - depth from the degree
     complexes, and any other is polarized for the sweep with
-    top = n_used - 1 (module docstring).  The path is a function of the
-    memo key alone, so no cache state can change which path answers.
+    top = n_used - 1.  The path is a function of the memo key alone, so no
+    cache state can change which path answers.
     """
     rows = tuple(zip(*(col for col in zip(*I.gens) if any(col))))
     missing = tuple(c for c in characteristics if (c, rows) not in _PD_CACHE)
     if missing:
         n_used = len(rows[0])
-        if _has_socle(rows):
+        ranked = tuple(zip(*(map(sorted({0, *col}).index, col) for col in zip(*rows))))
+        if _has_socle(ranked):
             pd = [n_used] * len(missing)
-        elif math.prod(max(col) + 1 for col in zip(*rows)) <= 1 << len(rows):
-            pd = [n_used - d for d in _degree_depths(rows, missing)]
+        elif math.prod(max(col) + 1 for col in zip(*ranked)) <= 1 << len(ranked):
+            pd = [n_used - d for d in _degree_depths(ranked, missing)]
         else:
-            nonfaces = ComplexView.from_ideal(polarize(I).ideal).nonfaces
+            J = MonomialIdeal(tuple(f"x{j}" for j in range(n_used)), ranked)
+            nonfaces = ComplexView.from_ideal(polarize(J).ideal).nonfaces
             pd = _sweep_pd(nonfaces, missing, n_used - 1)
         _PD_CACHE.update(((c, rows), p) for c, p in zip(missing, pd))
     return [_PD_CACHE[(c, rows)] for c in characteristics]
 
 
-def depth_quotient(I: MonomialIdeal, field: FieldChoice = GF2, want_betti: bool = False) -> DepthResult:
+def depth_quotient(I: MonomialIdeal, field: FieldChoice = GF2) -> DepthResult:
     """Depth and projective dimension of S/I over the ideal's own ambient.
 
     pd comes from the socle test, the degree complexes or the bounded sweep
     (see _pd), all over the variables the generators use; variables no
     generator uses add to depth only.  The zero ideal gives depth = ambient
-    size.  want_betti only attaches the full multigraded table of the
-    polarized ideal, computed separately by the unbounded lattice walk: the
-    polarization shift cancels against the enlarged ambient, so its top
-    homological degree is pd.
+    size.
     """
     if I.is_unit:
         raise ValueError("depth of the unit quotient is undefined")
     n = len(I.ambient)
     if I.is_zero:
-        return DepthResult(n, 0, n, None, field, {(0, 0): 1} if want_betti else None)
+        return DepthResult(n, 0, n, None, field)
     (pd,) = _pd(I, (field.characteristic,))
-    betti = betti_numbers(polarize(I).ideal, field) if want_betti else None
-    return DepthResult(n, pd, n - pd, n - pd + 1, field, betti)
+    return DepthResult(n, pd, n - pd, n - pd + 1, field)
 
 
 def _module_depths(I: MonomialIdeal, characteristics: tuple[int, ...]) -> tuple[int, ...]:
@@ -572,8 +543,3 @@ def depth_ideal_both(I: MonomialIdeal) -> tuple[int, int]:
     """
     return _module_depths(I, (2, 0))
 
-
-def betti_table_rows(betti: dict[tuple[int, int], int]) -> list[tuple[int, int, str, int]]:
-    """Betti map flattened to sorted CSV rows (i, |W|, W-mask-hex, rank)."""
-    rows = [(i, W.bit_count(), format(W, "x"), r) for (i, W), r in betti.items()]
-    return sorted(rows)

@@ -10,12 +10,13 @@ import random
 import time
 from itertools import combinations
 
+from test_depth import sweep_blind_spots
+
 from eil.checks import DepthComputer, check_colon_intersection, check_sharp_examples
 from eil.depth import (
     GF2,
     QQ,
     ComplexView,
-    betti_numbers,
     depth_quotient,
     reduced_homology_dims,
 )
@@ -249,7 +250,7 @@ def test_criterion_09_engine_sanity():
         ):
             problems.append(f"free variable shift {I.pretty()}")
 
-    # lcm pruning losslessness against the all-masks scan
+    # lcm pruning and cone reduction against every mask, in both fields
     for _ in range(10):
         width = rng.randint(2, 5)
         amb = tuple(f"v{k}" for k in range(width))
@@ -260,13 +261,7 @@ def test_criterion_09_engine_sanity():
         I = MonomialIdeal(amb, tuple(gens))
         if I.is_unit:
             continue
-        C = ComplexView.from_ideal(I)
-        unpruned = {(0, 0): 1}
-        for W in range(1, 1 << width):
-            for d, r in reduced_homology_dims(C, W, GF2).items():
-                if r:
-                    unpruned[(W.bit_count() - 1 - d, W)] = r
-        if betti_numbers(I, GF2) != unpruned:
+        if sweep_blind_spots(ComplexView.from_ideal(I)) is not None:
             problems.append(f"pruning {I.pretty()}")
 
     # colon and intersection membership laws, 1000 random monomials

@@ -23,10 +23,7 @@ from eil.depth import (
     FieldChoice,
     _cone_reducer,
     _faces_by_size,
-    _lattice_homology,
     _rank_exact,
-    betti_numbers,
-    betti_table_rows,
     clear_depth_cache,
     depth_ideal,
     depth_ideal_both,
@@ -278,23 +275,48 @@ def test_rank_exact_matches_dense_rational_rank():
 
 
 # ---------------------------------------------------------------------------
-# Betti numbers
+# Betti numbers by Hochster's formula, and what the sweep may skip
 
 
-def test_betti_principal_quadric():
-    I = ideal("x*y", ambient=XY)
-    assert betti_numbers(I, GF2) == {(0, 0): 1, (1, 0b11): 1}
+def lcm_lattice(nonfaces):
+    """Every nonempty union of the nonfaces: the masks of the lcm lattice."""
+    lattice = {0}
+    for s in nonfaces:
+        lattice |= {r | s for r in lattice}
+    lattice.discard(0)
+    return lattice
 
 
-def test_betti_zero_ideal():
-    assert betti_numbers(MonomialIdeal.zero(XY), GF2) == {(0, 0): 1}
+def _alive(C, W, field):
+    """The nonzero reduced homology ranks {dimension: rank} of C on W."""
+    return {d: r for d, r in reduced_homology_dims(C, W, field).items() if r}
 
 
-def test_betti_rejects_unit_and_nonsquarefree():
-    with pytest.raises(ValueError):
-        betti_numbers(ideal("1", ambient=XY), GF2)
-    with pytest.raises(ValueError):
-        betti_numbers(ideal("x^2", ambient=XY), GF2)
+def hochster_betti(C, masks, field, reduce=None):
+    """Multigraded Betti numbers {(i, W): rank} of the Stanley-Reisner
+    quotient of C, read by Hochster's formula off these masks: each mask W
+    as given, or off reduce(W), which has the same homology."""
+    out = {(0, 0): 1}
+    for W in masks:
+        for d, r in _alive(C, reduce(W) if reduce else W, field).items():
+            out[(W.bit_count() - 1 - d, W)] = r
+    return out
+
+
+def sweep_blind_spots(C):
+    """The (field, W) where the sweep's view of mask W is wrong, over every
+    nonempty mask and both fields: a mask outside the lcm lattice must be
+    acyclic, and a lattice mask must have the homology of its cone
+    reduction.  None means the pruned, reduced walk sees every Betti number
+    that a scan of all masks sees."""
+    lattice = lcm_lattice(C.nonfaces)
+    reduce = _cone_reducer(C.nonfaces)
+    for field in (GF2, QQ):
+        alive = [_alive(C, W, field) for W in range(1 << len(C.ambient))]
+        for W in range(1, len(alive)):
+            if alive[W] != (alive[reduce(W)] if W in lattice else {}):
+                return field, W
+    return None
 
 
 def test_betti_shared_variable_pair():
@@ -303,41 +325,36 @@ def test_betti_shared_variable_pair():
     I = ideal("x1*x2", "x1*y1", ambient=amb)
     oracle = taylor_betti(I, 2)
     assert max(i for i, _ in oracle) == 2  # pd(S/I) = 2, settled by the oracle
-    got = betti_numbers(I, GF2)
+    got = hochster_betti(ComplexView.from_ideal(I), range(1, 1 << len(amb)), GF2)
     assert got == {(0, 0): 1, (1, 0b011): 1, (1, 0b101): 1, (2, 0b111): 1}
     assert depth_quotient(I, GF2).pd_quotient == 2
 
 
 def test_betti_matches_taylor_oracle_random_squarefree():
+    # Hochster's formula over every mask against the Taylor strands, and
+    # the sweep's pruning and cone reduction mask by mask
     rng = random.Random(8191)
     for _ in range(40):
         I = random_squarefree_ideal(rng, rng.randint(2, 6), 5)
         if I.is_unit:
             continue
+        C = ComplexView.from_ideal(I)
         for field in (GF2, QQ):
             oracle = {}
             for (i, vec), r in taylor_betti(I, field.characteristic).items():
                 mask = sum(1 << k for k, e in enumerate(vec) if e)
                 oracle[(i, mask)] = r
-            assert betti_numbers(I, field) == oracle
+            assert hochster_betti(C, range(1, 1 << len(I.ambient)), field) == oracle
+        assert sweep_blind_spots(C) is None, I
 
 
 def test_lcm_pruning_is_lossless():
-    # scanning every one of the 2^n masks must reproduce the pruned table
     rng = random.Random(4099)
     for _ in range(15):
         I = random_squarefree_ideal(rng, rng.randint(2, 5), 4)
         if I.is_unit:
             continue
-        C = ComplexView.from_ideal(I)
-        width = len(I.ambient)
-        for field in (GF2, QQ):
-            unpruned = {(0, 0): 1}
-            for W in range(1, 1 << width):
-                for d, r in reduced_homology_dims(C, W, field).items():
-                    if r:
-                        unpruned[(W.bit_count() - 1 - d, W)] = r
-            assert betti_numbers(I, field) == unpruned
+        assert sweep_blind_spots(ComplexView.from_ideal(I)) is None, I
 
 
 # ---------------------------------------------------------------------------
@@ -359,38 +376,23 @@ def test_cone_reducer_on_known_complexes():
     for C, W, reduced in cases:
         assert _cone_reducer(C.nonfaces)(W) == reduced
         for field in (GF2, QQ):
-            before = {d: r for d, r in reduced_homology_dims(C, W, field).items() if r}
-            after = {d: r for d, r in reduced_homology_dims(C, reduced, field).items() if r}
-            assert before == after
+            assert _alive(C, W, field) == _alive(C, reduced, field)
 
 
 def test_cone_reduction_counts_whiskered_triangle_square():
     # pinned so that a change to the pruning or the reduction shows in review
     C = ComplexView.from_ideal(polarize(edge_ideal(whiskered_triangle()) ** 2).ideal)
-    masks = [W for W, _ in _lattice_homology(C.nonfaces, len)]
+    masks = lcm_lattice(C.nonfaces)
     reduce = _cone_reducer(C.nonfaces)
     assert (len(C.ambient), len(masks), len({reduce(W) for W in masks})) == (12, 181, 53)
 
 
 def test_cone_reduction_is_lossless_on_squares(catalog5):
-    # the unreduced oracle scans every mask of the polarized I(G)^2
+    # every mask of the polarized I(G)^2, unreduced, against the sweep's view
     for G in catalog5:
-        if not G.edges():
-            continue
-        I = polarize(edge_ideal(G) ** 2).ideal
-        C = ComplexView.from_ideal(I)
-        for field in (GF2, QQ):
-            oracle = {(0, 0): 1}
-            for W in range(1, 1 << len(I.ambient)):
-                for d, r in reduced_homology_dims(C, W, field).items():
-                    if r:
-                        oracle[(W.bit_count() - 1 - d, W)] = r
-            assert betti_numbers(I, field) == oracle, emit_graph6(G)
-
-
-def test_betti_table_rows_format():
-    I = ideal("x*y", ambient=XY)
-    assert betti_table_rows(betti_numbers(I, GF2)) == [(0, 0, "0", 1), (1, 2, "3", 1)]
+        if G.edges():
+            C = ComplexView.from_ideal(polarize(edge_ideal(G) ** 2).ideal)
+            assert sweep_blind_spots(C) is None, emit_graph6(G)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +456,7 @@ def test_rational_ranks_only_where_mod2_is_alive_in_adjacent_sizes(catalog5, mon
     # size a has a+1 alive too; elsewhere the mod-2 scan decides, and an
     # F2-only depth takes no rational ranks at all.  That is checked on every
     # complex either depth walk reads (degree complexes or reduced lattice
-    # masks); the forced count comes from the full lattice walk
+    # masks); the forced count comes from every reduced lattice mask
     rational = []
     scan = eil.depth._ranks_by_size
 
@@ -474,8 +476,8 @@ def test_rational_ranks_only_where_mod2_is_alive_in_adjacent_sizes(catalog5, mon
         C = ComplexView.from_ideal(polarize(I).ideal)
         reduce = _cone_reducer(C.nonfaces)
         forced = set()
-        for R in {reduce(W) for W, _ in _lattice_homology(C.nonfaces, len)}:
-            alive = [d for d, r in reduced_homology_dims(C, R, GF2).items() if r]
+        for R in {reduce(W) for W in lcm_lattice(C.nonfaces)}:
+            alive = list(_alive(C, R, GF2))
             if alive and alive[0] + 1 in alive:
                 forced.add(R)
         return forced
@@ -514,15 +516,18 @@ def _direct_sweep(I, characteristics):
 
 
 def _check_bounded_sweep_is_exact(catalog):
-    # _pd (socle test, then the sweep bounded by n_used - 1) and the direct
-    # sweep against the largest homological degree of the unpruned Betti
-    # walk, per field and fused, with a cold memo per ideal
+    # _pd (socle test, then a depth walk) and the direct sweep against the
+    # largest homological degree that Hochster's formula gives on the lcm
+    # lattice of the polarized ideal, each mask read whole: no walk order,
+    # stop rule or cone reduction is shared with the sweep.  Per field and
+    # fused, with a cold memo per ideal
     compared = 0
     for G in catalog:
         if not G.edges():
             continue
         for I in (edge_ideal(G), edge_ideal(G) ** 2):
-            want = [max(i for i, _ in betti_numbers(polarize(I).ideal, field))
+            C = ComplexView.from_ideal(polarize(I).ideal)
+            want = [max(i for i, _ in hochster_betti(C, lcm_lattice(C.nonfaces), field))
                     for field in (GF2, QQ)]
             clear_depth_cache()
             assert eil.depth._pd(I, (2, 0)) == want, emit_graph6(G)
@@ -674,6 +679,45 @@ def test_degree_complexes_on_non_squarefree_ideals():
         assert _check_degree_complexes_match_the_sweep([I], single=True) == 0
 
 
+def test_wide_exponents_are_ranked_before_any_walk(monkeypatch):
+    # a map of each column that keeps order and fixes 0 leaves the lcm
+    # lattice, and so pd, as it is: every nonzero exponent e moved to 120 + 7e
+    # gives the same depths, and neither walk is fed an exponent above the
+    # number of distinct values in its column, so neither grows with the
+    # exponents' size (unranked, the sweep would polarize to hundreds of
+    # variables here)
+    walked = []
+
+    def spy(name, rows_of):
+        real = getattr(eil.depth, name)
+
+        def checked(*args):
+            rows = rows_of(*args)
+            assert all(max(col) <= len(set(col)) for col in zip(*rows)), (name, rows)
+            walked.append(name)
+            return real(*args)
+        monkeypatch.setattr(eil.depth, name, checked)
+
+    spy("_degree_depths", lambda rows, characteristics: rows)
+    spy("polarize", lambda I: I.gens)
+    rng = random.Random(1999)
+    ideals = [random_monomial_ideal(rng, rng.randint(2, 4), 3, 8) for _ in range(40)]
+    ideals += [ideal(*texts, ambient=ambient) for texts, ambient, _ in SOCLE_TABLE]
+    ideals.append(edge_ideal(cycle_graph(5)) ** 2)
+    for I in ideals:
+        if I.is_unit:
+            continue
+        wide = MonomialIdeal(I.ambient, tuple(tuple(e and 120 + 7 * e for e in g) for g in I.gens))
+        for call in (depth_ideal_both, lambda J: depth_ideal(J, GF2), lambda J: depth_ideal(J, QQ)):
+            clear_depth_cache()
+            want = call(I)
+            clear_depth_cache()
+            assert call(wide) == want, I
+    # both walks are reached: the square of the 5-cycle goes to the degree
+    # complexes, the rest without a socle to the sweep
+    assert (walked.count("_degree_depths"), walked.count("polarize")) == (6, 144)
+
+
 def test_dispatch_sends_few_generator_ideals_to_the_sweep(monkeypatch):
     # without a socle, prod (rho_j + 1) <= 2^m picks the degree complexes and
     # anything else the sweep: a squarefree ideal on 12 variables with 3
@@ -705,7 +749,9 @@ def test_bounded_sweep_work_counts(catalog5, monkeypatch):
     # pinned so that a change to the bound, the walk order, the socle test or
     # the degree-complex walk changes a count; the unbounded sweep enumerated
     # faces 1441 and 53 times, and depth_ideal, when every depth without a
-    # socle went to the sweep, 85 times
+    # socle went to the sweep, 85 times, and 86 times before exponents were
+    # ranked: the star K_{1,3} squared, with or without an isolated vertex,
+    # has only 2s in its centre's column, and now goes to the degree complexes
     calls = []
     faces = eil.depth._faces_by_size
 
@@ -722,7 +768,7 @@ def test_bounded_sweep_work_counts(catalog5, monkeypatch):
     for I in squares:
         clear_depth_cache()
         depth_ideal(I, GF2)
-    assert len(calls) == 86
+    assert len(calls) == 82
     W3 = edge_ideal(whiskered_triangle()) ** 2
     calls.clear()
     _direct_sweep(W3, (2,))
@@ -738,11 +784,25 @@ def test_socle_test_settles_most_squares(catalog6):
     assert (len(squares), sum(map(eil.depth._has_socle, squares))) == (155, 96)
 
 
-def test_lattice_walk_goes_by_decreasing_size():
-    # nonincreasing bit counts, ties in increasing mask order
+def test_lattice_walk_goes_by_decreasing_size(monkeypatch):
+    # the masks the sweep cone-reduces are the first ones of the lcm lattice
+    # by nonincreasing bit count, ties in increasing mask order
+    walked = []
+    real = eil.depth._cone_reducer
+
+    def recording(nonfaces):
+        reduce = real(nonfaces)
+
+        def walk(W):
+            walked.append(W)
+            return reduce(W)
+        return walk
+
+    monkeypatch.setattr(eil.depth, "_cone_reducer", recording)
     C = ComplexView.from_ideal(polarize(edge_ideal(whiskered_triangle()) ** 2).ideal)
-    masks = [W for W, _ in _lattice_homology(C.nonfaces, len)]
-    assert masks == sorted(masks, key=lambda W: (-W.bit_count(), W))
+    eil.depth._sweep_pd(C.nonfaces, (2, 0), len(C.ambient))
+    order = sorted(lcm_lattice(C.nonfaces), key=lambda W: (-W.bit_count(), W))
+    assert len(walked) > 1 and walked == order[:len(walked)]
 
 
 def _used_columns(I):
@@ -852,10 +912,12 @@ def test_polarization_bridge_on_random_ideals():
             # polarization preserves total Betti numbers; the Taylor strand
             # oracle computes them without polarizing
             totals = taylor_total_betti(I, 2)
-            engine = {}
-            for (i, _), r in betti_numbers(res.ideal, GF2).items():
-                engine[i] = engine.get(i, 0) + r
-            assert totals == engine
+            C = ComplexView.from_ideal(res.ideal)
+            hochster = {}
+            betti = hochster_betti(C, lcm_lattice(C.nonfaces), GF2, _cone_reducer(C.nonfaces))
+            for (i, _), r in betti.items():
+                hochster[i] = hochster.get(i, 0) + r
+            assert totals == hochster
             taylor_checked += 1
     assert taylor_checked >= 20
 
@@ -890,12 +952,3 @@ def test_depth_cache_transparent():
     second = depth_quotient(I, GF2)
     assert first == second
 
-
-def test_depth_quotient_with_betti_table():
-    I = edge_ideal(complete_graph(3)) ** 2
-    for field in (GF2, QQ):
-        r = depth_quotient(I, field, want_betti=True)
-        # the attached table describes the polarized ideal; its top degree is pd
-        assert max(i for i, _ in r.betti) == r.pd_quotient == 3
-        assert r.betti[(0, 0)] == 1
-        assert depth_quotient(I, field).pd_quotient == r.pd_quotient

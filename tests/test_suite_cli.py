@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -510,6 +511,23 @@ def test_cli_depth_cap(capsys):
     assert len(G.edges()) > 0
     assert main(["depth", emit_graph6(G), "--power", "2"]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_cli_help_explains_every_option(capsys):
+    # argparse prints an option without a help string as its name and
+    # metavar alone, with no text beside it or on an indented line below
+    listed = {"alpha2": {"--edges"}, "depth": {"--field", "--max-polarized"},
+              "verify": {"--field", "--seed"}, "hunt": {"--field", "--seed", "--max-polarized"}}
+    for command, options in listed.items():
+        assert main([command, "--help"]) == 0
+        lines = capsys.readouterr().out.splitlines() + [""]
+        named = set()
+        for k, line in enumerate(lines):
+            m = re.fullmatch(r"  (-\S+)((?: \S+)*)(  +\S.*)?", line)
+            if m:
+                named.add(m.group(1))
+                assert m.group(3) or lines[k + 1].startswith(" " * 24), (command, line)
+        assert options <= named, command
 
 
 def test_cli_verify_examples(capsys):
