@@ -25,10 +25,8 @@ from .depth import (
     GF2,
     QQ,
     ComplexView,
-    DepthResult,
     FieldChoice,
     depth_ideal,
-    depth_quotient,
     reduced_homology_dims,
 )
 from .graphs import (

@@ -171,10 +171,12 @@ def _cmd_depth(args) -> int:
 
 
 def _require_output(args):
-    """A json or csv report goes to a file, in a directory that exists;
-    stdout carries the text summary."""
+    """A json or csv report goes to a file, not a directory, in a directory
+    that exists; stdout carries the text summary."""
     if args.format != "text" and not args.output:
         raise CliError(f"--format {args.format} needs --output FILE")
+    if args.output and os.path.isdir(args.output):
+        raise CliError(f"{args.output}: is a directory")
     if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
         raise CliError(f"{args.output}: no such directory")
 
@@ -217,17 +219,18 @@ def _cmd_hunt(args) -> int:
         cross_check=cross, jobs=_jobs(args.jobs),
     )
     _emit_report(report, args.output, args.format)
-    if report.failures:
-        for oc in report.failures:
-            print(f"counterexample check={oc.check_id} graph={oc.graph_id} "
-                  f"lhs={oc.lhs} rhs={oc.rhs}")
-        return 1
-    return 0
+    for oc in report.failures:
+        print(f"counterexample check={oc.check_id} graph={oc.graph_id} "
+              f"lhs={oc.lhs} rhs={oc.rhs}")
+    return 0 if not report.failures else 1
 
 
 def _emit_report(report, output, fmt):
     if output:
-        report.write(output, "csv" if fmt == "csv" else "json")
+        try:
+            report.write(output, "csv" if fmt == "csv" else "json")
+        except OSError as err:  # e.g. a file name the file system refuses
+            raise CliError(f"{output}: {err.strerror}") from None
     summary = report.summary
     pairs = " ".join(f"{k}={v}" for k, v in summary.items())
     print(f"summary {pairs}")

@@ -33,9 +33,9 @@ from that matrix alone:
   |G| = 0, 1, ... are walked until |G| reaches the best depth found, the
   rational one when both fields are asked for: it is never below the mod-2
   one.  The walk visits at most prod_j (rho_j + 1) pairs (G, a).
-- Hochster sweep.  Polarize to a squarefree ideal, read its Stanley-Reisner
-  complex (minimal nonfaces = generator supports), and recover multigraded
-  Betti numbers from reduced homology of induced subcomplexes,
+- Hochster sweep.  Polarize to a squarefree ideal, whose Stanley-Reisner
+  complex has the generator supports as minimal nonfaces, and recover
+  multigraded Betti numbers from reduced homology of induced subcomplexes,
 
       beta_{i,W}(S/I) = rank H~_{|W|-i-1}(Delta restricted to W).
 
@@ -66,9 +66,9 @@ ranks only where mod-2 homology is alive at that size and the next:
 elsewhere universal coefficients force the rational answer to equal the
 mod-2 one.  reduced_homology_dims reads one mask as given, unreduced.
 
-Module depth of a proper nonzero ideal is defined as depth of the quotient
-plus one (equivalently pd(I) = pd(S/I) - 1), and is undefined for the zero
-and unit ideals.
+The public depth is that of the module: for a proper nonzero ideal,
+depth I = depth S/I + 1 = n - pd(S/I) + 1 over its n ambient variables;
+the zero and unit ideals have none.
 """
 
 from __future__ import annotations
@@ -76,20 +76,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from operator import or_
 
 from .graphs import _bits
-from .ideals import MonomialIdeal, _guard, _minimal, _pack, polarize
+from .ideals import MonomialIdeal, _guard, _minimal, _pack
 
 __all__ = [
     "FieldChoice",
     "GF2",
     "QQ",
     "ComplexView",
-    "DepthResult",
     "reduced_homology_dims",
-    "depth_quotient",
     "depth_ideal",
     "depth_ideal_both",
     "clear_depth_cache",
@@ -132,21 +130,6 @@ class ComplexView:
             raise ValueError("Stanley-Reisner complex needs a squarefree ideal")
         masks = (sum(1 << i for i, e in enumerate(g) if e) for g in I.gens)
         return cls(tuple(I.ambient), tuple(masks))
-
-
-@dataclass(frozen=True)
-class DepthResult:
-    """Depth/pd bundle for one quotient; depth_ideal is None for the zero ideal."""
-
-    ambient_size: int
-    pd_quotient: int
-    depth_quotient: int
-    depth_ideal: int | None
-    field: FieldChoice
-
-    def __post_init__(self):
-        if self.depth_quotient + self.pd_quotient != self.ambient_size:
-            raise ValueError("depth + pd must equal the ambient size")
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +375,14 @@ def _has_socle(rows) -> bool:
     return any(not inside(u) and all(inside(u + e) for e in units) for u in cands)
 
 
+def _polarized_nonfaces(rows) -> list[int]:
+    """Minimal nonfaces of the polarization of the minimal generators rows,
+    in the layout of ideals.polarize: column j owns max_j consecutive
+    vertices, and generator u's nonface holds the first u_j of them."""
+    offsets = [0, *accumulate(map(max, zip(*rows)))]
+    return [sum(((1 << e) - 1) << o for e, o in zip(u, offsets)) for u in rows]
+
+
 def _sweep_pd(nonfaces, characteristics: tuple[int, ...], top: int) -> list[int]:
     """pd of the squarefree quotient with these minimal nonfaces, in each
     characteristic, by the Hochster sweep (module docstring): lcm-lattice
@@ -487,7 +478,7 @@ def _pd(I: MonomialIdeal, characteristics: tuple[int, ...]) -> list[int]:
     gives pd = n_used in every field.  Without one, an ideal with
     prod_j (rho_j + 1) <= 2^m (rho_j the largest rank in column j, m the
     number of generators) takes pd = n_used - depth from the degree
-    complexes, and any other is polarized for the sweep with
+    complexes, and any other goes to the sweep on _polarized_nonfaces with
     top = n_used - 1.  The path is a function of the memo key alone, so no
     cache state can change which path answers.
     """
@@ -501,28 +492,9 @@ def _pd(I: MonomialIdeal, characteristics: tuple[int, ...]) -> list[int]:
         elif math.prod(max(col) + 1 for col in zip(*ranked)) <= 1 << len(ranked):
             pd = [n_used - d for d in _degree_depths(ranked, missing)]
         else:
-            J = MonomialIdeal(tuple(f"x{j}" for j in range(n_used)), ranked)
-            nonfaces = ComplexView.from_ideal(polarize(J).ideal).nonfaces
-            pd = _sweep_pd(nonfaces, missing, n_used - 1)
+            pd = _sweep_pd(_polarized_nonfaces(ranked), missing, n_used - 1)
         _PD_CACHE.update(((c, rows), p) for c, p in zip(missing, pd))
     return [_PD_CACHE[(c, rows)] for c in characteristics]
-
-
-def depth_quotient(I: MonomialIdeal, field: FieldChoice = GF2) -> DepthResult:
-    """Depth and projective dimension of S/I over the ideal's own ambient.
-
-    pd comes from the socle test, the degree complexes or the bounded sweep
-    (see _pd), all over the variables the generators use; variables no
-    generator uses add to depth only.  The zero ideal gives depth = ambient
-    size.
-    """
-    if I.is_unit:
-        raise ValueError("depth of the unit quotient is undefined")
-    n = len(I.ambient)
-    if I.is_zero:
-        return DepthResult(n, 0, n, None, field)
-    (pd,) = _pd(I, (field.characteristic,))
-    return DepthResult(n, pd, n - pd, n - pd + 1, field)
 
 
 def _module_depths(I: MonomialIdeal, characteristics: tuple[int, ...]) -> tuple[int, ...]:
@@ -537,9 +509,6 @@ def depth_ideal(I: MonomialIdeal, field: FieldChoice = GF2) -> int:
 
 
 def depth_ideal_both(I: MonomialIdeal) -> tuple[int, int]:
-    """Module depth in characteristics 2 and 0, sharing one depth walk.
-
-    Cheaper than two depth_ideal calls; used by the cross-checking harness.
-    """
+    """Module depth in characteristics 2 and 0, sharing one depth walk."""
     return _module_depths(I, (2, 0))
 

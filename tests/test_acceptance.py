@@ -10,16 +10,10 @@ import random
 import time
 from itertools import combinations
 
-from test_depth import sweep_blind_spots
+from test_depth import quotient_depth, quotient_pd, sweep_blind_spots
 
 from eil.checks import DepthComputer, check_colon_intersection, check_sharp_examples
-from eil.depth import (
-    GF2,
-    QQ,
-    ComplexView,
-    depth_quotient,
-    reduced_homology_dims,
-)
+from eil.depth import GF2, QQ, ComplexView, reduced_homology_dims
 from eil.graphs import random_graph, triangles
 from eil.ideals import MonomialIdeal, edge_ideal, polarize, symbolic_square_edge_ideal
 from eil.suite import run_suite
@@ -205,8 +199,8 @@ def test_criterion_09_engine_sanity():
         res = polarize(I)
         values = {}
         for field in (GF2, QQ):
-            dq = depth_quotient(I, field).depth_quotient
-            if dq != depth_quotient(res.ideal, field).depth_quotient - res.extra:
+            dq = quotient_depth(I, field)
+            if dq != quotient_depth(res.ideal, field) - res.extra:
                 problems.append(f"bridge {I.pretty()} char {field.characteristic}")
             values[field.characteristic] = dq
         COMPARISONS[0] += 1
@@ -231,7 +225,7 @@ def test_criterion_09_engine_sanity():
         if any(a & b for a, b in combinations(supports, 2)):
             continue
         I = MonomialIdeal(amb, tuple(gens))
-        if depth_quotient(I, GF2).pd_quotient != len(I.gens):
+        if quotient_pd(I, GF2) != len(I.gens):
             problems.append(f"complete intersection {I.pretty()}")
 
     # free-variable shift
@@ -242,11 +236,9 @@ def test_criterion_09_engine_sanity():
         if not gens:
             continue
         I = MonomialIdeal(amb, tuple(gens))
-        base = depth_quotient(I, GF2)
         wider = MonomialIdeal(amb + ("spare",), tuple(g + (0,) for g in I.gens))
-        shifted = depth_quotient(wider, GF2)
-        if (shifted.pd_quotient, shifted.depth_quotient) != (
-            base.pd_quotient, base.depth_quotient + 1
+        if (quotient_pd(wider, GF2), quotient_depth(wider, GF2)) != (
+            quotient_pd(I, GF2), quotient_depth(I, GF2) + 1
         ):
             problems.append(f"free variable shift {I.pretty()}")
 

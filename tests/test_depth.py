@@ -19,7 +19,6 @@ from eil.depth import (
     GF2,
     QQ,
     ComplexView,
-    DepthResult,
     FieldChoice,
     _cone_reducer,
     _faces_by_size,
@@ -27,7 +26,6 @@ from eil.depth import (
     clear_depth_cache,
     depth_ideal,
     depth_ideal_both,
-    depth_quotient,
     reduced_homology_dims,
 )
 from eil.graphs import complete_graph, cycle_graph, emit_graph6, path_graph, whiskered_triangle
@@ -37,6 +35,16 @@ from test_ideals import ideal
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
+
+
+def quotient_depth(I, field):
+    """depth S/I, read off the module depth of I."""
+    return depth_ideal(I, field) - 1
+
+
+def quotient_pd(I, field):
+    """pd S/I by Auslander-Buchsbaum over the ambient of I."""
+    return len(I.ambient) + 1 - depth_ideal(I, field)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +335,7 @@ def test_betti_shared_variable_pair():
     assert max(i for i, _ in oracle) == 2  # pd(S/I) = 2, settled by the oracle
     got = hochster_betti(ComplexView.from_ideal(I), range(1, 1 << len(amb)), GF2)
     assert got == {(0, 0): 1, (1, 0b011): 1, (1, 0b101): 1, (2, 0b111): 1}
-    assert depth_quotient(I, GF2).pd_quotient == 2
+    assert quotient_pd(I, GF2) == 2
 
 
 def test_betti_matches_taylor_oracle_random_squarefree():
@@ -401,19 +409,17 @@ def test_cone_reduction_is_lossless_on_squares(catalog5):
 
 def test_depth_principal_quadric():
     I = ideal("x*y", ambient=XY)
-    r = depth_quotient(I, GF2)
-    assert (r.pd_quotient, r.depth_quotient, r.depth_ideal) == (1, 1, 2)
+    assert (quotient_pd(I, GF2), quotient_depth(I, GF2), depth_ideal(I, GF2)) == (1, 1, 2)
 
 
 def test_depth_triangle():
     I = edge_ideal(complete_graph(3))
-    r = depth_quotient(I, GF2)
-    assert (r.depth_quotient, r.depth_ideal) == (1, 2)
+    assert (quotient_depth(I, GF2), depth_ideal(I, GF2)) == (1, 2)
 
 
 def test_depth_triangle_square_has_depth_one():
     I = edge_ideal(complete_graph(3))
-    assert depth_quotient(I ** 2, GF2).depth_quotient == 0
+    assert quotient_depth(I ** 2, GF2) == 0
     assert depth_ideal(I ** 2, GF2) == 1
 
 
@@ -432,10 +438,10 @@ def test_depth_whiskered_triangle_square():
 def test_depth_textbook_paths_and_cycles():
     # depth of the path quotient is ceil(n/3); the pentagon is the classic
     # Cohen-Macaulay odd cycle (depth = dim = 2) while the square is not
-    assert depth_quotient(edge_ideal(path_graph(4)), GF2).depth_quotient == 2
-    assert depth_quotient(edge_ideal(path_graph(6)), GF2).depth_quotient == 2
-    assert depth_quotient(edge_ideal(cycle_graph(5)), GF2).depth_quotient == 2
-    assert depth_quotient(edge_ideal(cycle_graph(4)), GF2).depth_quotient == 1
+    assert quotient_depth(edge_ideal(path_graph(4)), GF2) == 2
+    assert quotient_depth(edge_ideal(path_graph(6)), GF2) == 2
+    assert quotient_depth(edge_ideal(cycle_graph(5)), GF2) == 2
+    assert quotient_depth(edge_ideal(cycle_graph(4)), GF2) == 1
 
 
 # sha256 of the sorted (graph6, depth_ideal_both(I(G)^2)) over the 202 edged
@@ -684,22 +690,25 @@ def test_wide_exponents_are_ranked_before_any_walk(monkeypatch):
     # lattice, and so pd, as it is: every nonzero exponent e moved to 120 + 7e
     # gives the same depths, and neither walk is fed an exponent above the
     # number of distinct values in its column, so neither grows with the
-    # exponents' size (unranked, the sweep would polarize to hundreds of
-    # variables here)
+    # exponents' size: the sweep's nonfaces span at most sum_j (distinct
+    # nonzero values of column j) vertices (unranked, the polarization would
+    # have hundreds of variables here)
     walked = []
+    span = []  # that vertex bound for the ideal in hand
 
-    def spy(name, rows_of):
+    def spy(name, within):
         real = getattr(eil.depth, name)
 
         def checked(*args):
-            rows = rows_of(*args)
-            assert all(max(col) <= len(set(col)) for col in zip(*rows)), (name, rows)
+            assert within(*args), (name, args)
             walked.append(name)
             return real(*args)
         monkeypatch.setattr(eil.depth, name, checked)
 
-    spy("_degree_depths", lambda rows, characteristics: rows)
-    spy("polarize", lambda I: I.gens)
+    spy("_degree_depths", lambda rows, characteristics:
+        all(max(col) <= len(set(col)) for col in zip(*rows)))
+    spy("_sweep_pd", lambda nonfaces, characteristics, top:
+        max(nonfaces).bit_length() <= span[-1])
     rng = random.Random(1999)
     ideals = [random_monomial_ideal(rng, rng.randint(2, 4), 3, 8) for _ in range(40)]
     ideals += [ideal(*texts, ambient=ambient) for texts, ambient, _ in SOCLE_TABLE]
@@ -707,6 +716,7 @@ def test_wide_exponents_are_ranked_before_any_walk(monkeypatch):
     for I in ideals:
         if I.is_unit:
             continue
+        span.append(sum(len(set(col) - {0}) for col in zip(*I.gens)))
         wide = MonomialIdeal(I.ambient, tuple(tuple(e and 120 + 7 * e for e in g) for g in I.gens))
         for call in (depth_ideal_both, lambda J: depth_ideal(J, GF2), lambda J: depth_ideal(J, QQ)):
             clear_depth_cache()
@@ -715,7 +725,30 @@ def test_wide_exponents_are_ranked_before_any_walk(monkeypatch):
             assert call(wide) == want, I
     # both walks are reached: the square of the 5-cycle goes to the degree
     # complexes, the rest without a socle to the sweep
-    assert (walked.count("_degree_depths"), walked.count("polarize")) == (6, 144)
+    assert (walked.count("_degree_depths"), walked.count("_sweep_pd")) == (6, 144)
+
+
+def test_sweep_nonfaces_are_the_polarized_supports():
+    # _pd writes the sweep's nonfaces straight from the ranked rows; polarize,
+    # through a MonomialIdeal and ComplexView.from_ideal, is the reference
+    # for that vertex layout
+    rng = random.Random(4243)
+    ideals = [random_monomial_ideal(rng, rng.randint(1, 5), 3, 6) for _ in range(60)]
+    ideals += [ideal(*texts, ambient=ambient) for texts, ambient, _ in SOCLE_TABLE]
+    ideals.append(edge_ideal(cycle_graph(5)) ** 2)
+    compared = 0
+    for I in ideals:
+        if I.is_unit:
+            continue
+        rows = _used_columns(I)
+        ranked = tuple(zip(*(map(sorted({0, *col}).index, col) for col in zip(*rows))))
+        for R in {rows, ranked}:
+            J = MonomialIdeal(tuple(f"x{j}" for j in range(len(R[0]))), R)
+            want = ComplexView.from_ideal(polarize(J).ideal).nonfaces
+            got = eil.depth._polarized_nonfaces(R)
+            assert len(got) == len(set(got)) and set(got) == set(want), R
+            compared += 1
+    assert compared == 123
 
 
 def test_dispatch_sends_few_generator_ideals_to_the_sweep(monkeypatch):
@@ -836,27 +869,15 @@ def test_depth_memo_is_keyed_by_the_used_columns(catalog5, monkeypatch):
 
 
 def test_depth_zero_and_unit_ideals():
-    zero = MonomialIdeal.zero(XYZ)
-    r = depth_quotient(zero, GF2)
-    assert r.depth_quotient == 3 and r.pd_quotient == 0 and r.depth_ideal is None
-    unit = ideal("1")
-    with pytest.raises(ValueError):
-        depth_quotient(unit, GF2)
-    with pytest.raises(ValueError):
-        depth_ideal(zero, GF2)
-    with pytest.raises(ValueError):
-        depth_ideal(unit, GF2)
-
-
-def test_depth_result_bookkeeping_enforced():
-    with pytest.raises(ValueError):
-        DepthResult(3, 1, 1, 2, GF2)
+    for I in (MonomialIdeal.zero(XYZ), ideal("1")):
+        for call in (lambda J: depth_ideal(J, GF2), lambda J: depth_ideal(J, QQ), depth_ideal_both):
+            with pytest.raises(ValueError):
+                call(I)
 
 
 def test_maximal_ideal_quotient():
     I = ideal("x", "y", "z")
-    r = depth_quotient(I, GF2)
-    assert r.pd_quotient == 3 and r.depth_quotient == 0
+    assert (quotient_pd(I, GF2), quotient_depth(I, GF2)) == (3, 0)
 
 
 def test_free_variable_shift():
@@ -865,11 +886,9 @@ def test_free_variable_shift():
         I = random_monomial_ideal(rng, rng.randint(1, 4), 3, 4)
         if I.is_unit:
             continue
-        r = depth_quotient(I, GF2)
         wider = MonomialIdeal(I.ambient + ("spare",), tuple(g + (0,) for g in I.gens))
-        rw = depth_quotient(wider, GF2)
-        assert rw.pd_quotient == r.pd_quotient
-        assert rw.depth_quotient == r.depth_quotient + 1
+        assert quotient_pd(wider, GF2) == quotient_pd(I, GF2)
+        assert quotient_depth(wider, GF2) == quotient_depth(I, GF2) + 1
 
 
 def test_complete_intersections_have_pd_k():
@@ -893,7 +912,7 @@ def test_complete_intersections_have_pd_k():
         if any(a & b for a, b in combinations(supports, 2)):
             continue
         I = MonomialIdeal(amb, tuple(gens))
-        assert depth_quotient(I, GF2).pd_quotient == len(I.gens)
+        assert quotient_pd(I, GF2) == len(I.gens)
 
 
 def test_polarization_bridge_on_random_ideals():
@@ -905,8 +924,8 @@ def test_polarization_bridge_on_random_ideals():
             continue
         res = polarize(I)
         for field in (GF2, QQ):
-            dq = depth_quotient(I, field).depth_quotient
-            dq_pol = depth_quotient(res.ideal, field).depth_quotient
+            dq = quotient_depth(I, field)
+            dq_pol = quotient_depth(res.ideal, field)
             assert dq == dq_pol - res.extra
         if len(I.gens) <= 5 and trial % 3 == 0:
             # polarization preserves total Betti numbers; the Taylor strand
@@ -948,7 +967,7 @@ def test_field_agreement_and_fused_path():
 def test_depth_cache_transparent():
     I = edge_ideal(complete_graph(3))
     clear_depth_cache()
-    first = depth_quotient(I, GF2)
-    second = depth_quotient(I, GF2)
+    first = depth_ideal(I, GF2)
+    second = depth_ideal(I, GF2)
     assert first == second
 

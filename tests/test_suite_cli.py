@@ -12,6 +12,7 @@ from eil.catalog import all_graphs
 from eil.cli import main
 from eil.depth import GF2
 import eil.checks
+import eil.cli
 from eil.checks import FAILS, CheckOutcome
 from eil.graphs import (
     Graph6Error,
@@ -694,6 +695,32 @@ def test_cli_unreadable_input_or_report_directory_is_a_usage_error(tmp_path, cap
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name}: ") and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["graphs"]
+
+
+def test_cli_report_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys,
+                                                                  monkeypatch):
+    # an --output naming a directory is refused before any check runs; a
+    # file the file system will not create (here a name longer than any file
+    # system allows) is found only by the write, after the run: both exit 2
+    # naming the path, with no traceback and no report or temporary file left
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "reports").mkdir()
+    runs = []
+    for name in ("run_suite", "hunt_counterexamples"):
+        def counting(*args, _real=getattr(eil.cli, name), **kwargs):
+            runs.append(args)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(eil.cli, name, counting)
+    for argv in (["verify", "--suite", "main", "--max-n", "2"],
+                 ["hunt", "--n", "3", "--random", "1", "--seed", "1"]):
+        for report, ran in (("reports", 0), ("x" * 300 + ".json", 1)):
+            runs.clear()
+            assert main([*argv, "--format", "json", "--output", report]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {report}: ") and "Traceback" not in err
+            assert len(runs) == ran
+    assert [p.name for p in tmp_path.iterdir()] == ["reports"]
+    assert not any((tmp_path / "reports").iterdir())
 
 
 def test_cli_input_without_graphs_rejected(tmp_path, capsys):
