@@ -1,7 +1,7 @@
 """eil: exact depth bounds for powers of edge ideals of graphs.
 
-Bit-mask graphs, exact monomial-ideal arithmetic, depth via polarization and
-reduced simplicial homology, and a verification harness that checks every
+Bit-mask graphs, exact monomial-ideal arithmetic, depth by a socle test,
+Takayama's degree complexes or a Hochster sweep, and a harness checking every
 supported inequality and identity over exhaustive small-graph catalogs.
 """
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 
 from .catalog import all_graphs
 from .checks import NOT_APPLICABLE
@@ -171,14 +172,26 @@ def _cmd_depth(args) -> int:
 
 
 def _require_output(args):
-    """A json or csv report goes to a file, not a directory, in a directory
-    that exists; stdout carries the text summary."""
-    if args.format != "text" and not args.output:
+    """A json or csv report goes to a file, not a directory, at a path the
+    file system accepts; stdout carries the text summary.  The path is probed
+    before the run: the file, or a scratch file beside it if it exists, is
+    made and removed, so an existing report stays as it was."""
+    path = args.output
+    if args.format != "text" and not path:
         raise CliError(f"--format {args.format} needs --output FILE")
-    if args.output and os.path.isdir(args.output):
-        raise CliError(f"{args.output}: is a directory")
-    if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
-        raise CliError(f"{args.output}: no such directory")
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise CliError(f"{path}: is a directory")
+    try:
+        try:
+            fd, probe = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL), path
+        except FileExistsError:
+            fd, probe = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+        os.close(fd)
+        os.unlink(probe)
+    except OSError as err:  # e.g. a missing directory, a name too long
+        raise CliError(f"{path}: {err.strerror}") from None
 
 
 def _cmd_verify(args) -> int:
@@ -229,7 +242,7 @@ def _emit_report(report, output, fmt):
     if output:
         try:
             report.write(output, "csv" if fmt == "csv" else "json")
-        except OSError as err:  # e.g. a file name the file system refuses
+        except OSError as err:  # e.g. a full disk
             raise CliError(f"{output}: {err.strerror}") from None
     summary = report.summary
     pairs = " ".join(f"{k}={v}" for k, v in summary.items())

@@ -19,8 +19,8 @@ import io
 import json
 import os
 import random
-import tempfile
-from contextlib import nullcontext
+import shutil
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 from itertools import islice
@@ -281,17 +281,22 @@ class VerificationReport:
     def write(self, path: str, fmt: str = "json"):
         """Atomic write of fmt "json" or "csv": the file appears complete or
         not at all.  Rows are streamed, so the file's bytes are those of
-        to_json() or to_csv() without either text being held whole."""
+        to_json() or to_csv() without either text being held whole.  A new
+        file gets the mode open(path, "w") gives; an overwritten one keeps
+        its mode."""
         if fmt not in ("json", "csv"):
             raise ValueError(f"report format must be json or csv, got {fmt!r}")
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", text=True)
+        directory = os.path.dirname(os.path.abspath(path))
+        tmp = os.path.join(directory, f".report-{os.urandom(6).hex()}")
+        handle = open(tmp, "x", encoding="utf-8", newline="")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            with handle:
                 if fmt == "json":
                     handle.writelines(self._json_chunks())
                 else:
                     csv.writer(handle).writerows(self._csv_rows())
+            with suppress(FileNotFoundError):
+                shutil.copymode(path, tmp)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -14,7 +15,6 @@ from eil.checks import (
     HOLDS,
     NOT_APPLICABLE,
     DepthComputer,
-    _pieces,
     check_colon_intersection,
     check_even_connection_depth,
     check_first_power,
@@ -333,8 +333,13 @@ def _row(oc):
 
 
 def _cold(G, name, edge, A):
-    """The rows of one call on an empty memo; edge None: a graph-level check."""
-    _pieces.cache_clear()
+    """The rows of one call on an empty memo."""
+    eil.checks._memo.cache_clear()
+    return _rows(G, name, edge, A)
+
+
+def _rows(G, name, edge, A):
+    """The rows of one call; edge None: a graph-level check."""
     if edge is None:
         result = GRAPH_CHECKS[name](G)
         return [_row(oc) for oc in (result if isinstance(result, list) else [result])
@@ -363,12 +368,13 @@ def test_memo_interleaved_graphs_match_cold_calls():
     G1, G2 = whiskered_triangle(), graph_from_edges("abcde", [("a", "b"), ("b", "c"),
                                                               ("c", "a"), ("c", "d"), ("d", "e")])
     cold = {G: [_cold(G, *inst) for inst in _edge_set_instances(G)] for G in (G1, G2)}
-    _pieces.cache_clear()
+    eil.checks._memo.cache_clear()
     for G in (G1, G2, G1):
         assert [[_row(EDGE_SET_CHECKS[name](G, edge, A))]
                 for name, edge, A in _edge_set_instances(G)] == cold[G]
-    info = _pieces.cache_info()
-    assert info.hits > 0 and info.maxsize == 128 and info.currsize <= 128
+    info = eil.checks._memo.cache_info()
+    assert info.hits > 0 and info.maxsize == eil.checks._MEMO_PIECES
+    assert info.currsize <= info.maxsize
 
 
 def test_memo_shares_pieces_of_a_common_graph_minus_a(monkeypatch):
@@ -383,7 +389,7 @@ def test_memo_shares_pieces_of_a_common_graph_minus_a(monkeypatch):
         return edge_ideal(G)
 
     monkeypatch.setattr(eil.checks, "edge_ideal", counting)
-    _pieces.cache_clear()
+    eil.checks._memo.cache_clear()
     for G in (G1, G2):
         for name, fn in EDGE_SET_CHECKS.items():
             fn(G, ("b", "c"), () if name == "colon_intersection" else ("e",))
@@ -392,17 +398,21 @@ def test_memo_shares_pieces_of_a_common_graph_minus_a(monkeypatch):
     assert built[path] == 1 and built[G1] == built[G2] == 1
 
 
-def test_memo_state_never_changes_a_row(catalog5):
-    # catalog order and reverse order evict different graphs from the memo
-    def rows(graphs):
-        _pieces.cache_clear()
-        return {emit_graph6(G): [_row(EDGE_SET_CHECKS[name](G, edge, A))
-                                 for name, edge, A in _edge_set_instances(G)]
-                for G in graphs}
+def test_memo_state_never_changes_a_row(catalog5, monkeypatch):
+    # memos far smaller than the default, read in catalog order and in
+    # reverse, evict different pieces at every step; no row may notice
+    def instances(G):
+        return [*((name, None, ()) for name in GRAPH_CHECKS), *_edge_set_instances(G)]
 
-    forward = rows(catalog5)
-    assert _pieces.cache_info().currsize == 128  # full, and bounded
-    assert rows(catalog5[::-1]) == forward
+    cold = {emit_graph6(G): [_cold(G, *inst) for inst in instances(G)] for G in catalog5}
+    for size in (1, 4, 64):
+        memo = lru_cache(maxsize=size)(eil.checks._memo.__wrapped__)
+        monkeypatch.setattr(eil.checks, "_memo", memo)
+        for graphs in (catalog5, catalog5[::-1]):
+            memo.cache_clear()
+            warm = {emit_graph6(G): [_rows(G, *inst) for inst in instances(G)] for G in graphs}
+            assert warm == cold, size
+            assert memo.cache_info().currsize == size  # full, and bounded
 
 
 def test_memo_hit_still_rejects_inadmissible_sets():
@@ -412,7 +422,7 @@ def test_memo_hit_still_rejects_inadmissible_sets():
     u, v = G.edge_labels()[0]
     far = next(x for x in G.labels if not _mask(G, [x]) & G.closed_mask(G.index(u))
                and not _mask(G, [x]) & G.closed_mask(G.index(v)))
-    hits = _pieces.cache_info().hits
+    hits = eil.checks._memo.cache_info().hits
     for name, fn in EDGE_SET_CHECKS.items():
         if name == "colon_intersection":
             with pytest.raises(ValueError, match="is not an edge"):
@@ -421,7 +431,7 @@ def test_memo_hit_still_rejects_inadmissible_sets():
         for A in ((u,), (far,), ("nowhere",)):
             with pytest.raises(ValueError, match="inadmissible deletion set"):
                 fn(G, (u, v), A)
-    assert _pieces.cache_info().hits == hits  # raised before reading the memo
+    assert eil.checks._memo.cache_info().hits == hits  # raised before reading the memo
 
 
 def test_one_shot_deletion_sets_read_like_tuples():
@@ -447,9 +457,9 @@ def test_edge_set_suite_same_body_for_one_and_two_jobs(catalog5):
 
 def test_shared_memo_work_counts(catalog5, tmp_path, capsys, monkeypatch):
     # pinned: one packing per edged graph under main (141 while each square id
-    # made its own), one per graph and deletion mask under the edge-set checks
-    # (3329 while each instance made its own), and no wk3 scan where no check
-    # reads wk3-freeness
+    # made its own), one per labeled graph G - drop under the edge-set checks
+    # (296 while keyed by graph and deletion mask, 3329 while each instance
+    # made its own), and no wk3 scan where no check reads wk3-freeness
     calls = Counter()
     for fn in ("star_packing_number", "is_wk3_free"):
         def counting(G, _real=getattr(eil.checks, fn), _fn=fn):
@@ -460,7 +470,7 @@ def test_shared_memo_work_counts(catalog5, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(eil.cli, "star_packing_number", eil.checks.star_packing_number)
 
     def count(run):
-        _pieces.cache_clear()
+        eil.checks._memo.cache_clear()
         calls.clear()
         return run(), dict(calls)
 
@@ -468,7 +478,7 @@ def test_shared_memo_work_counts(catalog5, tmp_path, capsys, monkeypatch):
     assert seen == {"star_packing_number": 47, "is_wk3_free": 47}
     assert report.summary["depth_comparisons"] == 141  # three DepthComputer calls per graph
     assert count(lambda: run_suite(catalog5, list(EDGE_SET_CHECKS)))[1] == {
-        "star_packing_number": 296, "is_wk3_free": 47}
+        "star_packing_number": 83, "is_wk3_free": 47}
     assert count(lambda: run_suite(catalog5, ["colon_intersection"]))[1] == {}
     path = tmp_path / "n5.g6"
     path.write_text("".join(emit_graph6(G) + "\n" for G in catalog5 if G.edges()))
@@ -495,7 +505,7 @@ def test_validator_work_count(catalog5, monkeypatch):
 
     for module in (eil.graphs, eil.checks, eil.suite):
         monkeypatch.setattr(module, "_admissible_pool", counting)
-    _pieces.cache_clear()
+    eil.checks._memo.cache_clear()
     run_suite(catalog5, list(EDGE_SET_CHECKS), GF2)
     assert calls["pool"] == 5426
 
@@ -503,9 +513,9 @@ def test_validator_work_count(catalog5, monkeypatch):
 def test_colon_work_count(catalog5, monkeypatch):
     # pinned: I(G-A):u is made once per graph G-A and vertex, shared by the
     # edges at u and by every catalog graph and deletion set giving that G-A
-    # while it is in the memo, so a cold edge-set run on n <= 5 computes 1072
-    # colons (2539 while keyed by graph and deletion set, 3282 while each
-    # edge made its own two)
+    # while it is in the memo, so a cold edge-set run on n <= 5 computes 983
+    # colons (1072 while the memo held the last 128 graphs, 2539 while keyed
+    # by graph and deletion set, 3282 while each edge made its own two)
     calls = Counter()
     real = MonomialIdeal.colon
 
@@ -514,6 +524,6 @@ def test_colon_work_count(catalog5, monkeypatch):
         return real(self, m)
 
     monkeypatch.setattr(MonomialIdeal, "colon", counting)
-    _pieces.cache_clear()
+    eil.checks._memo.cache_clear()
     run_suite(catalog5, list(EDGE_SET_CHECKS), GF2)
-    assert calls["colon"] == 1072
+    assert calls["colon"] == 983

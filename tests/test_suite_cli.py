@@ -3,8 +3,10 @@
 import hashlib
 import itertools
 import json
+import os
 import random
 import re
+import stat
 
 import pytest
 
@@ -699,10 +701,10 @@ def test_cli_unreadable_input_or_report_directory_is_a_usage_error(tmp_path, cap
 
 def test_cli_report_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys,
                                                                   monkeypatch):
-    # an --output naming a directory is refused before any check runs; a
-    # file the file system will not create (here a name longer than any file
-    # system allows) is found only by the write, after the run: both exit 2
-    # naming the path, with no traceback and no report or temporary file left
+    # an --output naming a directory, or a file the file system will not
+    # create (here a name longer than any file system allows), is refused
+    # before any check runs: both exit 2 naming the path, with no traceback
+    # and no report or temporary file left
     monkeypatch.chdir(tmp_path)
     (tmp_path / "reports").mkdir()
     runs = []
@@ -713,14 +715,60 @@ def test_cli_report_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsy
         monkeypatch.setattr(eil.cli, name, counting)
     for argv in (["verify", "--suite", "main", "--max-n", "2"],
                  ["hunt", "--n", "3", "--random", "1", "--seed", "1"]):
-        for report, ran in (("reports", 0), ("x" * 300 + ".json", 1)):
+        for report, reason in (("reports", "is a directory"),
+                               ("x" * 300 + ".json", "File name too long")):
             runs.clear()
             assert main([*argv, "--format", "json", "--output", report]) == 2
             err = capsys.readouterr().err
-            assert err.startswith(f"error: {report}: ") and "Traceback" not in err
-            assert len(runs) == ran
+            assert err == f"error: {report}: {reason}\n"
+            assert runs == []
     assert [p.name for p in tmp_path.iterdir()] == ["reports"]
     assert not any((tmp_path / "reports").iterdir())
+
+
+def test_cli_report_path_probe_leaves_an_existing_report_alone(tmp_path, monkeypatch):
+    # the probe before the run neither truncates nor touches a report that is
+    # already there; a run that then dies leaves it byte for byte, mode and all
+    monkeypatch.chdir(tmp_path)
+    report = tmp_path / "r.json"
+    report.write_text("an earlier report\n")
+    report.chmod(0o640)
+
+    class Died(Exception):
+        pass
+
+    def dies(*args, **kwargs):
+        raise Died
+
+    monkeypatch.setattr(eil.cli, "run_suite", dies)
+    monkeypatch.setattr(eil.cli, "hunt_counterexamples", dies)
+    for argv in (["verify", "--suite", "main", "--max-n", "2"],
+                 ["hunt", "--n", "3", "--random", "1", "--seed", "1"]):
+        with pytest.raises(Died):
+            main([*argv, "--format", "json", "--output", "r.json"])
+        assert report.read_text() == "an earlier report\n"
+        assert stat.S_IMODE(report.stat().st_mode) == 0o640
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+def test_report_file_mode_follows_the_umask_and_survives_overwrite(tmp_path):
+    # a new report gets what open(path, "w") gives; an overwritten one keeps its mode
+    report = run_suite([], ["examples"])
+    old = os.umask(0o022)
+    try:
+        for fmt in ("json", "csv"):
+            path = tmp_path / f"r.{fmt}"
+            report.write(str(path), fmt)
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644
+            path.chmod(0o664)
+            report.write(str(path), fmt)
+            assert stat.S_IMODE(path.stat().st_mode) == 0o664
+        os.umask(0o077)
+        report.write(str(tmp_path / "private.json"), "json")
+        assert stat.S_IMODE((tmp_path / "private.json").stat().st_mode) == 0o600
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["private.json", "r.csv", "r.json"]
 
 
 def test_cli_input_without_graphs_rejected(tmp_path, capsys):
