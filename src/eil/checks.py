@@ -18,7 +18,10 @@ graph it depends on: the edge-set pieces and alpha2 after a deletion by G-A,
 which many catalog graphs share, so each is made once per G-A, not per (G, A).
 An edge-set check validates its edge and deletion set first, with
 graphs._admissible_pool, which reads the set once and returns it as a vertex
-mask; the pieces and the witness take it from there.
+mask; the pieces and the witness take it from there.  The suite validates
+each (edge, A) once per graph into a record (_edge_set) that it hands to
+every edge-set check of that graph in place of the labels; a check trusts a
+record only for the same G (the same object) and edge.
 
 Checks compute verdicts only; the suite times each check call and fills in
 elapsed_ms, which stays 0.0 when a check is called directly.
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .depth import GF2, FieldChoice, depth_ideal, depth_ideal_both
 from .graphs import (
@@ -139,6 +143,34 @@ def _memo(G: Graph, fn, *args):
     """fn(G, *args), kept for the last _MEMO_PIECES keys read; an equal Graph
     finds it.  The builders below take masks the calling check has validated."""
     return fn(G, *args)
+
+
+class _EdgeSet(NamedTuple):
+    """An edge uv of G and a deletion set A that graphs._admissible_pool has
+    passed: what it returned, (i, j, pool, a), and the sorted labels of A, as
+    the witness prints them."""
+
+    G: Graph
+    u: str
+    v: str
+    i: int
+    j: int
+    pool: int
+    a: int
+    names: tuple[str, ...]
+
+
+def _edge_set(G: Graph, u: str, v: str, A) -> _EdgeSet:
+    """The record of the deletion set A at the edge uv of G: A itself when it
+    is a record made for this G (the same object) and edge, else one made by
+    _admissible_pool from A's labels (a record's own, for any other record),
+    which raises its ValueError."""
+    if isinstance(A, _EdgeSet):
+        if A.G is G and A.u == u and A.v == v:
+            return A
+        A = A.names
+    i, j, pool, a = _admissible_pool(G, u, v, A)
+    return _EdgeSet(G, u, v, i, j, pool, a, tuple(sorted(_labels(G, a))))
 
 
 def _without(G: Graph, a: int) -> Graph:
@@ -261,14 +293,14 @@ def check_even_connection_depth(G: Graph, edge, A, computer=None) -> CheckOutcom
     equals J = (I(G-A):u) meet (I(G-A):v).  So whenever this holds, depth(J) =
     depth(K) clears the same bound: the colon-intersection depth statement."""
     u, v = edge
-    a = _admissible_pool(G, u, v, A)[3]
+    rec = _edge_set(G, u, v, A)
     computer = computer or DepthComputer()
-    J, K, L = _memo(_memo(G, _without, a), _colon_intersection_pair, u, v)
+    J, K, L = _memo(_memo(G, _without, rec.a), _colon_intersection_pair, u, v)
     identity = K == J
     lhs = computer.ideal_depth(K)
     rhs = _memo(G, star_packing_number).size
     status = HOLDS if identity and lhs >= rhs else FAILS
-    witness = {"edge": [u, v], "A": sorted(_labels(G, a)), "L": list(L), "identity": identity}
+    witness = {"edge": [u, v], "A": list(rec.names), "L": list(L), "identity": identity}
     return CheckOutcome("even_connection_depth", _memo(G, emit_graph6), status, lhs, rhs,
                         witness, computer.field.characteristic)
 
@@ -277,13 +309,13 @@ def check_square_colon_depth(G: Graph, edge, A, computer=None) -> CheckOutcome:
     """depth of (I(G-A)^2 : uv) over the shrunken ring is at least the packing
     number minus 2, minus 1 only when no whiskered triangle is induced."""
     u, v = edge
-    a = _admissible_pool(G, u, v, A)[3]
+    rec = _edge_set(G, u, v, A)
     computer = computer or DepthComputer()
-    lhs = computer.ideal_depth(_memo(_memo(G, _without, a), _square_colon, u, v))
+    lhs = computer.ideal_depth(_memo(_memo(G, _without, rec.a), _square_colon, u, v))
     wk3_free = _memo(G, is_wk3_free)
     rhs = _memo(G, star_packing_number).size - (1 if wk3_free else 2)
     status = HOLDS if lhs >= rhs else FAILS
-    witness = {"edge": [u, v], "A": sorted(_labels(G, a)), "wk3_free": wk3_free}
+    witness = {"edge": [u, v], "A": list(rec.names), "wk3_free": wk3_free}
     return CheckOutcome("square_colon_depth", _memo(G, emit_graph6), status, lhs, rhs, witness,
                         computer.field.characteristic)
 
@@ -293,9 +325,9 @@ def check_square_colon_formula(G: Graph, edge, A) -> CheckOutcome:
     description: I(G-A) + mixed neighbor products + squares of common
     neighbors.  When the edge is its own component, both collapse to I(G-A)."""
     u, v = edge
-    a = _admissible_pool(G, u, v, A)[3]
-    ok, lhs, rhs, L, isolated, gens = _memo(_memo(G, _without, a), _formula, u, v)
-    witness = {"edge": [u, v], "A": sorted(_labels(G, a)), "L": list(L),
+    rec = _edge_set(G, u, v, A)
+    ok, lhs, rhs, L, isolated, gens = _memo(_memo(G, _without, rec.a), _formula, u, v)
+    witness = {"edge": [u, v], "A": list(rec.names), "L": list(L),
                "isolated_edge_case": isolated}
     if gens:
         witness["lhs_gens"], witness["rhs_gens"] = gens
@@ -456,14 +488,14 @@ def check_packing_deletion_bound(G: Graph, edge, A) -> CheckOutcome:
     """Deleting A together with a closed neighborhood (either endpoint), or
     both closed neighborhoods, lowers the packing number by at most 2."""
     u, v = edge
-    i, j, _, a = _admissible_pool(G, u, v, A)
+    rec = _edge_set(G, u, v, A)
     rhs = _memo(G, star_packing_number).size - 2
-    cu, cv = G.closed_mask(i), G.closed_mask(j)
-    variants = {"A_plus_closed_u": a | cu, "A_plus_closed_v": a | cv,
+    cu, cv = G.closed_mask(rec.i), G.closed_mask(rec.j)
+    variants = {"A_plus_closed_u": rec.a | cu, "A_plus_closed_v": rec.a | cv,
                 "closed_u_plus_closed_v": cu | cv}
     values = {name: _memo(_memo(G, _without, drop), star_packing_number).size
               for name, drop in variants.items()}
     lhs = min(values.values())
     status = HOLDS if lhs >= rhs else FAILS
-    witness = {"edge": [u, v], "A": sorted(_labels(G, a)), "values": values}
+    witness = {"edge": [u, v], "A": list(rec.names), "values": values}
     return CheckOutcome("deletion_bound", _memo(G, emit_graph6), status, lhs, rhs, witness)

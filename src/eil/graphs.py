@@ -100,6 +100,16 @@ class Graph:
                     raise ValueError(
                         f"asymmetric adjacency between {self.labels[i]} and {self.labels[j]}"
                     )
+        # every memo read hashes its graph; a pickle carries no hash (see __reduce__)
+        object.__setattr__(self, "_hash", hash((self.labels, self.adj)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its fields, so the hash is made afresh: string hashes
+        # differ between interpreters, such as spawned pool workers
+        return Graph, (self.labels, self.adj)
 
     @property
     def n(self) -> int:

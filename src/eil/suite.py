@@ -118,12 +118,15 @@ def _derived_rng(seed: int, *parts: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _deletion_sets(pool: tuple[str, ...], seed: int, context: str):
-    """All subsets of the pool, or a seeded sample of them.
+def _deletion_sets(G: Graph, u: str, v: str, seed: int, context: str):
+    """All subsets of the pool of the edge uv, or a seeded sample of them.
 
-    Returns (list of label tuples, sampled flag).  Samples always contain the
-    empty and the full set, so the boundary cases stay covered.
+    Returns (list of records, sampled flag): each subset validated once, into
+    the record (checks._edge_set) the edge-set checks of G trust.  Samples
+    always contain the empty and the full set, so the boundary cases stay
+    covered.
     """
+    pool = _labels(G, _admissible_pool(G, u, v)[2])
     p = len(pool)
     sampled = (1 << p) > EXHAUSTIVE_LIMIT
     if sampled:
@@ -133,8 +136,9 @@ def _deletion_sets(pool: tuple[str, ...], seed: int, context: str):
             masks.add(rng.getrandbits(p))
     else:
         masks = range(1 << p)
-    subsets = [tuple(pool[t] for t in _bits(mask)) for mask in sorted(masks)]
-    return subsets, sampled
+    records = [_checks._edge_set(G, u, v, tuple(pool[t] for t in _bits(mask)))
+               for mask in sorted(masks)]
+    return records, sampled
 
 
 def _bound_check(name: str, computer: DepthComputer):
@@ -160,10 +164,12 @@ def _bound_check(name: str, computer: DepthComputer):
 
 
 def _graph_task(G: Graph, checks, field, cross, seed) -> tuple[list[CheckOutcome], list[dict], int]:
-    """The outcomes, graph-tagged findings and depth comparisons of one graph."""
+    """The outcomes, graph-tagged findings and depth comparisons of one graph.
+    The edge-set checks share each edge's deletion sets, unless sampled."""
     computer = DepthComputer(field, cross_check=cross)
     gid = emit_graph6(G)
     out: list[CheckOutcome] = []
+    shared: dict[tuple[str, str], tuple[list, bool]] = {}
     for name in checks:
         kind = CHECKS[name].kind
         check = _bound_check(name, computer)
@@ -174,9 +180,11 @@ def _graph_task(G: Graph, checks, field, cross, seed) -> tuple[list[CheckOutcome
             if kind == "edge":
                 out.extend(check(G, (u, v)))
                 continue
-            pool = _labels(G, _admissible_pool(G, u, v)[2])
-            subsets, sampled = _deletion_sets(pool, seed, f"{name}:{gid}:{u}:{v}")
-            for A in subsets:
+            sets, sampled = (shared.get((u, v))
+                             or _deletion_sets(G, u, v, seed, f"{name}:{gid}:{u}:{v}"))
+            if not sampled:
+                shared[u, v] = sets, sampled
+            for A in sets:
                 (oc,) = check(G, (u, v), A)
                 if sampled:
                     oc.witness = dict(oc.witness or {})
@@ -249,11 +257,13 @@ class VerificationReport:
 
     def _json_chunks(self):
         """to_json() in pieces: the head, then one outcome row per line, each
-        encoded by json.dumps straight from its CheckOutcome."""
-        yield json.dumps(self._head())[:-1] + ', "outcomes": ['
+        encoded straight from its CheckOutcome by one encoder, which writes
+        the bytes json.dumps writes (rows hold no cycle to check for)."""
+        encode = json.JSONEncoder(check_circular=False).encode
+        yield encode(self._head())[:-1] + ', "outcomes": ['
         sep = "\n"
         for oc in self.outcomes:
-            yield sep + json.dumps(oc.to_dict())
+            yield sep + encode(oc.to_dict())
             sep = ",\n"
         yield "\n]}\n"
 

@@ -27,6 +27,7 @@ from eil.checks import (
     check_symbolic_square,
     check_triangle_neighborhood_packing,
     sharp_example_graphs,
+    _edge_set,
 )
 from eil.depth import GF2, QQ, depth_ideal
 from eil.graphs import (
@@ -449,6 +450,68 @@ def test_one_shot_deletion_sets_read_like_tuples():
     assert even_connection_graph(G, *edge, "x3") == even_connection_graph(G, *edge, ("x3",))
 
 
+def test_record_path_equals_label_path(catalog5, monkeypatch):
+    # the suite hands an edge-set check the record of its edge and deletion
+    # set, made once per graph; on every instance on n <= 5 the check gives
+    # what the labels give, and trusts the record without validating again
+    instances = [(G, name, edge, A, _edge_set(G, *edge, A)) for G in catalog5
+                 for name, edge, A in _edge_set_instances(G) if name != "colon_intersection"]
+    by_labels = [_rows(G, name, edge, A) for G, name, edge, A, _ in instances]
+
+    def unexpected(*args):
+        raise AssertionError(f"validated again: {args}")
+
+    monkeypatch.setattr(eil.checks, "_admissible_pool", unexpected)
+    assert [_rows(G, name, edge, rec) for G, name, edge, _, rec in instances] == by_labels
+
+
+def test_record_for_another_graph_or_edge_is_validated_again(monkeypatch):
+    # a record is trusted only for the graph it was made for (the same
+    # object) and the same edge; any other is read as its labels, validated
+    # afresh, and gives the labels' row or ValueError.  Each record here
+    # claims its whole pool, so a check that trusted it would read that.
+    G = whiskered_triangle()
+    twin = graph_from_edges(G.labels, G.edge_labels())
+    other = graph_from_edges(G.labels, [e for e in G.edge_labels() if e != ("x1", "x2")]
+                             + [("x1", "z2")])
+    assert twin == G and twin is not G and other != G
+    edges = list(dict.fromkeys(G.edge_labels() + other.edge_labels()))
+    calls = Counter()
+    real = eil.checks._admissible_pool
+
+    def counting(*args):
+        calls["pool"] += 1
+        return real(*args)
+
+    def outcome(fn, edge, A):
+        calls.clear()
+        try:
+            result = _row(fn(G, edge, A))
+        except ValueError as err:
+            result = str(err)
+        return result, calls["pool"]
+
+    monkeypatch.setattr(eil.checks, "_admissible_pool", counting)
+    raised = 0
+    for maker in (twin, other, G):
+        for made_at in maker.edge_labels():
+            pool = _labels(maker, real(maker, *made_at)[2])
+            for A in (A for k in range(len(pool) + 1) for A in combinations(pool, k)):
+                rec = _edge_set(maker, *made_at, A)
+                rec = rec._replace(a=rec.pool)
+                for edge in edges:
+                    if maker is G and edge == made_at:
+                        continue
+                    for name in ("even_connection_depth", "square_colon_depth",
+                                 "square_colon_formula", "deletion_bound"):
+                        fn = EDGE_SET_CHECKS[name]
+                        got = outcome(fn, edge, rec)
+                        assert got == outcome(fn, edge, A), (maker, made_at, A, edge, name)
+                        assert got[1] == 1
+                        raised += isinstance(got[0], str)
+    assert raised > 0
+
+
 def test_edge_set_suite_same_body_for_one_and_two_jobs(catalog5):
     one = run_suite(catalog5, list(EDGE_SET_CHECKS), jobs=1)
     two = run_suite(catalog5, list(EDGE_SET_CHECKS), jobs=2)
@@ -492,10 +555,13 @@ def test_shared_memo_work_counts(catalog5, tmp_path, capsys, monkeypatch):
 
 
 def test_validator_work_count(catalog5, monkeypatch):
-    # pinned: the edge-set checks and the suite validate each (edge, deletion
-    # set) once, and the contraction takes the checked mask, so a cold
-    # edge-set run on n <= 5 calls _admissible_pool 5426 times (6520 while
-    # the pair builder went through even_connection_graph, which validated again)
+    # pinned: the suite validates each edge's pool, and each (edge, deletion
+    # set) once per graph into a record the edge-set checks trust, and the
+    # contraction takes the checked mask, so a cold edge-set run on n <= 5
+    # calls _admissible_pool 1514 times: 210 edges twice (the pool, and
+    # colon_intersection) and 1094 deletion sets once (5426 while each check
+    # validated its deletion set again, 6520 while the pair builder went
+    # through even_connection_graph, which validated again)
     calls = Counter()
     real = eil.graphs._admissible_pool
 
@@ -507,7 +573,7 @@ def test_validator_work_count(catalog5, monkeypatch):
         monkeypatch.setattr(module, "_admissible_pool", counting)
     eil.checks._memo.cache_clear()
     run_suite(catalog5, list(EDGE_SET_CHECKS), GF2)
-    assert calls["pool"] == 5426
+    assert calls["pool"] == 1514
 
 
 def test_colon_work_count(catalog5, monkeypatch):

@@ -6,8 +6,13 @@ subgraph checks), never from the functions under test.
 """
 
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +41,8 @@ from eil.graphs import (
     triangles,
     whiskered_triangle,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +145,29 @@ def test_edges_and_degrees():
     assert G.edge_labels() == [("x1", "x2"), ("x2", "x3"), ("x3", "x4")]
     assert [G.degree(i) for i in range(4)] == [1, 2, 2, 1]
     assert len(G.edges()) == 3
+
+
+def test_pickled_graph_carries_no_hash():
+    # a Graph keeps its hash, which string hashing makes per interpreter; the
+    # pickle holds only labels and masks, so a worker hashes it afresh
+    G = whiskered_triangle()
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(G, protocol)
+        assert b"_hash" not in data
+        H = pickle.loads(data)
+        fresh = graph_from_edges(G.labels, G.edge_labels())
+        assert H == fresh and hash(H) == hash(fresh) == hash(G)
+    # in an interpreter with another string hash seed, the loaded graph hashes
+    # as one built there does
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    probe = ("import pickle, sys; from eil.graphs import Graph; "
+             "H = pickle.loads(sys.stdin.buffer.read()); "
+             "print(hash(H) == hash(Graph(H.labels, H.adj)))")
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], input=pickle.dumps(G),
+                          capture_output=True, env=env, timeout=60, check=True)
+    assert done.stdout.strip() == b"True"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from eil.cli import main
 from eil.depth import GF2
 import eil.checks
 import eil.cli
-from eil.checks import FAILS, CheckOutcome
+from eil.checks import FAILS, CheckOutcome, check_packing_deletion_bound
 from eil.graphs import (
     Graph6Error,
     complete_graph,
@@ -177,12 +177,16 @@ def test_bad_corpus_item_is_named():
     assert err.value.offset == 2
 
 
-def test_sampled_deletion_sets_flagged():
-    # two adjacent hubs with six leaves each: the pool at the hub edge has 12
-    # vertices, beyond the exhaustive limit of 2^10 subsets
+def two_hubs():
+    """Two adjacent hubs with six leaves each: the pool at the hub edge has 12
+    vertices, beyond the exhaustive limit of 2^10 subsets."""
     labels = ["u", "v"] + [f"a{i}" for i in range(6)] + [f"b{i}" for i in range(6)]
     edges = [("u", "v")] + [("u", f"a{i}") for i in range(6)] + [("v", f"b{i}") for i in range(6)]
-    G = graph_from_edges(labels, edges)
+    return graph_from_edges(labels, edges)
+
+
+def test_sampled_deletion_sets_flagged():
+    G = two_hubs()
     assert 1 << 12 > EXHAUSTIVE_LIMIT
     report = run_suite([G], ["deletion_bound"], seed=3)
     # the corpus is read on x1..xn, as graph6 gives them, so the hubs are x1 and x2
@@ -199,9 +203,7 @@ def test_sampled_deletion_sets_flagged():
 
 
 def test_sampled_sets_deterministic():
-    labels = ["u", "v"] + [f"a{i}" for i in range(6)] + [f"b{i}" for i in range(6)]
-    edges = [("u", "v")] + [("u", f"a{i}") for i in range(6)] + [("v", f"b{i}") for i in range(6)]
-    G = graph_from_edges(labels, edges)
+    G = two_hubs()
     a = run_suite([G], ["deletion_bound"], seed=9)
     b = run_suite([G], ["deletion_bound"], seed=9)
     assert a.canonical_body() == b.canonical_body()
@@ -221,6 +223,18 @@ def test_suite_times_each_check_call(monkeypatch):
     assert [oc.elapsed_ms for oc in squares] == [1000.0] * 3
     # called directly, a check does not time itself
     assert eil.checks.check_first_power(complete_graph(3)).elapsed_ms == 0.0
+
+
+def test_sampled_draws_of_the_edge_set_checks_pinned():
+    # pinned: at the hub edge every edge-set check draws its own seeded sample
+    # of deletion sets (by check, graph6 and edge), while the exhaustive leaf
+    # edges share theirs; the body is the one each check validating its own
+    # sets gave, so sharing the validation moved no draw
+    report = run_suite([two_hubs()], ["even_connection_depth", "square_colon_depth",
+                                      "square_colon_formula", "deletion_bound"], seed=3)
+    assert sum(bool(oc.witness.get("sampled")) for oc in report.outcomes) == 4 * SAMPLE_SIZE
+    digest = hashlib.sha256(report.canonical_body().encode()).hexdigest()
+    assert digest == "398ee6f021d16650261437cb6f8a621f73fecaf6922a2ee33c3103e52f1ddbf7"
 
 
 def test_global_check_runs_once_without_corpus():
@@ -263,6 +277,20 @@ def test_report_write_streams_the_bytes_of_to_json(tmp_path):
     assert jpath.read_bytes() == report.to_json().encode()
     assert cpath.read_bytes() == report.to_csv().encode()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.json"]
+
+
+def test_to_json_is_head_and_rows_by_json_dumps():
+    # the report encodes with one reused encoder; its bytes are json.dumps's,
+    # on sampled witnesses, deletion_bound's nested values and non-ASCII labels
+    report = run_suite([two_hubs()], ["deletion_bound"], seed=3, corpus_name="h\u00fcbs")
+    G = graph_from_edges(["\u00fc", "v", "\u00e9"], [("\u00fc", "v"), ("v", "\u00e9")])
+    report.outcomes.append(check_packing_deletion_bound(G, ("\u00fc", "v"), ("\u00e9",)))
+    assert any(oc.witness.get("sampled") for oc in report.outcomes)
+    rows = [json.dumps(oc.to_dict()) for oc in report.outcomes]
+    head = json.dumps({k: v for k, v in report.to_json_dict().items() if k != "outcomes"})
+    want = head[:-1] + ', "outcomes": [\n' + ",\n".join(rows) + "\n]}\n"
+    assert report.to_json() == want
+    assert '"A": ["\\u00e9"], "values": {"A_plus_closed_u": ' in want
 
 
 def _synthetic_report(with_outcomes: bool) -> VerificationReport:
