@@ -27,7 +27,6 @@ from .depth import (
     ComplexView,
     FieldChoice,
     depth_ideal,
-    reduced_homology_dims,
 )
 from .graphs import (
     Graph,

@@ -23,9 +23,9 @@ from .graphs import Graph, _bits, default_labels
 
 __all__ = ["canonical_key", "graph_classes", "all_graphs", "CLASS_COUNTS"]
 
-# Known isomorphism-class counts for n = 0..8 (OEIS A000088), used as an
+# Known isomorphism-class counts for n = 0..9 (OEIS A000088), used as an
 # enumeration self-check.
-CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
+CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 
 
 def _equitable(adj: tuple[int, ...], cells: list[int], stack: list[int]) -> list[int]:

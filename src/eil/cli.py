@@ -103,16 +103,17 @@ def _at_least(lowest: int):
     return integer
 
 
-def _gate_polarized(checks, n: int, touched: int, cap: int, prefix: str = ""):
+def _gate_polarized(checks, touched: int, cap: int, prefix: str = ""):
     """Refuse before any ideal arithmetic when the checks' depths may need
     more than cap polarized variables.  A depth needing k variables per vertex
-    (the check's registered CHECKS depth) gives each of the touched vertices,
-    those on an edge, k of them and every other vertex one.  Global checks
-    run fixed instances, whatever n is, so they are not gated."""
+    (the check's registered CHECKS depth, at least 1) gives each of the
+    touched vertices, those on an edge, k of them; the depth engine drops
+    every other vertex, as no generator uses it.  Global checks run fixed
+    instances, whatever the input is, so they are not gated."""
     needs = [CHECKS[c].depth for c in checks if CHECKS[c].kind != "global"]
     if not needs:
         return
-    worst = n + touched * (max(max(needs), 1) - 1)
+    worst = touched * max(max(needs), 1)
     if worst > cap:
         raise CliError(
             f"{prefix}needs up to {worst} polarized variables, beyond the cap "
@@ -151,7 +152,7 @@ def _cmd_depth(args) -> int:
     for G in _read_graphs(args.input, args.edges):
         if not any(G.adj):
             raise CliError("edgeless graph: the edge ideal is zero, depth is undefined")
-        _gate_polarized(checks, G.n, sum(1 for m in G.adj if m), args.max_polarized)
+        _gate_polarized(checks, sum(1 for m in G.adj if m), args.max_polarized)
         report = run_suite([G], checks, field, cross_check=cross)
         # the sharpest applicable bound; its id names the rule
         oc = max((oc for oc in report.outcomes if oc.status != NOT_APPLICABLE),
@@ -226,7 +227,7 @@ def _cmd_hunt(args) -> int:
     field, cross = _field_mode(args.field)
     _warn_cap(args.max_polarized)
     # a random graph may touch all n vertices
-    _gate_polarized(checks, args.n, args.n, args.max_polarized, f"n={args.n} ")
+    _gate_polarized(checks, args.n, args.max_polarized, f"n={args.n} ")
     report = hunt_counterexamples(
         checks, args.n, args.random, args.seed, field,
         cross_check=cross, jobs=_jobs(args.jobs),

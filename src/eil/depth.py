@@ -64,7 +64,7 @@ characteristic-zero ranks (the cross-check path).  Both depth walks need
 only the smallest nonvanishing size of each complex, and over Q that takes
 ranks only where mod-2 homology is alive at that size and the next:
 elsewhere universal coefficients force the rational answer to equal the
-mod-2 one.  reduced_homology_dims reads one mask as given, unreduced.
+mod-2 one.
 
 The public depth is that of the module: for a proper nonzero ideal,
 depth I = depth S/I + 1 = n - pd(S/I) + 1 over its n ambient variables;
@@ -87,7 +87,6 @@ __all__ = [
     "GF2",
     "QQ",
     "ComplexView",
-    "reduced_homology_dims",
     "depth_ideal",
     "depth_ideal_both",
     "clear_depth_cache",
@@ -273,18 +272,6 @@ def _first_alive_sizes(faces, characteristics: tuple[int, ...]) -> tuple:
         ranks = _ranks_by_size(faces, 0, lo=first)
         rational = next((s for s, h in enumerate(ranks, first) if h), None)
     return tuple(first if c == 2 else rational for c in characteristics)
-
-
-def reduced_homology_dims(C: ComplexView, W: int, field: FieldChoice) -> dict[int, int]:
-    """Reduced homology ranks {dimension: rank} of the induced subcomplex on W.
-
-    Dimensions run from -1 (the empty face; rank 1 exactly for the complex
-    {emptyset}) up to the top face dimension.  The void complex gives {}.
-    """
-    if W >> len(C.ambient):
-        raise ValueError("W is not a subset of the ambient vertices")
-    ranks = _ranks_by_size(_faces_by_size(W, C.nonfaces), field.characteristic)
-    return {s - 1: h for s, h in enumerate(ranks)}
 
 
 # ---------------------------------------------------------------------------

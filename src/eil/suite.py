@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import os
 import random
@@ -199,6 +198,16 @@ def _graph_task(G: Graph, checks, field, cross, seed) -> tuple[list[CheckOutcome
 # reports
 
 
+def _canonical_row(obj) -> dict:
+    """json's default for canonical_body(): an outcome's row without its
+    timing.  Any other object is not JSON, and raises as json.dumps does."""
+    if not isinstance(obj, CheckOutcome):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    row = obj.to_dict()
+    del row["elapsed_ms"]
+    return row
+
+
 @dataclass
 class VerificationReport:
     """All outcomes of one suite run plus summary tallies and findings.
@@ -246,19 +255,10 @@ class VerificationReport:
             "findings": self.findings,
         }
 
-    def to_json_dict(self, with_timing: bool = True) -> dict:
-        rows = []
-        for oc in self.outcomes:
-            row = oc.to_dict()
-            if not with_timing:
-                row.pop("elapsed_ms")
-            rows.append(row)
-        return {**self._head(), "outcomes": rows}
-
     def _json_chunks(self):
-        """to_json() in pieces: the head, then one outcome row per line, each
-        encoded straight from its CheckOutcome by one encoder, which writes
-        the bytes json.dumps writes (rows hold no cycle to check for)."""
+        """The JSON file in pieces: the head, then one outcome row per line,
+        each encoded straight from its CheckOutcome by one encoder, which
+        writes the bytes json.dumps writes (rows hold no cycle to check for)."""
         encode = json.JSONEncoder(check_circular=False).encode
         yield encode(self._head())[:-1] + ', "outcomes": ['
         sep = "\n"
@@ -267,12 +267,12 @@ class VerificationReport:
             sep = ",\n"
         yield "\n]}\n"
 
-    def to_json(self) -> str:
-        return "".join(self._json_chunks())
-
     def canonical_body(self) -> str:
-        """Deterministic report body: identical runs give identical bytes."""
-        return json.dumps(self.to_json_dict(with_timing=False), sort_keys=True)
+        """Deterministic report body: identical runs give identical bytes.
+        Rows are encoded from the outcomes as the encoder reaches them, so no
+        copy of the rows is held beside the text."""
+        return json.dumps({**self._head(), "outcomes": self.outcomes}, sort_keys=True,
+                          default=_canonical_row)
 
     def _csv_rows(self):
         yield ["check_id", "graph_id", "status", "lhs", "rhs", "field_char",
@@ -283,17 +283,11 @@ class VerificationReport:
                    oc.elapsed_ms,
                    json.dumps(oc.witness, sort_keys=True) if oc.witness else ""]
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        csv.writer(buf).writerows(self._csv_rows())
-        return buf.getvalue()
-
     def write(self, path: str, fmt: str = "json"):
         """Atomic write of fmt "json" or "csv": the file appears complete or
-        not at all.  Rows are streamed, so the file's bytes are those of
-        to_json() or to_csv() without either text being held whole.  A new
-        file gets the mode open(path, "w") gives; an overwritten one keeps
-        its mode."""
+        not at all.  Rows are streamed, one outcome at a time, so the file's
+        text is never held whole.  A new file gets the mode open(path, "w")
+        gives; an overwritten one keeps its mode."""
         if fmt not in ("json", "csv"):
             raise ValueError(f"report format must be json or csv, got {fmt!r}")
         directory = os.path.dirname(os.path.abspath(path))

@@ -10,10 +10,10 @@ import random
 import time
 from itertools import combinations
 
-from test_depth import quotient_depth, quotient_pd, sweep_blind_spots
+from test_depth import quotient_depth, quotient_pd, reduced_homology_dims, sweep_blind_spots
 
 from eil.checks import DepthComputer, check_colon_intersection, check_sharp_examples
-from eil.depth import GF2, QQ, ComplexView, reduced_homology_dims
+from eil.depth import GF2, QQ, ComplexView
 from eil.graphs import random_graph, triangles
 from eil.ideals import MonomialIdeal, edge_ideal, polarize, symbolic_square_edge_ideal
 from eil.suite import run_suite

@@ -225,3 +225,8 @@ def test_catalog_n8_matches_known_count_and_pinned_hash():
     graphs = list(all_graphs(8, min_n=8))
     assert len(graphs) == CLASS_COUNTS[8] == 12346
     assert _catalog_sha(graphs) == SHA_N_8
+
+
+@pytest.mark.slow
+def test_catalog_n9_matches_known_count():
+    assert len(graph_classes(9)) == CLASS_COUNTS[9] == 274668

@@ -23,10 +23,10 @@ from eil.depth import (
     _cone_reducer,
     _faces_by_size,
     _rank_exact,
+    _ranks_by_size,
     clear_depth_cache,
     depth_ideal,
     depth_ideal_both,
-    reduced_homology_dims,
 )
 from eil.graphs import complete_graph, cycle_graph, emit_graph6, path_graph, whiskered_triangle
 from eil.ideals import MonomialIdeal, edge_ideal, polarize, symbolic_square_edge_ideal
@@ -178,6 +178,19 @@ def random_monomial_ideal(rng, width, max_exp, max_gens):
 
 # ---------------------------------------------------------------------------
 # homology conventions come first: everything downstream trusts these
+
+
+def reduced_homology_dims(C: ComplexView, W: int, field: FieldChoice) -> dict[int, int]:
+    """Reduced homology ranks {dimension: rank} of C's induced subcomplex on
+    W, by the engine's face listing and boundary ranks.
+
+    Dimensions run from -1 (the empty face; rank 1 exactly for the complex
+    {emptyset}) up to the top face dimension.  The void complex gives {}.
+    """
+    if W >> len(C.ambient):
+        raise ValueError("W is not a subset of the ambient vertices")
+    ranks = _ranks_by_size(_faces_by_size(W, C.nonfaces), field.characteristic)
+    return {s - 1: h for s, h in enumerate(ranks)}
 
 
 def test_hollow_triangle_has_one_loop():

@@ -17,13 +17,13 @@ import math
 from itertools import combinations, permutations
 
 import pytest
-from test_depth import _degree_pd, _dense_rank_f2
+from test_depth import _degree_pd, _dense_rank_f2, reduced_homology_dims
 
 import eil.checks
 import eil.depth
 from eil.catalog import all_graphs
 from eil.checks import sharp_example_graphs
-from eil.depth import GF2, QQ, ComplexView, clear_depth_cache, depth_ideal, depth_ideal_both, reduced_homology_dims
+from eil.depth import GF2, QQ, ComplexView, clear_depth_cache, depth_ideal, depth_ideal_both
 from eil.graphs import emit_graph6
 from eil.ideals import MonomialIdeal, edge_ideal
 from eil.suite import run_suite

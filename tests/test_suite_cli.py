@@ -1,6 +1,8 @@
 """Suite driver (determinism, sampling, parallel workers, reports) and CLI."""
 
+import csv
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -243,9 +245,56 @@ def test_global_check_runs_once_without_corpus():
     assert report.summary["fails"] == 0
 
 
+def _head(report: VerificationReport) -> dict:
+    """The report's head, key for key in the order the JSON file writes it."""
+    return {"schema": "eil-verification-report/1", "corpus": report.corpus,
+            "checks": list(report.checks), "field_char": report.field_char,
+            "cross_check": report.cross_check, "seed": report.seed,
+            "summary": report.summary, "findings": report.findings}
+
+
+def _dict_rows(report: VerificationReport, timing: bool = True) -> list[dict]:
+    """Every outcome as a dict row, elapsed_ms left out unless timing."""
+    rows = [oc.to_dict() for oc in report.outcomes]
+    if not timing:
+        for row in rows:
+            del row["elapsed_ms"]
+    return rows
+
+
+def _assert_same(got, want):
+    """got == want for two texts or byte strings, failing fast with the first
+    difference: pytest's own diff of long texts can take minutes."""
+    if got != want:
+        k = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        pytest.fail(f"differ from offset {k}: {got[k:k + 80]!r} != {want[k:k + 80]!r}")
+
+
+def _reference_json(report: VerificationReport) -> str:
+    """The JSON file by json.dumps alone: the head, then one row per line."""
+    rows = ",".join("\n" + json.dumps(row) for row in _dict_rows(report))
+    return json.dumps(_head(report))[:-1] + ', "outcomes": [' + rows + "\n]}\n"
+
+
+def _reference_csv(report: VerificationReport) -> str:
+    """The CSV file by csv.writer alone: a header, then one row per outcome."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["check_id", "graph_id", "status", "lhs", "rhs", "field_char",
+                     "elapsed_ms", "witness"])
+    for oc in report.outcomes:
+        writer.writerow([oc.check_id, oc.graph_id, oc.status, oc.lhs, oc.rhs,
+                         "" if oc.field_char is None else oc.field_char, oc.elapsed_ms,
+                         json.dumps(oc.witness, sort_keys=True) if oc.witness else ""])
+    return buf.getvalue()
+
+
 def test_report_json_schema_and_csv(tmp_path):
     report = run_suite(list(all_graphs(3)), ["main1"], cross_check=True, corpus_name="n<=3")
-    payload = report.to_json_dict()
+    jpath = tmp_path / "report.json"
+    report.write(str(jpath), "json")
+    payload = json.loads(jpath.read_text())
     assert payload["schema"] == "eil-verification-report/1"
     for key in ("corpus", "checks", "field_char", "seed", "summary", "findings", "outcomes"):
         assert key in payload
@@ -253,9 +302,7 @@ def test_report_json_schema_and_csv(tmp_path):
     for key in ("check_id", "graph_id", "status", "lhs", "rhs", "witness",
                 "field_char", "elapsed_ms"):
         assert key in row
-    jpath = tmp_path / "report.json"
-    report.write(str(jpath), "json")
-    assert json.loads(jpath.read_text())["summary"] == report.summary
+    assert payload["summary"] == report.summary
     cpath = tmp_path / "report.csv"
     report.write(str(cpath), "csv")
     header = cpath.read_text().splitlines()[0]
@@ -266,7 +313,7 @@ def test_report_json_schema_and_csv(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.json"]
 
 
-def test_report_write_streams_the_bytes_of_to_json(tmp_path):
+def test_report_write_streams_json_and_csv_rows(tmp_path):
     report = run_suite(list(all_graphs(4)), ["main", "colon_intersection", "deletion_bound"],
                        cross_check=True, corpus_name="n<=4")
     report.outcomes[0].elapsed_ms = 0.1 + 0.2  # a float whose repr is long
@@ -274,23 +321,49 @@ def test_report_write_streams_the_bytes_of_to_json(tmp_path):
     jpath, cpath = tmp_path / "report.json", tmp_path / "report.csv"
     report.write(str(jpath), "json")
     report.write(str(cpath), "csv")
-    assert jpath.read_bytes() == report.to_json().encode()
-    assert cpath.read_bytes() == report.to_csv().encode()
+    _assert_same(jpath.read_bytes(), _reference_json(report).encode())
+    _assert_same(cpath.read_bytes(), _reference_csv(report).encode())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.json"]
 
 
-def test_to_json_is_head_and_rows_by_json_dumps():
-    # the report encodes with one reused encoder; its bytes are json.dumps's,
-    # on sampled witnesses, deletion_bound's nested values and non-ASCII labels
+def _hubs_report() -> VerificationReport:
+    """Sampled witnesses, deletion_bound's nested values, non-ASCII labels
+    and a finding, in one report."""
     report = run_suite([two_hubs()], ["deletion_bound"], seed=3, corpus_name="h\u00fcbs")
     G = graph_from_edges(["\u00fc", "v", "\u00e9"], [("\u00fc", "v"), ("v", "\u00e9")])
     report.outcomes.append(check_packing_deletion_bound(G, ("\u00fc", "v"), ("\u00e9",)))
+    report.findings.append({"kind": "note", "graph_id": "\u00fc", "char0": [2, None]})
     assert any(oc.witness.get("sampled") for oc in report.outcomes)
-    rows = [json.dumps(oc.to_dict()) for oc in report.outcomes]
-    head = json.dumps({k: v for k, v in report.to_json_dict().items() if k != "outcomes"})
-    want = head[:-1] + ', "outcomes": [\n' + ",\n".join(rows) + "\n]}\n"
-    assert report.to_json() == want
+    return report
+
+
+def test_report_json_is_head_and_rows_by_json_dumps(tmp_path):
+    # the report encodes with one reused encoder; its bytes are json.dumps's
+    report = _hubs_report()
+    path = tmp_path / "report.json"
+    report.write(str(path), "json")
+    want = _reference_json(report)
+    _assert_same(path.read_text(encoding="utf-8"), want)
     assert '"A": ["\\u00e9"], "values": {"A_plus_closed_u": ' in want
+
+
+def test_canonical_body_is_json_dumps_of_rows_without_timing():
+    # the reference builds every outcome as a dict without elapsed_ms and
+    # dumps the whole with sorted keys; the body encodes the outcomes as found
+    report = _hubs_report()
+    report.outcomes[0].elapsed_ms = 0.1 + 0.2
+    body = report.canonical_body()
+    want = json.dumps({**_head(report), "outcomes": _dict_rows(report, timing=False)},
+                      sort_keys=True)
+    _assert_same(body, want)
+    assert "elapsed_ms" not in body
+    # a value json cannot encode still raises, wherever it sits in a witness
+    report.outcomes[-1].witness["stray"] = object()
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        report.canonical_body()
+    report.outcomes[-1].witness["stray"] = [{"x": {1, 2}}]
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        report.canonical_body()
 
 
 def _synthetic_report(with_outcomes: bool) -> VerificationReport:
@@ -327,9 +400,9 @@ def test_report_file_holds_one_outcome_per_line(tmp_path, catalog5):
         path = tmp_path / f"report{k}.json"
         report.write(str(path), "json")
         text = path.read_text(encoding="utf-8")
-        payload = report.to_json_dict()
-        assert json.dumps(json.loads(text)) == json.dumps(payload), k
-        _assert_one_outcome_per_line(text, payload["outcomes"])
+        rows = _dict_rows(report)
+        _assert_same(json.dumps(json.loads(text)), json.dumps({**_head(report), "outcomes": rows}))
+        _assert_one_outcome_per_line(text, rows)
 
 
 def test_findings_carry_the_outcomes_graph_id(monkeypatch):
@@ -373,9 +446,14 @@ def test_golden_report_edge_sets_n5():
 
 
 # the same hashes for longer runs, outside the default test selection: run
-# them with `python -m pytest -m slow` (about 40 s and 2 min on 2 CPUs)
+# them with `python -m pytest -m slow --durations=15`, which lists each one's
+# time.  Every golden cross-checks both fields, so its summary counts depth
+# comparisons: the n <= 7 `all` body of `eil verify`, which does not and
+# names its corpus generated:max_n=7, has another hash (b7a81958...9c1a).
 GOLDEN_ALL_N6 = "bf64cc68fab25bd1983339089f839186bc84a54eb07b278f8cd65e4972a7eb32"
 GOLDEN_MAIN_N7 = "251dc732798478be70820167d9a713f01c538a23a06f837f3147bcf6e15c49bf"
+GOLDEN_ALL_N7 = "4f5c4e9bd624b253d5f1ee7029e6467f71227b241d89aa8245c424b0e021b03d"
+GOLDEN_MAIN_N8 = "0159c23e3d2350bf66584bd739de116f1d55c184f753f4cc06dfcf8fb1efbdfa"
 
 
 @pytest.mark.slow
@@ -386,6 +464,16 @@ def test_golden_report_all_n6():
 @pytest.mark.slow
 def test_golden_report_main_n7_jobs2():
     assert _body_sha(["main"], max_n=7, jobs=2) == GOLDEN_MAIN_N7
+
+
+@pytest.mark.slow
+def test_golden_report_all_n7_jobs2():
+    assert _body_sha(["all"], max_n=7, jobs=2) == GOLDEN_ALL_N7
+
+
+@pytest.mark.slow
+def test_golden_report_main_n8_jobs2():
+    assert _body_sha(["main"], max_n=8, jobs=2) == GOLDEN_MAIN_N8
 
 
 def test_every_check_clean_on_small_catalog():
@@ -542,6 +630,15 @@ def test_cli_depth_cap(capsys):
     assert len(G.edges()) > 0
     assert main(["depth", emit_graph6(G), "--power", "2"]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_cli_depth_cap_counts_only_vertices_on_an_edge(tmp_path, capsys):
+    # one edge and 30 isolated vertices: I(G)^2 polarizes on a and b alone,
+    # as the depth engine drops every variable no generator uses
+    path = tmp_path / "graph.txt"
+    path.write_text("a b\n" + "".join(f"z{k}\n" for k in range(30)))
+    assert main(["depth", str(path), "--power", "2"]) == 0
+    assert "depth=32 " in capsys.readouterr().out
 
 
 def test_cli_help_explains_every_option(capsys):
