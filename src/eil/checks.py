@@ -23,6 +23,11 @@ each (edge, A) once per graph into a record (_edge_set) that it hands to
 every edge-set check of that graph in place of the labels; a check trusts a
 record only for the same G (the same object) and edge.
 
+Each statement here is invariant under the automorphisms of G, so the suite
+calls an edge or edge-set check only on the first edge of each Aut(G) orbit
+and maps its rows to the others.  The ideal of a digest row is read back
+through _DIGESTED, to be digested again with its columns permuted.
+
 Checks compute verdicts only; the suite times each check call and fills in
 elapsed_ms, which stays 0.0 when a check is called directly.
 """
@@ -228,6 +233,14 @@ def _formula(G: Graph, u: str, v: str):
     ok = lhs == rhs and (not isolated or lhs == I)
     return (ok, *_digests(lhs, rhs), common, isolated,
             None if ok else (lhs.pretty(), rhs.pretty()))
+
+
+# A holding row of these checks has one digest on both sides, of the ideal
+# that this piece of G - A gives at the row's edge.
+_DIGESTED = {
+    "colon_intersection": lambda GA, u, v: _memo(GA, _colon_intersection_pair, u, v)[0],
+    "square_colon_formula": lambda GA, u, v: _memo(GA, _square_colon, u, v),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,16 @@ class Graph:
         # differ between interpreters, such as spawned pool workers
         return Graph, (self.labels, self.adj)
 
+    @classmethod
+    def _trusted(cls, labels: tuple[str, ...], adj: tuple[int, ...]) -> "Graph":
+        """A Graph of fields that are valid by construction (the induced
+        subgraph or contraction of a valid graph), set without the checks."""
+        G = object.__new__(cls)
+        object.__setattr__(G, "labels", labels)
+        object.__setattr__(G, "adj", adj)
+        object.__setattr__(G, "_hash", hash((labels, adj)))
+        return G
+
     @property
     def n(self) -> int:
         return len(self.labels)
@@ -145,7 +155,7 @@ class Graph:
             for u in _bits(self.adj[v] & keep_mask):
                 m |= 1 << pos[u]
             adj.append(m)
-        return Graph(_labels(self, keep_mask), tuple(adj))
+        return Graph._trusted(_labels(self, keep_mask), tuple(adj))
 
     def __repr__(self):
         return f"Graph({list(self.labels)}, edges={self.edge_labels()})"
@@ -431,7 +441,7 @@ def _contract(G: Graph, i: int, j: int, a: int) -> tuple[Graph, int]:
     # ni and nj are disjoint (their meet lies in A or L), so no loop appears
     adj = tuple(m | (nj if ni >> p & 1 else ni if nj >> p & 1 else 0)
                 for p, m in enumerate(G.adj))
-    return Graph(G.labels, adj).induced(keep), l_mask
+    return Graph._trusted(G.labels, adj).induced(keep), l_mask
 
 
 def even_connection_graph(G: Graph, u: str, v: str, A=()) -> tuple[Graph, tuple[str, ...]]:

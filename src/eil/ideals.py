@@ -268,6 +268,18 @@ class MonomialIdeal:
             new_gens.append(tuple(vec))
         return MonomialIdeal(ambient, tuple(new_gens))
 
+    def _permuted(self, ambient: tuple[str, ...], src) -> "MonomialIdeal":
+        """The ideal over ambient whose column p is column src[p] of this
+        one, src a permutation: the generators stay minimal, so they are
+        only sorted again, by degree and then descending lex."""
+        gens = [tuple(map(g.__getitem__, src)) for g in self.gens]
+        gens.sort(reverse=True)
+        gens.sort(key=sum)
+        out = object.__new__(MonomialIdeal)
+        object.__setattr__(out, "ambient", ambient)
+        object.__setattr__(out, "gens", tuple(gens))
+        return out
+
     @classmethod
     def zero(cls, ambient) -> "MonomialIdeal":
         return cls(tuple(ambient), ())

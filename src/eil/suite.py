@@ -7,8 +7,14 @@ most EXHAUSTIVE_LIMIT elements; beyond that a seeded random sample is drawn
 and the affected outcomes are flagged as sampled.  Identical corpus, checks,
 seed and field always produce an identical report body (timings excluded),
 whatever the worker count; workers take one graph at a time, as a Graph.
+
+An edge or edge-set check computes one edge of each Aut(G) orbit of edges
+and maps its rows to the other edges of the orbit (see _graph_task and
+eil.orbits).
+
 Timing happens here, once per check call: each outcome a call keeps gets an
-equal share of the call's wall time.
+equal share of the call's wall time, and each mapped row an equal share of
+the time its edge's mapping took.
 """
 
 from __future__ import annotations
@@ -164,31 +170,57 @@ def _bound_check(name: str, computer: DepthComputer):
 
 def _graph_task(G: Graph, checks, field, cross, seed) -> tuple[list[CheckOutcome], list[dict], int]:
     """The outcomes, graph-tagged findings and depth comparisons of one graph.
-    The edge-set checks share each edge's deletion sets, unless sampled."""
+    The edge-set checks share each edge's deletion sets, unless sampled.  An
+    edge or edge-set check computes the first edge of each Aut(G) orbit and
+    maps its rows to the other edges of the orbit, unless that edge's pool is
+    sampled or its rows hold a fail or raised a finding: then every edge of
+    the orbit is computed."""
     computer = DepthComputer(field, cross_check=cross)
     gid = emit_graph6(G)
     out: list[CheckOutcome] = []
     shared: dict[tuple[str, str], tuple[list, bool]] = {}
+    orbits = None
     for name in checks:
         kind = CHECKS[name].kind
         check = _bound_check(name, computer)
         if kind == "graph":
             out.extend(check(G))
             continue
-        for u, v in G.edge_labels():
-            if kind == "edge":
-                out.extend(check(G, (u, v)))
+        if orbits is None:
+            from . import orbits as _orbits  # only edge checks load it
+            orbits = _orbits._edge_orbits(G)
+        computed: dict[int, _orbits._Computed] = {}
+        for k, (i, j) in enumerate(G.edges()):
+            r, sigma = orbits.get(k, (k, None))
+            if computed.get(r):
+                t0 = perf_counter()
+                rows = _orbits._mapped_rows(G, name, computed[r], sigma, i, j)
+                ms = (perf_counter() - t0) * 1000
+                for oc in rows:
+                    oc.elapsed_ms = round(ms / len(rows), 3)
+                out.extend(rows)
+                computer.comparisons += computed[r].comparisons
                 continue
-            sets, sampled = (shared.get((u, v))
-                             or _deletion_sets(G, u, v, seed, f"{name}:{gid}:{u}:{v}"))
-            if not sampled:
-                shared[u, v] = sets, sampled
-            for A in sets:
-                (oc,) = check(G, (u, v), A)
+            u, v = G.labels[i], G.labels[j]
+            findings, comparisons = len(computer.findings), computer.comparisons
+            if kind == "edge":
+                rows, masks, sampled = check(G, (u, v)), [0], False
+            else:
+                sets, sampled = (shared.get((u, v))
+                                 or _deletion_sets(G, u, v, seed, f"{name}:{gid}:{u}:{v}"))
+                if not sampled:
+                    shared[u, v] = sets, sampled
+                rows = [check(G, (u, v), A)[0] for A in sets]
+                masks = [A.a for A in sets]
                 if sampled:
-                    oc.witness = dict(oc.witness or {})
-                    oc.witness["sampled"] = True
-                out.append(oc)
+                    for oc in rows:
+                        oc.witness = dict(oc.witness or {})
+                        oc.witness["sampled"] = True
+            out.extend(rows)
+            if r == k and not sampled and len(computer.findings) == findings and all(
+                    oc.status != FAILS for oc in rows):
+                computed[k] = _orbits._Computed(i, j, masks, rows,
+                                                computer.comparisons - comparisons)
     for finding in computer.findings:
         finding["graph_id"] = gid
     return out, computer.findings, computer.comparisons

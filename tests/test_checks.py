@@ -520,9 +520,10 @@ def test_edge_set_suite_same_body_for_one_and_two_jobs(catalog5):
 
 def test_shared_memo_work_counts(catalog5, tmp_path, capsys, monkeypatch):
     # pinned: one packing per edged graph under main (141 while each square id
-    # made its own), one per labeled graph G - drop under the edge-set checks
-    # (296 while keyed by graph and deletion mask, 3329 while each instance
-    # made its own), and no wk3 scan where no check reads wk3-freeness
+    # made its own), one per labeled graph G - drop that a computed edge-set
+    # row reads (83 while every edge of an Aut(G) orbit was computed, 296
+    # while keyed by graph and deletion mask, 3329 while each instance made
+    # its own), and no wk3 scan where no check reads wk3-freeness
     calls = Counter()
     for fn in ("star_packing_number", "is_wk3_free"):
         def counting(G, _real=getattr(eil.checks, fn), _fn=fn):
@@ -541,7 +542,7 @@ def test_shared_memo_work_counts(catalog5, tmp_path, capsys, monkeypatch):
     assert seen == {"star_packing_number": 47, "is_wk3_free": 47}
     assert report.summary["depth_comparisons"] == 141  # three DepthComputer calls per graph
     assert count(lambda: run_suite(catalog5, list(EDGE_SET_CHECKS)))[1] == {
-        "star_packing_number": 83, "is_wk3_free": 47}
+        "star_packing_number": 76, "is_wk3_free": 47}
     assert count(lambda: run_suite(catalog5, ["colon_intersection"]))[1] == {}
     path = tmp_path / "n5.g6"
     path.write_text("".join(emit_graph6(G) + "\n" for G in catalog5 if G.edges()))
@@ -555,13 +556,15 @@ def test_shared_memo_work_counts(catalog5, tmp_path, capsys, monkeypatch):
 
 
 def test_validator_work_count(catalog5, monkeypatch):
-    # pinned: the suite validates each edge's pool, and each (edge, deletion
-    # set) once per graph into a record the edge-set checks trust, and the
-    # contraction takes the checked mask, so a cold edge-set run on n <= 5
-    # calls _admissible_pool 1514 times: 210 edges twice (the pool, and
-    # colon_intersection) and 1094 deletion sets once (5426 while each check
-    # validated its deletion set again, 6520 while the pair builder went
-    # through even_connection_graph, which validated again)
+    # pinned: the suite validates the pool of each edge it computes, the
+    # first of each Aut(G) orbit, and each of its deletion sets once per graph
+    # into a record the edge-set checks trust, and the contraction takes the
+    # checked mask, so a cold edge-set run on n <= 5 calls _admissible_pool
+    # 620 times: 92 of the 210 edges twice (the pool, and colon_intersection)
+    # and their 436 of the 1094 deletion sets once (1514 while every edge was
+    # computed, 5426 while each check validated its deletion set again, 6520
+    # while the pair builder went through even_connection_graph, which
+    # validated again)
     calls = Counter()
     real = eil.graphs._admissible_pool
 
@@ -573,15 +576,17 @@ def test_validator_work_count(catalog5, monkeypatch):
         monkeypatch.setattr(module, "_admissible_pool", counting)
     eil.checks._memo.cache_clear()
     run_suite(catalog5, list(EDGE_SET_CHECKS), GF2)
-    assert calls["pool"] == 1514
+    assert calls["pool"] == 620
 
 
 def test_colon_work_count(catalog5, monkeypatch):
     # pinned: I(G-A):u is made once per graph G-A and vertex, shared by the
     # edges at u and by every catalog graph and deletion set giving that G-A
-    # while it is in the memo, so a cold edge-set run on n <= 5 computes 983
-    # colons (1072 while the memo held the last 128 graphs, 2539 while keyed
-    # by graph and deletion set, 3282 while each edge made its own two)
+    # while it is in the memo, and only the first edge of each Aut(G) orbit
+    # is computed, so a cold edge-set run on n <= 5 computes 591 colons (983
+    # while every edge was computed, 1072 while the memo held the last 128
+    # graphs, 2539 while keyed by graph and deletion set, 3282 while each
+    # edge made its own two)
     calls = Counter()
     real = MonomialIdeal.colon
 
@@ -592,4 +597,4 @@ def test_colon_work_count(catalog5, monkeypatch):
     monkeypatch.setattr(MonomialIdeal, "colon", counting)
     eil.checks._memo.cache_clear()
     run_suite(catalog5, list(EDGE_SET_CHECKS), GF2)
-    assert calls["colon"] == 983
+    assert calls["colon"] == 591

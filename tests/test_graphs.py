@@ -21,6 +21,7 @@ from eil.graphs import (
     Graph6Error,
     _admissible_pool,
     _bits,
+    _contract,
     _labels,
     _mask,
     complete_graph,
@@ -130,14 +131,40 @@ def brute_maximal_independent_sets(G):
 
 
 def test_graph_invariants_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pairwise distinct"):
         Graph(("a", "a"), (0, 0))
-    with pytest.raises(ValueError):
-        Graph(("a", "b"), (1, 0))  # loop at a
-    with pytest.raises(ValueError):
-        Graph(("a", "b"), (2, 0))  # asymmetric
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="loop at vertex a"):
+        Graph(("a", "b"), (1, 0))
+    with pytest.raises(ValueError, match="asymmetric adjacency between a and b"):
+        Graph(("a", "b"), (2, 0))
+    with pytest.raises(ValueError, match="differ in length"):
         Graph(("a", "b"), (0,))
+    with pytest.raises(ValueError, match="exceeds vertex range"):
+        Graph(("a", "b"), (4, 0))
+
+
+def test_induced_and_contracted_graphs_equal_checked_ones(catalog6):
+    # induced subgraphs and contractions are built without the constructor's
+    # checks: each equals, and hashes as, the graph that Graph(...) builds,
+    # and so passes, from its fields
+    def assert_checked(H):
+        built = Graph(H.labels, H.adj)
+        assert (H.labels, H.adj) == (built.labels, built.adj)
+        assert H == built and hash(H) == hash(built)
+        assert type(H.labels) is tuple and type(H.adj) is tuple
+
+    induced = contracted = 0
+    for G in catalog6:
+        for keep in range(1 << G.n):
+            assert_checked(G.induced(keep))
+            induced += 1
+        for i, j in G.edges():
+            pool = _admissible_pool(G, G.labels[i], G.labels[j])[2]
+            for a in range(pool + 1):
+                if a & ~pool == 0:
+                    assert_checked(_contract(G, i, j, a)[0])
+                    contracted += 1
+    assert (induced, contracted) == (sum(1 << G.n for G in catalog6), 1094 + 11740)
 
 
 def test_edges_and_degrees():

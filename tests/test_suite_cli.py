@@ -449,7 +449,7 @@ def test_golden_report_edge_sets_n5():
 # them with `python -m pytest -m slow --durations=15`, which lists each one's
 # time.  Every golden cross-checks both fields, so its summary counts depth
 # comparisons: the n <= 7 `all` body of `eil verify`, which does not and
-# names its corpus generated:max_n=7, has another hash (b7a81958...9c1a).
+# names its corpus generated:max_n=7, has another hash (b7a81958...9a1a).
 GOLDEN_ALL_N6 = "bf64cc68fab25bd1983339089f839186bc84a54eb07b278f8cd65e4972a7eb32"
 GOLDEN_MAIN_N7 = "251dc732798478be70820167d9a713f01c538a23a06f837f3147bcf6e15c49bf"
 GOLDEN_ALL_N7 = "4f5c4e9bd624b253d5f1ee7029e6467f71227b241d89aa8245c424b0e021b03d"
