@@ -16,12 +16,13 @@ _memo(G, fn, *args), one lru_cache of the last _MEMO_PIECES pieces fn(G,
 *args), whose args are vertex labels and masks.  A piece is keyed by the
 graph it depends on: the edge-set pieces and alpha2 after a deletion by G-A,
 which many catalog graphs share, so each is made once per G-A, not per (G, A).
-An edge-set check validates its edge and deletion set first, with
-graphs._admissible_pool, which reads the set once and returns it as a vertex
-mask; the pieces and the witness take it from there.  The suite validates
-each (edge, A) once per graph into a record (_edge_set) that it hands to
-every edge-set check of that graph in place of the labels; a check trusts a
-record only for the same G (the same object) and edge.
+An edge-set check takes one edge and returns a row per deletion set: of
+every subset of the edge's pool, in increasing mask order, or of the sets it
+is given.  It validates the edge, and each given set, with
+graphs._admissible_pool before it reads a piece; the set is read once and
+becomes a vertex mask, which the pieces and the witness take from there.
+The pieces of G itself (graph6 id, alpha2, wk3-freeness) are read once per
+call.
 
 Each statement here is invariant under the automorphisms of G, so the suite
 calls an edge or edge-set check only on the first edge of each Aut(G) orbit
@@ -36,8 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
-
 from .depth import GF2, FieldChoice, depth_ideal, depth_ideal_both
 from .graphs import (
     Graph,
@@ -150,32 +149,18 @@ def _memo(G: Graph, fn, *args):
     return fn(G, *args)
 
 
-class _EdgeSet(NamedTuple):
-    """An edge uv of G and a deletion set A that graphs._admissible_pool has
-    passed: what it returned, (i, j, pool, a), and the sorted labels of A, as
-    the witness prints them."""
-
-    G: Graph
-    u: str
-    v: str
-    i: int
-    j: int
-    pool: int
-    a: int
-    names: tuple[str, ...]
-
-
-def _edge_set(G: Graph, u: str, v: str, A) -> _EdgeSet:
-    """The record of the deletion set A at the edge uv of G: A itself when it
-    is a record made for this G (the same object) and edge, else one made by
-    _admissible_pool from A's labels (a record's own, for any other record),
-    which raises its ValueError."""
-    if isinstance(A, _EdgeSet):
-        if A.G is G and A.u == u and A.v == v:
-            return A
-        A = A.names
-    i, j, pool, a = _admissible_pool(G, u, v, A)
-    return _EdgeSet(G, u, v, i, j, pool, a, tuple(sorted(_labels(G, a))))
+def _deletion_masks(G: Graph, u: str, v: str, sets) -> tuple[int, int, list[int]]:
+    """(i, j, masks): the indices of u and v and the mask of each deletion set
+    of sets, each read once, or of every subset of the pool of uv in
+    increasing order when sets is None.  Raises ValueError when uv is not an
+    edge or a set leaves the pool."""
+    i, j, pool, _ = _admissible_pool(G, u, v)
+    if sets is not None:
+        return i, j, [_admissible_pool(G, u, v, A)[3] for A in sets]
+    masks = [0]
+    while masks[-1] != pool:
+        masks.append((masks[-1] - pool) & pool)
+    return i, j, masks
 
 
 def _without(G: Graph, a: int) -> Graph:
@@ -195,7 +180,7 @@ def _digests(lhs: MonomialIdeal, rhs: MonomialIdeal) -> tuple[str, str]:
 
 
 def _var_colon(G: Graph, u: str) -> MonomialIdeal:
-    """(I(G):u), shared by the edges at u."""
+    """(I(G):u), which every edge at u reads."""
     I = _memo(G, edge_ideal)
     return I.colon(_monomial(I, u))
 
@@ -300,52 +285,66 @@ def check_colon_intersection(G: Graph, edge: tuple[str, str]) -> CheckOutcome:
                         *_digests(lhs_ideal, rhs_ideal), witness)
 
 
-def check_even_connection_depth(G: Graph, edge, A, computer=None) -> CheckOutcome:
+def check_even_connection_depth(G: Graph, edge, sets=None, computer=None) -> list[CheckOutcome]:
     """depth of K = I(G'_A) + (L), from the contracted graph, over the
     shrunken ring is at least the packing number of the original graph, and K
     equals J = (I(G-A):u) meet (I(G-A):v).  So whenever this holds, depth(J) =
-    depth(K) clears the same bound: the colon-intersection depth statement."""
+    depth(K) clears the same bound: the colon-intersection depth statement.
+    One outcome per deletion set A (see _deletion_masks)."""
     u, v = edge
-    rec = _edge_set(G, u, v, A)
+    masks = _deletion_masks(G, u, v, sets)[2]
     computer = computer or DepthComputer()
-    J, K, L = _memo(_memo(G, _without, rec.a), _colon_intersection_pair, u, v)
-    identity = K == J
-    lhs = computer.ideal_depth(K)
-    rhs = _memo(G, star_packing_number).size
-    status = HOLDS if identity and lhs >= rhs else FAILS
-    witness = {"edge": [u, v], "A": list(rec.names), "L": list(L), "identity": identity}
-    return CheckOutcome("even_connection_depth", _memo(G, emit_graph6), status, lhs, rhs,
-                        witness, computer.field.characteristic)
+    gid, rhs = _memo(G, emit_graph6), _memo(G, star_packing_number).size
+    out = []
+    for a in masks:
+        J, K, L = _memo(_memo(G, _without, a), _colon_intersection_pair, u, v)
+        identity = K == J
+        lhs = computer.ideal_depth(K)
+        status = HOLDS if identity and lhs >= rhs else FAILS
+        witness = {"edge": [u, v], "A": sorted(_labels(G, a)), "L": list(L),
+                   "identity": identity}
+        out.append(CheckOutcome("even_connection_depth", gid, status, lhs, rhs, witness,
+                                computer.field.characteristic))
+    return out
 
 
-def check_square_colon_depth(G: Graph, edge, A, computer=None) -> CheckOutcome:
+def check_square_colon_depth(G: Graph, edge, sets=None, computer=None) -> list[CheckOutcome]:
     """depth of (I(G-A)^2 : uv) over the shrunken ring is at least the packing
-    number minus 2, minus 1 only when no whiskered triangle is induced."""
+    number minus 2, minus 1 only when no whiskered triangle is induced.  One
+    outcome per deletion set A (see _deletion_masks)."""
     u, v = edge
-    rec = _edge_set(G, u, v, A)
+    masks = _deletion_masks(G, u, v, sets)[2]
     computer = computer or DepthComputer()
-    lhs = computer.ideal_depth(_memo(_memo(G, _without, rec.a), _square_colon, u, v))
-    wk3_free = _memo(G, is_wk3_free)
+    gid, wk3_free = _memo(G, emit_graph6), _memo(G, is_wk3_free)
     rhs = _memo(G, star_packing_number).size - (1 if wk3_free else 2)
-    status = HOLDS if lhs >= rhs else FAILS
-    witness = {"edge": [u, v], "A": list(rec.names), "wk3_free": wk3_free}
-    return CheckOutcome("square_colon_depth", _memo(G, emit_graph6), status, lhs, rhs, witness,
-                        computer.field.characteristic)
+    out = []
+    for a in masks:
+        lhs = computer.ideal_depth(_memo(_memo(G, _without, a), _square_colon, u, v))
+        status = HOLDS if lhs >= rhs else FAILS
+        witness = {"edge": [u, v], "A": sorted(_labels(G, a)), "wk3_free": wk3_free}
+        out.append(CheckOutcome("square_colon_depth", gid, status, lhs, rhs, witness,
+                                computer.field.characteristic))
+    return out
 
 
-def check_square_colon_formula(G: Graph, edge, A) -> CheckOutcome:
+def check_square_colon_formula(G: Graph, edge, sets=None) -> list[CheckOutcome]:
     """(I(G-A)^2 : uv) computed generator-wise must equal the even-connection
     description: I(G-A) + mixed neighbor products + squares of common
-    neighbors.  When the edge is its own component, both collapse to I(G-A)."""
+    neighbors.  When the edge is its own component, both collapse to I(G-A).
+    One outcome per deletion set A (see _deletion_masks)."""
     u, v = edge
-    rec = _edge_set(G, u, v, A)
-    ok, lhs, rhs, L, isolated, gens = _memo(_memo(G, _without, rec.a), _formula, u, v)
-    witness = {"edge": [u, v], "A": list(rec.names), "L": list(L),
-               "isolated_edge_case": isolated}
-    if gens:
-        witness["lhs_gens"], witness["rhs_gens"] = gens
-    return CheckOutcome("square_colon_formula", _memo(G, emit_graph6), HOLDS if ok else FAILS,
-                        lhs, rhs, witness)
+    masks = _deletion_masks(G, u, v, sets)[2]
+    gid = _memo(G, emit_graph6)
+    out = []
+    for a in masks:
+        ok, lhs, rhs, L, isolated, gens = _memo(_memo(G, _without, a), _formula, u, v)
+        witness = {"edge": [u, v], "A": sorted(_labels(G, a)), "L": list(L),
+                   "isolated_edge_case": isolated}
+        if gens:
+            witness["lhs_gens"], witness["rhs_gens"] = gens
+        out.append(CheckOutcome("square_colon_formula", gid, HOLDS if ok else FAILS,
+                                lhs, rhs, witness))
+    return out
 
 
 def check_square_depth_bounds(G: Graph, computer=None) -> list[CheckOutcome]:
@@ -497,18 +496,22 @@ def check_generator_order_decomposition(G: Graph) -> CheckOutcome:
                         int(ok), 1, witness)
 
 
-def check_packing_deletion_bound(G: Graph, edge, A) -> CheckOutcome:
+def check_packing_deletion_bound(G: Graph, edge, sets=None) -> list[CheckOutcome]:
     """Deleting A together with a closed neighborhood (either endpoint), or
-    both closed neighborhoods, lowers the packing number by at most 2."""
+    both closed neighborhoods, lowers the packing number by at most 2.  One
+    outcome per deletion set A (see _deletion_masks)."""
     u, v = edge
-    rec = _edge_set(G, u, v, A)
-    rhs = _memo(G, star_packing_number).size - 2
-    cu, cv = G.closed_mask(rec.i), G.closed_mask(rec.j)
-    variants = {"A_plus_closed_u": rec.a | cu, "A_plus_closed_v": rec.a | cv,
-                "closed_u_plus_closed_v": cu | cv}
-    values = {name: _memo(_memo(G, _without, drop), star_packing_number).size
-              for name, drop in variants.items()}
-    lhs = min(values.values())
-    status = HOLDS if lhs >= rhs else FAILS
-    witness = {"edge": [u, v], "A": list(rec.names), "values": values}
-    return CheckOutcome("deletion_bound", _memo(G, emit_graph6), status, lhs, rhs, witness)
+    i, j, masks = _deletion_masks(G, u, v, sets)
+    gid, rhs = _memo(G, emit_graph6), _memo(G, star_packing_number).size - 2
+    cu, cv = G.closed_mask(i), G.closed_mask(j)
+    out = []
+    for a in masks:
+        variants = {"A_plus_closed_u": a | cu, "A_plus_closed_v": a | cv,
+                    "closed_u_plus_closed_v": cu | cv}
+        values = {name: _memo(_memo(G, _without, drop), star_packing_number).size
+                  for name, drop in variants.items()}
+        lhs = min(values.values())
+        status = HOLDS if lhs >= rhs else FAILS
+        witness = {"edge": [u, v], "A": sorted(_labels(G, a)), "values": values}
+        out.append(CheckOutcome("deletion_bound", gid, status, lhs, rhs, witness))
+    return out

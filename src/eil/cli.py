@@ -208,7 +208,7 @@ def _cmd_verify(args) -> int:
         corpus = _read_graphs(args.corpus)
         corpus_name = f"file:{args.corpus}"
     elif args.max_n is not None:
-        corpus = list(all_graphs(args.max_n))
+        corpus = all_graphs(args.max_n)  # run_suite stops at --budget
         corpus_name = f"generated:max_n={args.max_n}"
     else:
         corpus = []
@@ -223,7 +223,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_hunt(args) -> int:
     _require_output(args)
-    checks = resolve_checks([args.check])
+    checks = resolve_checks(args.check.split(","))
     field, cross = _field_mode(args.field)
     _warn_cap(args.max_polarized)
     # a random graph may touch all n vertices

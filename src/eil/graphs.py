@@ -414,16 +414,21 @@ def is_wk3_free(G: Graph) -> bool:
     return True
 
 
+def _pool(G: Graph, i: int, j: int) -> int:
+    """The mask of the vertices a statement may delete at the edge of vertices
+    i and j: the neighbors of i or j, minus i and j."""
+    return (G.adj[i] | G.adj[j]) & ~(1 << i) & ~(1 << j)
+
+
 def _admissible_pool(G: Graph, u: str, v: str, A=()) -> tuple[int, int, int, int]:
     """The one check of an edge uv and a deletion set A, which it reads once;
     a bare string is one label.  Returns (i, j, pool, a): the indices of u
-    and v, the mask of the vertices a statement may delete at uv (the
-    neighbors of u or v, minus u and v) and the mask of A.  Raises ValueError
-    when uv is not an edge or A leaves the pool."""
+    and v, the pool of uv (_pool) and the mask of A.  Raises ValueError when
+    uv is not an edge or A leaves the pool."""
     i, j = G.index(u), G.index(v)
     if not G.has_edge(i, j):
         raise ValueError(f"{u!r} {v!r} is not an edge")
-    pool = (G.adj[i] | G.adj[j]) & ~(1 << i) & ~(1 << j)
+    pool = _pool(G, i, j)
     names = {A} if isinstance(A, str) else set(A)
     a = sum(1 << k for k in _bits(pool) if G.labels[k] in names)
     if a.bit_count() != len(names):

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from . import checks as _checks
 from .catalog import _search
 from .checks import CheckOutcome
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _mask, _pool
 from .ideals import ideal_digest
 
 
@@ -59,8 +59,7 @@ class _Computed(NamedTuple):
 
     i: int
     j: int
-    masks: list[int]          # the deletion set of each row, as a vertex mask
-    rows: list[CheckOutcome]
+    rows: list[CheckOutcome]  # in the order of their deletion sets' masks
     comparisons: int          # depth comparisons its rows made
 
 
@@ -73,13 +72,12 @@ def _mapped_rows(G: Graph, name: str, first: _Computed, sigma, p: int, q: int) -
     labels, n = G.labels, G.n
     to = {x: sigma[k] for k, x in enumerate(labels)}  # a label to its image's index
     inverse = sorted(range(n), key=sigma.__getitem__)
-    pool = (G.adj[p] | G.adj[q]) & ~(1 << p) & ~(1 << q)
-    rank = {w: 1 << t for t, w in enumerate(_bits(pool))}
-    edge = [labels[p], labels[q]]  # shared by the edge's rows, which stay as made
+    rank = {w: 1 << t for t, w in enumerate(_bits(_pool(G, p, q)))}
+    edge = [labels[p], labels[q]]  # one list for all the edge's rows, which stay as made
     flip = sigma[first.i] == q
     digested = _checks._DIGESTED.get(name)
     out: list = [None] * len(first.rows)
-    for a, oc in zip(first.masks, first.rows):
+    for oc in first.rows:
         witness = dict(oc.witness)
         witness["edge"] = edge
         A = [to[x] for x in witness.get("A", ())]
@@ -97,6 +95,7 @@ def _mapped_rows(G: Graph, name: str, first: _Computed, sigma, p: int, q: int) -
             witness["values"] = values
         lhs, rhs = oc.lhs, oc.rhs
         if digested:
+            a = _mask(G, oc.witness.get("A", ()))
             column = {w: c for c, w in enumerate(k for k in range(n) if not a >> k & 1)}
             ring = [k for k in range(n) if k not in A]
             ideal = digested(_checks._memo(G, _checks._without, a),

@@ -36,8 +36,8 @@ from typing import NamedTuple
 from . import checks as _checks
 from .checks import FAILS, HOLDS, NOT_APPLICABLE, CheckOutcome, DepthComputer
 from .depth import GF2, FieldChoice
-from .graphs import (Graph, Graph6Error, _admissible_pool, _bits, _labels, default_labels,
-                     emit_graph6, parse_graph6, random_graph)
+from .graphs import (Graph, Graph6Error, _bits, _labels, _pool, default_labels, emit_graph6,
+                     parse_graph6, random_graph)
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
@@ -123,41 +123,37 @@ def _derived_rng(seed: int, *parts: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _deletion_sets(G: Graph, u: str, v: str, seed: int, context: str):
-    """All subsets of the pool of the edge uv, or a seeded sample of them.
-
-    Returns (list of records, sampled flag): each subset validated once, into
-    the record (checks._edge_set) the edge-set checks of G trust.  Samples
-    always contain the empty and the full set, so the boundary cases stay
-    covered.
-    """
-    pool = _labels(G, _admissible_pool(G, u, v)[2])
+def _deletion_sets(G: Graph, i: int, j: int, seed: int, context: str):
+    """None (every subset, which the edge-set checks sweep themselves) when
+    the pool of the edge of vertices i and j has at most EXHAUSTIVE_LIMIT
+    subsets, else a seeded sample of them as label tuples, in increasing mask
+    order.  Samples always contain the empty and the full set, so the
+    boundary cases stay covered."""
+    pool = _labels(G, _pool(G, i, j))
     p = len(pool)
-    sampled = (1 << p) > EXHAUSTIVE_LIMIT
-    if sampled:
-        rng = _derived_rng(seed, "deletion-sets", context)
-        masks = {0, (1 << p) - 1}
-        while len(masks) < SAMPLE_SIZE:
-            masks.add(rng.getrandbits(p))
-    else:
-        masks = range(1 << p)
-    records = [_checks._edge_set(G, u, v, tuple(pool[t] for t in _bits(mask)))
-               for mask in sorted(masks)]
-    return records, sampled
+    if (1 << p) <= EXHAUSTIVE_LIMIT:
+        return None
+    rng = _derived_rng(seed, "deletion-sets", context)
+    masks = {0, (1 << p) - 1}
+    while len(masks) < SAMPLE_SIZE:
+        masks.add(rng.getrandbits(p))
+    return [tuple(pool[t] for t in _bits(mask)) for mask in sorted(masks)]
 
 
 def _bound_check(name: str, computer: DepthComputer):
     """The check's function bound to its depth computer, returning the list of
     its outcomes whose check_id is name, timed: the call's milliseconds are
-    split evenly over them.  It is looked up in eil.checks now, not at
-    import, so a rebinding there (a tracer, a test double) is seen."""
+    split evenly over them.  The computer goes by keyword, so an edge-set
+    check called without its sets cannot take it for them.  The function is
+    looked up in eil.checks now, not at import, so a rebinding there (a
+    tracer, a test double) is seen."""
     spec = CHECKS[name]
     fn = getattr(_checks, spec.fn)
-    extra = (computer,) if spec.depth else ()
+    extra = {"computer": computer} if spec.depth else {}
 
     def call(*args) -> list[CheckOutcome]:
         t0 = perf_counter()
-        result = fn(*args, *extra)
+        result = fn(*args, **extra)
         ms = (perf_counter() - t0) * 1000
         kept = [oc for oc in (result if isinstance(result, list) else [result])
                 if oc.check_id == name]
@@ -170,15 +166,14 @@ def _bound_check(name: str, computer: DepthComputer):
 
 def _graph_task(G: Graph, checks, field, cross, seed) -> tuple[list[CheckOutcome], list[dict], int]:
     """The outcomes, graph-tagged findings and depth comparisons of one graph.
-    The edge-set checks share each edge's deletion sets, unless sampled.  An
-    edge or edge-set check computes the first edge of each Aut(G) orbit and
-    maps its rows to the other edges of the orbit, unless that edge's pool is
-    sampled or its rows hold a fail or raised a finding: then every edge of
-    the orbit is computed."""
+    An edge-set check sweeps one edge's deletion sets per call.  An edge or
+    edge-set check computes the first edge of each Aut(G) orbit and maps its
+    rows to the other edges of the orbit, unless that edge's pool is sampled
+    or its rows hold a fail or raised a finding: then every edge of the orbit
+    is computed."""
     computer = DepthComputer(field, cross_check=cross)
     gid = emit_graph6(G)
     out: list[CheckOutcome] = []
-    shared: dict[tuple[str, str], tuple[list, bool]] = {}
     orbits = None
     for name in checks:
         kind = CHECKS[name].kind
@@ -203,24 +198,19 @@ def _graph_task(G: Graph, checks, field, cross, seed) -> tuple[list[CheckOutcome
                 continue
             u, v = G.labels[i], G.labels[j]
             findings, comparisons = len(computer.findings), computer.comparisons
+            sets = None
             if kind == "edge":
-                rows, masks, sampled = check(G, (u, v)), [0], False
+                rows = check(G, (u, v))
             else:
-                sets, sampled = (shared.get((u, v))
-                                 or _deletion_sets(G, u, v, seed, f"{name}:{gid}:{u}:{v}"))
-                if not sampled:
-                    shared[u, v] = sets, sampled
-                rows = [check(G, (u, v), A)[0] for A in sets]
-                masks = [A.a for A in sets]
-                if sampled:
+                sets = _deletion_sets(G, i, j, seed, f"{name}:{gid}:{u}:{v}")
+                rows = check(G, (u, v), sets)
+                if sets is not None:
                     for oc in rows:
-                        oc.witness = dict(oc.witness or {})
                         oc.witness["sampled"] = True
             out.extend(rows)
-            if r == k and not sampled and len(computer.findings) == findings and all(
+            if r == k and sets is None and len(computer.findings) == findings and all(
                     oc.status != FAILS for oc in rows):
-                computed[k] = _orbits._Computed(i, j, masks, rows,
-                                                computer.comparisons - comparisons)
+                computed[k] = _orbits._Computed(i, j, rows, computer.comparisons - comparisons)
     for finding in computer.findings:
         finding["graph_id"] = gid
     return out, computer.findings, computer.comparisons

@@ -27,7 +27,6 @@ from eil.checks import (
     check_symbolic_square,
     check_triangle_neighborhood_packing,
     sharp_example_graphs,
-    _edge_set,
 )
 from eil.depth import GF2, QQ, depth_ideal
 from eil.graphs import (
@@ -99,14 +98,14 @@ def test_colon_intersection_depth_examples():
     # by even_connection_depth, which bounds depth(K) and asserts K = J
     assert resolve_checks(["colon_intersection_depth"]) == ("even_connection_depth",)
     for G, A, rhs in [(K3, (), 1), (K2, (), 1), (K3, ("x3",), 1)]:
-        oc = check_even_connection_depth(G, ("x1", "x2"), A)
+        [oc] = check_even_connection_depth(G, ("x1", "x2"), [A])
         IA = edge_ideal(delete_vertices(G, A))
         x1, x2 = (parse_monomial(IA.ambient, x) for x in ("x1", "x2"))
         J = IA.colon(x1).intersect(IA.colon(x2))
         assert oc.status == HOLDS and oc.witness["identity"] is True
         assert oc.lhs == depth_ideal(J) >= oc.rhs == rhs
     with pytest.raises(ValueError):
-        check_even_connection_depth(K3, ("x1", "x2"), ("x1",))
+        check_even_connection_depth(K3, ("x1", "x2"), [("x1",)])
 
 
 def test_even_connection_depth_asserts_identity():
@@ -116,30 +115,30 @@ def test_even_connection_depth_asserts_identity():
         (K3, ("x1", "x2"), ("x3",)),
         (WK3, ("x1", "x2"), ("z1",)),
     ]:
-        oc = check_even_connection_depth(G, edge, A)
+        [oc] = check_even_connection_depth(G, edge, [A])
         assert oc.status == HOLDS and oc.witness["identity"] is True
 
 
 def test_square_colon_depth_examples():
     # K3 is whisker-free, so the sharper bound alpha2 - 1 = 0 applies
-    oc = check_square_colon_depth(K3, ("x1", "x2"), ())
+    [oc] = check_square_colon_depth(K3, ("x1", "x2"), [()])
     assert oc.status == HOLDS and oc.rhs == 0 and oc.witness["wk3_free"] is True
     # the whiskered triangle only gets alpha2 - 2 = 1
-    oc = check_square_colon_depth(WK3, ("x1", "x2"), ())
+    [oc] = check_square_colon_depth(WK3, ("x1", "x2"), [()])
     assert oc.status == HOLDS and oc.rhs == 1 and oc.witness["wk3_free"] is False
     # single edge: the colon collapses to the ideal itself, depth 2 >= 0
-    oc = check_square_colon_depth(K2, ("x1", "x2"), ())
+    [oc] = check_square_colon_depth(K2, ("x1", "x2"), [()])
     assert oc.status == HOLDS and (oc.lhs, oc.rhs) == (2, 0)
 
 
 def test_square_colon_formula_examples():
-    oc = check_square_colon_formula(K3, ("x1", "x2"), ())
+    [oc] = check_square_colon_formula(K3, ("x1", "x2"), [()])
     assert oc.status == HOLDS
     assert oc.lhs == "(x1*x2, x1*x3, x2*x3, x3^2)" == oc.rhs
     two_edges = graph_from_edges(("x", "y", "u", "v"), [("x", "y"), ("u", "v")])
-    oc = check_square_colon_formula(two_edges, ("x", "y"), ())
+    [oc] = check_square_colon_formula(two_edges, ("x", "y"), [()])
     assert oc.status == HOLDS and oc.witness["isolated_edge_case"] is True
-    oc = check_square_colon_formula(P4, ("x2", "x3"), ())
+    [oc] = check_square_colon_formula(P4, ("x2", "x3"), [()])
     assert oc.status == HOLDS and "x1*x4" in oc.lhs
 
 
@@ -201,16 +200,16 @@ def test_order_decomposition_examples():
 
 
 def test_deletion_bound_examples():
-    oc = check_packing_deletion_bound(K3, ("x1", "x2"), ())
+    [oc] = check_packing_deletion_bound(K3, ("x1", "x2"), [()])
     assert oc.status == HOLDS
-    oc = check_packing_deletion_bound(WK3, ("x1", "x2"), ())
+    [oc] = check_packing_deletion_bound(WK3, ("x1", "x2"), [()])
     assert oc.status == HOLDS and set(oc.witness["values"]) == {
         "A_plus_closed_u", "A_plus_closed_v", "closed_u_plus_closed_v"
     }
-    oc = check_packing_deletion_bound(K2, ("x1", "x2"), ())
+    [oc] = check_packing_deletion_bound(K2, ("x1", "x2"), [()])
     assert oc.status == HOLDS and (oc.lhs, oc.rhs) == (0, -1)
     with pytest.raises(ValueError):
-        check_packing_deletion_bound(K3, ("x1", "x2"), ("x1",))
+        check_packing_deletion_bound(K3, ("x1", "x2"), [("x1",)])
 
 
 def test_deletion_bound_general_form_exhaustive_small(catalog6):
@@ -295,8 +294,9 @@ def test_checks_all_hold_on_random_graphs():
 # ---------------------------------------------------------------------------
 # the per-graph memo every check reads
 
+# each returns the list of its outcomes at the edge, one per deletion set
 EDGE_SET_CHECKS = {
-    "colon_intersection": lambda G, edge, A: check_colon_intersection(G, edge),
+    "colon_intersection": lambda G, edge, sets=None: [check_colon_intersection(G, edge)],
     "even_connection_depth": check_even_connection_depth,
     "square_colon_depth": check_square_colon_depth,
     "square_colon_formula": check_square_colon_formula,
@@ -345,7 +345,7 @@ def _rows(G, name, edge, A):
         result = GRAPH_CHECKS[name](G)
         return [_row(oc) for oc in (result if isinstance(result, list) else [result])
                 if oc.check_id == name]
-    return [_row(EDGE_SET_CHECKS[name](G, edge, A))]
+    return [_row(oc) for oc in EDGE_SET_CHECKS[name](G, edge, [A])]
 
 
 def test_memo_matches_cold_calls_on_every_edge_set_instance(catalog5):
@@ -371,8 +371,7 @@ def test_memo_interleaved_graphs_match_cold_calls():
     cold = {G: [_cold(G, *inst) for inst in _edge_set_instances(G)] for G in (G1, G2)}
     eil.checks._memo.cache_clear()
     for G in (G1, G2, G1):
-        assert [[_row(EDGE_SET_CHECKS[name](G, edge, A))]
-                for name, edge, A in _edge_set_instances(G)] == cold[G]
+        assert [_rows(G, name, edge, A) for name, edge, A in _edge_set_instances(G)] == cold[G]
     info = eil.checks._memo.cache_info()
     assert info.hits > 0 and info.maxsize == eil.checks._MEMO_PIECES
     assert info.currsize <= info.maxsize
@@ -393,7 +392,7 @@ def test_memo_shares_pieces_of_a_common_graph_minus_a(monkeypatch):
     eil.checks._memo.cache_clear()
     for G in (G1, G2):
         for name, fn in EDGE_SET_CHECKS.items():
-            fn(G, ("b", "c"), () if name == "colon_intersection" else ("e",))
+            fn(G, ("b", "c"), [("e",)])
     path = graph_from_edges("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
     assert G1.induced(0b1111) == G2.induced(0b1111) == path
     assert built[path] == 1 and built[G1] == built[G2] == 1
@@ -419,7 +418,7 @@ def test_memo_state_never_changes_a_row(catalog5, monkeypatch):
 def test_memo_hit_still_rejects_inadmissible_sets():
     G = whiskered_triangle()
     for name, edge, A in _edge_set_instances(G):
-        EDGE_SET_CHECKS[name](G, edge, A)
+        _rows(G, name, edge, A)
     u, v = G.edge_labels()[0]
     far = next(x for x in G.labels if not _mask(G, [x]) & G.closed_mask(G.index(u))
                and not _mask(G, [x]) & G.closed_mask(G.index(v)))
@@ -427,11 +426,11 @@ def test_memo_hit_still_rejects_inadmissible_sets():
     for name, fn in EDGE_SET_CHECKS.items():
         if name == "colon_intersection":
             with pytest.raises(ValueError, match="is not an edge"):
-                fn(G, (u, far), ())
+                fn(G, (u, far))
             continue
         for A in ((u,), (far,), ("nowhere",)):
             with pytest.raises(ValueError, match="inadmissible deletion set"):
-                fn(G, (u, v), A)
+                fn(G, (u, v), [A])
     assert eil.checks._memo.cache_info().hits == hits  # raised before reading the memo
 
 
@@ -441,7 +440,7 @@ def test_one_shot_deletion_sets_read_like_tuples():
     for name, edge, A in _edge_set_instances(G):
         assert _cold(G, name, edge, iter(A)) == _cold(G, name, edge, A), (name, edge, A)
         assert even_connection_graph(G, *edge, iter(A)) == even_connection_graph(G, *edge, A)
-    oc = check_square_colon_depth(G, ("x1", "x2"), iter(("x3", "z1")))
+    [oc] = check_square_colon_depth(G, ("x1", "x2"), [iter(("x3", "z1"))])
     assert (oc.lhs, oc.witness["A"]) == (3, ["x3", "z1"])
     # and a bare string is one label, not a run of characters
     edge = ("x1", "x2")
@@ -450,66 +449,41 @@ def test_one_shot_deletion_sets_read_like_tuples():
     assert even_connection_graph(G, *edge, "x3") == even_connection_graph(G, *edge, ("x3",))
 
 
-def test_record_path_equals_label_path(catalog5, monkeypatch):
-    # the suite hands an edge-set check the record of its edge and deletion
-    # set, made once per graph; on every instance on n <= 5 the check gives
-    # what the labels give, and trusts the record without validating again
-    instances = [(G, name, edge, A, _edge_set(G, *edge, A)) for G in catalog5
-                 for name, edge, A in _edge_set_instances(G) if name != "colon_intersection"]
-    by_labels = [_rows(G, name, edge, A) for G, name, edge, A, _ in instances]
+def test_sweep_equals_every_subset_given_in_mask_order(catalog5):
+    # called without sets, an edge-set check sweeps every subset of the
+    # edge's pool in increasing mask order, row for row what the subsets give
+    rows = 0
+    for G in catalog5:
+        for u, v in G.edge_labels():
+            pool = _admissible_pool(G, u, v)[2]
+            sets = [_labels(G, a) for a in range(pool + 1) if not a & ~pool]
+            for name, fn in EDGE_SET_CHECKS.items():
+                if name == "colon_intersection":
+                    continue
+                swept = [_row(oc) for oc in fn(G, (u, v))]
+                assert swept == [_row(oc) for oc in fn(G, (u, v), sets)], (G, u, v, name)
+                assert [w["A"] for w in (row["witness"] for row in swept)] == [
+                    sorted(A) for A in sets]
+                rows += len(swept)
+    assert rows == 4 * 1094
 
-    def unexpected(*args):
-        raise AssertionError(f"validated again: {args}")
 
-    monkeypatch.setattr(eil.checks, "_admissible_pool", unexpected)
-    assert [_rows(G, name, edge, rec) for G, name, edge, _, rec in instances] == by_labels
-
-
-def test_record_for_another_graph_or_edge_is_validated_again(monkeypatch):
-    # a record is trusted only for the graph it was made for (the same
-    # object) and the same edge; any other is read as its labels, validated
-    # afresh, and gives the labels' row or ValueError.  Each record here
-    # claims its whole pool, so a check that trusted it would read that.
+def test_inadmissible_set_raises_before_any_memo_read():
+    # every set is read before the first piece, so a bad set late in the
+    # list raises without a memo read for the good ones before it
     G = whiskered_triangle()
-    twin = graph_from_edges(G.labels, G.edge_labels())
-    other = graph_from_edges(G.labels, [e for e in G.edge_labels() if e != ("x1", "x2")]
-                             + [("x1", "z2")])
-    assert twin == G and twin is not G and other != G
-    edges = list(dict.fromkeys(G.edge_labels() + other.edge_labels()))
-    calls = Counter()
-    real = eil.checks._admissible_pool
-
-    def counting(*args):
-        calls["pool"] += 1
-        return real(*args)
-
-    def outcome(fn, edge, A):
-        calls.clear()
-        try:
-            result = _row(fn(G, edge, A))
-        except ValueError as err:
-            result = str(err)
-        return result, calls["pool"]
-
-    monkeypatch.setattr(eil.checks, "_admissible_pool", counting)
-    raised = 0
-    for maker in (twin, other, G):
-        for made_at in maker.edge_labels():
-            pool = _labels(maker, real(maker, *made_at)[2])
-            for A in (A for k in range(len(pool) + 1) for A in combinations(pool, k)):
-                rec = _edge_set(maker, *made_at, A)
-                rec = rec._replace(a=rec.pool)
-                for edge in edges:
-                    if maker is G and edge == made_at:
-                        continue
-                    for name in ("even_connection_depth", "square_colon_depth",
-                                 "square_colon_formula", "deletion_bound"):
-                        fn = EDGE_SET_CHECKS[name]
-                        got = outcome(fn, edge, rec)
-                        assert got == outcome(fn, edge, A), (maker, made_at, A, edge, name)
-                        assert got[1] == 1
-                        raised += isinstance(got[0], str)
-    assert raised > 0
+    good = [(), ("x3",), ("z1",)]
+    for name, fn in EDGE_SET_CHECKS.items():
+        if name == "colon_intersection":
+            continue
+        for bad in (("x1",), ("z3",), ("nowhere",)):
+            eil.checks._memo.cache_clear()
+            with pytest.raises(ValueError, match="inadmissible deletion set"):
+                fn(G, ("x1", "x2"), [*good, bad])
+            info = eil.checks._memo.cache_info()
+            assert info.hits + info.misses == 0, (name, bad)
+        with pytest.raises(ValueError, match="is not an edge"):
+            fn(G, ("x1", "z2"), [])
 
 
 def test_edge_set_suite_same_body_for_one_and_two_jobs(catalog5):
@@ -556,15 +530,16 @@ def test_shared_memo_work_counts(catalog5, tmp_path, capsys, monkeypatch):
 
 
 def test_validator_work_count(catalog5, monkeypatch):
-    # pinned: the suite validates the pool of each edge it computes, the
-    # first of each Aut(G) orbit, and each of its deletion sets once per graph
-    # into a record the edge-set checks trust, and the contraction takes the
+    # pinned: each check call validates its edge once, and the suite calls
+    # each check once per edge it computes, the first of each Aut(G) orbit,
+    # sweeping the edge's unsampled pool itself; the contraction takes the
     # checked mask, so a cold edge-set run on n <= 5 calls _admissible_pool
-    # 620 times: 92 of the 210 edges twice (the pool, and colon_intersection)
-    # and their 436 of the 1094 deletion sets once (1514 while every edge was
-    # computed, 5426 while each check validated its deletion set again, 6520
-    # while the pair builder went through even_connection_graph, which
-    # validated again)
+    # 460 times: 92 of the 210 edges once under each of the five checks (620
+    # while the suite validated each edge's pool and each of its 436 of the
+    # 1094 deletion sets into a per-graph record that the edge-set checks
+    # trusted, 1514 while every edge was computed, 5426 while each check
+    # validated its deletion set again, 6520 while the pair builder went
+    # through even_connection_graph, which validated again)
     calls = Counter()
     real = eil.graphs._admissible_pool
 
@@ -572,11 +547,11 @@ def test_validator_work_count(catalog5, monkeypatch):
         calls["pool"] += 1
         return real(*args)
 
-    for module in (eil.graphs, eil.checks, eil.suite):
+    for module in (eil.graphs, eil.checks):
         monkeypatch.setattr(module, "_admissible_pool", counting)
     eil.checks._memo.cache_clear()
     run_suite(catalog5, list(EDGE_SET_CHECKS), GF2)
-    assert calls["pool"] == 620
+    assert calls["pool"] == 460
 
 
 def test_colon_work_count(catalog5, monkeypatch):

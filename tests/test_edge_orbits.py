@@ -116,12 +116,13 @@ def test_failing_representative_sends_its_orbit_to_the_direct_path(monkeypatch):
     computed = {}
     fail_at = set()
 
-    def forced(G, edge, A, computer=None):
-        oc = real(G, edge, A, computer)
-        if tuple(edge) in fail_at:
-            oc.status = FAILS
-        computed[tuple(edge), tuple(oc.witness["A"])] = oc
-        return oc
+    def forced(G, edge, sets=None, computer=None):
+        rows = real(G, edge, sets, computer)
+        for oc in rows:
+            if tuple(edge) in fail_at:
+                oc.status = FAILS
+            computed[tuple(edge), tuple(oc.witness["A"])] = oc
+        return rows
 
     monkeypatch.setattr(eil.checks, "check_square_colon_depth", forced)
     G = cycle_graph(6)

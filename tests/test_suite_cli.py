@@ -15,6 +15,7 @@ import pytest
 from eil.catalog import all_graphs
 from eil.cli import main
 from eil.depth import GF2
+import eil.catalog
 import eil.checks
 import eil.cli
 from eil.checks import FAILS, CheckOutcome, check_packing_deletion_bound
@@ -74,7 +75,7 @@ def test_registry_ids_match_emitted_ids():
             kind = {CHECKS[name].kind for name in ids}.pop()
             if kind in ("edge", "edge_set") and edge is None:
                 continue
-            args = {"graph": (G,), "edge": (G, edge), "edge_set": (G, edge, ()),
+            args = {"graph": (G,), "edge": (G, edge), "edge_set": (G, edge),
                     "global": ()}[kind]
             result = getattr(eil.checks, fn)(*args)
             emitted = {oc.check_id for oc in (result if isinstance(result, list) else [result])}
@@ -229,14 +230,26 @@ def test_suite_times_each_check_call(monkeypatch):
 
 def test_sampled_draws_of_the_edge_set_checks_pinned():
     # pinned: at the hub edge every edge-set check draws its own seeded sample
-    # of deletion sets (by check, graph6 and edge), while the exhaustive leaf
-    # edges share theirs; the body is the one each check validating its own
-    # sets gave, so sharing the validation moved no draw
+    # of deletion sets (by check, graph6 and edge), while each check sweeps
+    # the exhaustive leaf edges' pools itself; the body is the one each check
+    # validating its own sets gave, so neither sharing the validation nor
+    # sweeping an edge per call moved a draw
     report = run_suite([two_hubs()], ["even_connection_depth", "square_colon_depth",
                                       "square_colon_formula", "deletion_bound"], seed=3)
     assert sum(bool(oc.witness.get("sampled")) for oc in report.outcomes) == 4 * SAMPLE_SIZE
     digest = hashlib.sha256(report.canonical_body().encode()).hexdigest()
     assert digest == "398ee6f021d16650261437cb6f8a621f73fecaf6922a2ee33c3103e52f1ddbf7"
+
+
+def test_sampled_edge_set_body_same_for_one_and_two_jobs():
+    # a graph's samples are drawn by check, graph6 and edge, in whichever
+    # worker gets the graph, so two workers give the body one gives
+    corpus = [two_hubs(), two_hubs()]
+    checks = ["colon_intersection", "even_connection_depth", "square_colon_depth",
+              "square_colon_formula", "deletion_bound"]
+    one = run_suite(corpus, checks, seed=3, jobs=1)
+    assert sum(bool(oc.witness.get("sampled")) for oc in one.outcomes) == 2 * 4 * SAMPLE_SIZE
+    assert one.canonical_body() == run_suite(corpus, checks, seed=3, jobs=2).canonical_body()
 
 
 def test_global_check_runs_once_without_corpus():
@@ -331,7 +344,7 @@ def _hubs_report() -> VerificationReport:
     and a finding, in one report."""
     report = run_suite([two_hubs()], ["deletion_bound"], seed=3, corpus_name="h\u00fcbs")
     G = graph_from_edges(["\u00fc", "v", "\u00e9"], [("\u00fc", "v"), ("v", "\u00e9")])
-    report.outcomes.append(check_packing_deletion_bound(G, ("\u00fc", "v"), ("\u00e9",)))
+    report.outcomes.extend(check_packing_deletion_bound(G, ("\u00fc", "v"), [("\u00e9",)]))
     report.findings.append({"kind": "note", "graph_id": "\u00fc", "char0": [2, None]})
     assert any(oc.witness.get("sampled") for oc in report.outcomes)
     return report
@@ -494,7 +507,7 @@ def test_hunter_finds_nothing_on_true_statement():
 def test_hunter_reports_failures_with_replayable_witness(monkeypatch):
     # a check forced to fail on every graph: each hunted graph is reported,
     # and its id replays to a graph on the hunted vertex count
-    def failing(G, field=GF2):
+    def failing(G, computer=None):
         return CheckOutcome("first_power", emit_graph6(G), FAILS, 0, 1)
 
     monkeypatch.setattr(eil.checks, "check_first_power", failing)
@@ -680,6 +693,21 @@ def test_cli_verify_main_small(tmp_path, capsys):
     _assert_one_outcome_per_line(text, payload["outcomes"])
 
 
+def test_cli_verify_budget_stops_the_catalog(monkeypatch, capsys):
+    # the first three classes are the one on 1 vertex and the two on 2, so
+    # no level above 3 may be built however large --max-n is
+    real = eil.catalog.graph_classes
+
+    def small_levels(n):
+        if n > 3:
+            raise AssertionError(f"catalog level {n} built")
+        return real(n)
+
+    monkeypatch.setattr(eil.catalog, "graph_classes", small_levels)
+    assert main(["verify", "--suite", "first_power", "--max-n", "9", "--budget", "3"]) == 0
+    assert "outcomes=3 " in capsys.readouterr().out
+
+
 def test_cli_verify_corpus_file(tmp_path, capsys):
     lines = ["A_", "Bw", emit_graph6(path_graph(4))]
     corpus = tmp_path / "corpus.g6"
@@ -733,7 +761,7 @@ def test_cli_verify_reports_forced_field_disagreements(monkeypatch, capsys):
 
 
 def test_cli_prints_forced_failures_and_exits_one(monkeypatch, capsys):
-    def failing(G, field=GF2):
+    def failing(G, computer=None):
         return CheckOutcome("first_power", emit_graph6(G), FAILS, 0, 1)
 
     monkeypatch.setattr(eil.checks, "check_first_power", failing)
@@ -949,6 +977,15 @@ def test_cli_hunt_ok(tmp_path, capsys):
     ])
     assert code == 0
     assert json.loads(out_path.read_text())["summary"]["fails"] == 0
+
+
+def test_cli_hunt_takes_a_comma_list(tmp_path, capsys):
+    out_path = tmp_path / "hunt.json"
+    assert main(["hunt", "--check", "colon_intersection,deletion_bound", "--n", "4",
+                 "--random", "1", "--seed", "1", "--output", str(out_path)]) == 0
+    payload = json.loads(out_path.read_text())
+    assert payload["checks"] == ["colon_intersection", "deletion_bound"]
+    assert {row["check_id"] for row in payload["outcomes"]} <= set(payload["checks"])
 
 
 def test_cli_hunt_missing_seed(capsys):
