@@ -65,40 +65,43 @@ def _equitable(adj: tuple[int, ...], cells: list[int], stack: list[int]) -> list
     return cells
 
 
+def _visit(n: int, adj: tuple[int, ...], cells: list[int], stack: list[int],
+           leaves: dict[int, list[int]], auts: list[tuple[int, ...]]) -> None:
+    """Search below an ordered partition: record each leaf's key in leaves and
+    each automorphism found in auts."""
+    cells = _equitable(adj, cells, stack)
+    _, k = min(
+        ((c.bit_count(), i) for i, c in enumerate(cells) if c & (c - 1)),
+        default=(1, -1),
+    )
+    if k < 0:
+        order = [c.bit_length() - 1 for c in cells]
+        key = 0
+        for i, v in enumerate(order):
+            row = adj[v]
+            for j in range(i):
+                if row >> order[j] & 1:
+                    key |= 1 << (i * (i - 1) // 2 + j)
+        first = leaves.setdefault(key, order)
+        if first is not order:  # v -> the vertex at v's position in the first leaf
+            auts.append(tuple(w for _, w in sorted(zip(order, first))))
+        return
+    cell = cells[k]
+    tried: list[int] = []
+    for v in _bits(cell):
+        u = next((u for u in tried if adj[v] & ~(1 << u) == adj[u] & ~(1 << v)), -1)
+        if u >= 0:
+            auts.append(tuple(v if x == u else u if x == v else x for x in range(n)))
+            continue
+        tried.append(v)
+        _visit(n, adj, cells[:k] + [1 << v, cell ^ 1 << v] + cells[k + 1:], [1 << v], leaves, auts)
+
+
 def _search(n: int, adj: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
     """Canonical key of a trusted adjacency tuple, and automorphisms found."""
     leaves: dict[int, list[int]] = {}
     auts: list[tuple[int, ...]] = []
-
-    def visit(cells: list[int], stack: list[int]) -> None:
-        cells = _equitable(adj, cells, stack)
-        _, k = min(
-            ((c.bit_count(), i) for i, c in enumerate(cells) if c & (c - 1)),
-            default=(1, -1),
-        )
-        if k < 0:
-            order = [c.bit_length() - 1 for c in cells]
-            key = 0
-            for i, v in enumerate(order):
-                row = adj[v]
-                for j in range(i):
-                    if row >> order[j] & 1:
-                        key |= 1 << (i * (i - 1) // 2 + j)
-            first = leaves.setdefault(key, order)
-            if first is not order:  # v -> the vertex at v's position in the first leaf
-                auts.append(tuple(w for _, w in sorted(zip(order, first))))
-            return
-        cell = cells[k]
-        tried: list[int] = []
-        for v in _bits(cell):
-            u = next((u for u in tried if adj[v] & ~(1 << u) == adj[u] & ~(1 << v)), -1)
-            if u >= 0:
-                auts.append(tuple(v if x == u else u if x == v else x for x in range(n)))
-                continue
-            tried.append(v)
-            visit(cells[:k] + [1 << v, cell ^ 1 << v] + cells[k + 1:], [1 << v])
-
-    visit([(1 << n) - 1] if n else [], [(1 << n) - 1])
+    _visit(n, adj, [(1 << n) - 1] if n else [], [(1 << n) - 1], leaves, auts)
     return min(leaves), auts
 
 

@@ -442,6 +442,22 @@ def check_symbolic_square(G: Graph, computer=None) -> CheckOutcome:
 ORDER_MAX_EDGES = 8  # the order search is exponential in the edge count
 
 
+def _first_order(used: frozenset, m: int, condition, dead: set) -> list[int] | None:
+    """Depth first, least index first: an order of the m generators not in used
+    that passes condition(used so far, next) at every step, or None; dead holds dead ends."""
+    if len(used) == m:
+        return []
+    if used in dead:
+        return None
+    for t in range(m):
+        if t not in used and condition(used, t):
+            rest = _first_order(used | {t}, m, condition, dead)
+            if rest is not None:
+                return [t] + rest
+    dead.add(used)
+    return None
+
+
 def check_generator_order_decomposition(G: Graph) -> CheckOutcome:
     """Search for a generator order in which each partial-sum colon
     ((I^2 + (u_1..u_{k-1})) : u_k) splits as (I^2 : u_k) plus variables from
@@ -470,24 +486,7 @@ def check_generator_order_decomposition(G: Graph) -> CheckOutcome:
             return False
         return left == base_colon[t] + MonomialIdeal(I.ambient, tuple(linear))
 
-    dead: set[frozenset] = set()
-
-    def search(used: frozenset):
-        if len(used) == m:
-            return []
-        if used in dead:
-            return None
-        for t in range(m):
-            if t in used:
-                continue
-            if condition(used, t):
-                rest = search(used | {t})
-                if rest is not None:
-                    return [t] + rest
-        dead.add(used)
-        return None
-
-    found = search(frozenset())
+    found = _first_order(frozenset(), m, condition, set())
     ok = found is not None
     witness = {"edges": m}
     if ok:

@@ -356,27 +356,24 @@ def star_packing_number(G: Graph) -> StarPackingWitness:
         conflict.append(m)
     order = sorted(range(n), key=lambda v: -G.degree(v))
 
-    best_size = 0
-    best_mask = 0
+    best = [0, 0]  # size, centers mask
+    _packing_search(conflict, order, 0, 0, (1 << n) - 1, best)
+    return StarPackingWitness(_labels(G, best[1]), best[0])
 
-    def first_candidate(mask: int) -> int:
-        for v in order:
-            if mask & (1 << v):
-                return v
-        raise AssertionError
 
-    def explore(chosen_mask: int, count: int, cand: int):
-        nonlocal best_size, best_mask
-        if count > best_size:
-            best_size, best_mask = count, chosen_mask
-        if count + cand.bit_count() <= best_size or not cand:
-            return
-        v = first_candidate(cand)
-        explore(chosen_mask | (1 << v), count + 1, cand & ~conflict[v])
-        explore(chosen_mask, count, cand & ~(1 << v))
-
-    explore(0, 0, (1 << n) - 1)
-    return StarPackingWitness(_labels(G, best_mask), best_size)
+def _packing_search(conflict: list[int], order: list[int], chosen: int, count: int,
+                    cand: int, best: list[int]) -> None:
+    """Branch and bound below the centers mask chosen: take the first
+    candidate in order, then leave it; best holds the largest packing found."""
+    if count > best[0]:
+        best[0], best[1] = count, chosen
+    if count + cand.bit_count() <= best[0] or not cand:
+        return
+    for v in order:  # the first candidate in order
+        if cand >> v & 1:
+            break
+    _packing_search(conflict, order, chosen | (1 << v), count + 1, cand & ~conflict[v], best)
+    _packing_search(conflict, order, chosen, count, cand & ~(1 << v), best)
 
 
 def triangles(G: Graph) -> list[tuple[str, str, str]]:
@@ -478,21 +475,22 @@ def maximal_independent_sets(G: Graph) -> list[int]:
     full = (1 << n) - 1
     comp = [~G.adj[i] & full & ~(1 << i) for i in range(n)]
     out: list[int] = []
-
-    def expand(r: int, p: int, x: int):
-        if not p and not x:
-            out.append(r)
-            return
-        pivot_pool = p | x
-        pivot = max(_bits(pivot_pool), key=lambda w: (comp[w] & p).bit_count())
-        for w in _bits(p & ~comp[pivot]):
-            wm = 1 << w
-            expand(r | wm, p & comp[w], x & comp[w])
-            p &= ~wm
-            x |= wm
-
-    expand(0, full, 0)
+    _expand(comp, 0, full, 0, out)
     return sorted(out)
+
+
+def _expand(comp: list[int], r: int, p: int, x: int, out: list[int]) -> None:
+    """Bron-Kerbosch step on the complement comp: append to out every maximal
+    independent set that contains r, meets p and avoids x."""
+    if not p and not x:
+        out.append(r)
+        return
+    pivot = max(_bits(p | x), key=lambda w: (comp[w] & p).bit_count())
+    for w in _bits(p & ~comp[pivot]):
+        wm = 1 << w
+        _expand(comp, r | wm, p & comp[w], x & comp[w], out)
+        p &= ~wm
+        x |= wm
 
 
 def minimal_vertex_covers(G: Graph) -> list[tuple[int, ...]]:

@@ -15,11 +15,17 @@ eil.orbits).
 Timing happens here, once per check call: each outcome a call keeps gets an
 equal share of the call's wall time, and each mapped row an equal share of
 the time its edge's mapping took.
+
+Finished rows live until the run ends, so run_suite takes them out of the
+cyclic collector's scans: gc.freeze() after each graph's rows, gc.unfreeze() on
+return or raise, and neither when more objects are frozen than at import (the
+caller's).  The checks make no cyclic garbage, so a freeze holds none.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -53,6 +59,8 @@ __all__ = [
 
 EXHAUSTIVE_LIMIT = 1024  # deletion-set spaces up to 2^10 are swept fully
 SAMPLE_SIZE = 64  # deletion sets drawn from a larger space
+# the interpreter's own frozen objects: Python 3.12.1 starts with 375 immortal tuples frozen
+_FROZEN_AT_IMPORT = gc.get_freeze_count()
 
 class _Check(NamedTuple):
     kind: str     # graph: once per graph; edge: per edge; edge_set: per edge and
@@ -384,11 +392,18 @@ def run_suite(corpus, checks, field: FieldChoice = GF2, *, cross_check: bool = F
         return report
     task = partial(_graph_task, checks=per_graph, field=field, cross=cross_check, seed=seed)
     parallel = jobs > 1 and len(graphs) > 1
-    with Pool(processes=min(jobs, len(graphs))) if parallel else nullcontext() as pool:
-        for outcomes, findings, comparisons in (pool.imap if parallel else map)(task, graphs):
-            report.outcomes.extend(outcomes)
-            report.findings.extend(findings)
-            report.depth_comparisons += comparisons
+    freeze = gc.get_freeze_count() <= _FROZEN_AT_IMPORT  # a caller's freeze is left alone
+    try:
+        with Pool(processes=min(jobs, len(graphs))) if parallel else nullcontext() as pool:
+            for outcomes, findings, comparisons in (pool.imap if parallel else map)(task, graphs):
+                report.outcomes.extend(outcomes)
+                report.findings.extend(findings)
+                report.depth_comparisons += comparisons
+                if freeze:  # finished rows leave every later collection's scan
+                    gc.freeze()
+    finally:
+        if freeze:
+            gc.unfreeze()
     return report
 
 

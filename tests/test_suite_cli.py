@@ -1,6 +1,7 @@
 """Suite driver (determinism, sampling, parallel workers, reports) and CLI."""
 
 import csv
+import gc
 import hashlib
 import io
 import itertools
@@ -430,6 +431,72 @@ def test_run_suite_accepts_graph6_lines():
     assert [oc.graph_id for oc in report.outcomes] == ["Bw", "A_"]
 
 
+# ---------------------------------------------------------------------------
+# garbage collection: run_suite freezes finished rows and restores the state
+
+
+def test_run_suite_makes_no_cyclic_garbage():
+    # a freeze would hold cyclic garbage until the run ends
+    gc.collect()
+    gc.disable()
+    try:
+        run_suite(all_graphs(5), ["all"])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _watching_first_power(seen, raise_on=None):
+    """A check_first_power double recording the freeze count it sees, which
+    raises on graph number raise_on (counted from 1)."""
+    def watching(G, computer=None):
+        seen.append(gc.get_freeze_count())
+        if len(seen) == raise_on:
+            raise RuntimeError("check double")
+        return CheckOutcome("first_power", emit_graph6(G), FAILS, 0, 1)
+    return watching
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("raise_on", [None, 2])
+def test_run_suite_restores_the_gc_state(monkeypatch, enabled, raise_on):
+    # a first run thaws the immortal tuples that Python 3.12.1 freezes at start-up
+    run_suite(["A_"], ["first_power"])
+    seen = []
+    monkeypatch.setattr(eil.checks, "check_first_power", _watching_first_power(seen, raise_on))
+    if not enabled:
+        gc.disable()
+    try:
+        before = (gc.isenabled(), gc.get_freeze_count())
+        if raise_on is None:
+            run_suite(["A_", "Bw", "BW"], ["first_power"])
+        else:
+            with pytest.raises(RuntimeError, match="check double"):
+                run_suite(["A_", "Bw", "BW"], ["first_power"])
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+    finally:
+        gc.enable()
+    # the second graph's check runs with the first graph's rows frozen
+    assert before[1] == seen[0] == 0 < seen[1]
+
+
+def test_a_callers_frozen_objects_are_left_alone(monkeypatch):
+    seen = []
+    monkeypatch.setattr(eil.checks, "check_first_power", _watching_first_power(seen))
+    gc.freeze()
+    try:
+        count = gc.get_freeze_count()
+        run_suite(["A_", "Bw", "BW"], ["first_power"])
+        assert gc.get_freeze_count() == count
+    finally:
+        gc.unfreeze()
+    assert seen == [count] * 3
+
+
+def test_frozen_rows_give_the_same_body_at_one_and_two_jobs():
+    assert _body_sha(["all"], jobs=2) == GOLDEN_ALL
+
+
 # sha256 of canonical_body() for fixed n <= 5 runs; any change to a verdict,
 # a depth value, a witness or the outcome order moves these hashes
 GOLDEN_MAIN_EXAMPLES = "80bfff3127d05fac811020d45c0cfa0d11258974b465dc0045d958201b9d1e4d"
@@ -441,7 +508,10 @@ EDGE_SET_IDS = ["colon_intersection", "even_connection_depth", "square_colon_dep
 
 def _body_sha(checks, max_n=5, jobs=1) -> str:
     report = run_suite(all_graphs(max_n), checks, GF2, cross_check=True, jobs=jobs)
-    return hashlib.sha256(report.canonical_body().encode()).hexdigest()
+    body, digest, step = report.canonical_body(), hashlib.sha256(), 1 << 20
+    for k in range(0, len(body), step):  # 1 MB at a time: no bytes copy of the body
+        digest.update(body[k:k + step].encode())
+    return digest.hexdigest()
 
 
 def test_golden_report_main_examples_n5():
