@@ -135,10 +135,11 @@ def _monomial(I: MonomialIdeal, *names: str):
     return tuple(vec)
 
 
-# The edge-set checks on n <= 6 read 26329 distinct pieces.  Their run_suite
-# by memo size (2 vCPU, Python 3.11.7), wall time and peak RSS: 2048 pieces
-# 1.49 s, 54.3 MB; 4096 pieces 1.41 s, 56.3 MB; 8192 pieces 1.31 s, 60.5 MB.
-# 4096 is the largest that keeps peak RSS within 5% of the smallest.
+# The edge-set checks on n <= 6 read 17559 distinct pieces.  A cold
+# run_suite of them by memo size (2 vCPU, Python 3.11.7, median of 7 runs in
+# fresh processes), misses, wall time and peak RSS: 2048 pieces 23141, 1.54 s,
+# 52.6 MB; 4096 pieces 20496, 1.50 s, 54.8 MB; 8192 pieces 18891, 1.42 s,
+# 58.1 MB.  4096 is the largest that keeps peak RSS within 5% of the smallest.
 _MEMO_PIECES = 4096
 
 

@@ -11,7 +11,13 @@ from that matrix alone:
 
 - Socle test.  depth S/I = 0 exactly when S/I has a socle monomial u (u
   outside I, u * x_i in I for each i), and each x_i then needs a generator g
-  with g_i = u_i + 1, so u_i runs over the values g_i - 1 with g_i >= 1.
+  with g_i = u_i + 1, so u lies in the grid prod_j [0, rho_j - 1], rho_j
+  the largest exponent of x_j.  The grid is indexed in mixed radix, and
+  each set {u : u_j >= t} is one integer holding a repeated bit pattern.
+  The grid points in I, and for each i those that x_i takes into I, are
+  unions over the generators of intersections of such sets; the socle
+  monomials lie in all of the latter and not in the former.  That takes
+  O(m * n) big-integer operations for m generators.
   Associated primes do not depend on the field, so a socle gives
   pd = n_used in both.
 - Degree complexes (Takayama, Bull. Math. Soc. Sci. Math. Roumanie 48 (2005);
@@ -77,10 +83,10 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, combinations, product
-from operator import or_
+from operator import and_, or_
 
 from .graphs import _bits
-from .ideals import MonomialIdeal, _guard, _minimal, _pack
+from .ideals import MonomialIdeal, _minimal, _pack
 
 __all__ = [
     "FieldChoice",
@@ -344,22 +350,43 @@ def clear_depth_cache():
 
 def _has_socle(rows) -> bool:
     """Whether S/I has a socle monomial over the used variables (module
-    docstring), each candidate tested on packed words: h | w iff
-    ((w | GUARD) - h) & GUARD == GUARD."""
-    n = len(rows[0])
-    b, words = _pack(rows, n)
-    guard = _guard(b, n)
-    units = [1 << b * (n - 1 - i) for i in range(n)]
-    cands = [0]
-    for unit, col in zip(units, zip(*rows)):
-        steps = [(e - 1) * unit for e in set(col) if e]
-        cands = [u + step for u in cands for step in steps]
+    docstring), as one pass of set operations over the grid
+    prod_j [0, rho_j - 1], rho_j = max of column j.
 
-    def inside(u):
-        u |= guard
-        return any((u - g) & guard == guard for g in words)
-
-    return any(not inside(u) and all(inside(u + e) for e in units) for u in cands)
+    The test is exact for any rows, ranked or not: a socle monomial u has,
+    for each i, a generator g with g <= u + x_i and g not <= u, so
+    g_i = u_i + 1 <= rho_i and u is in the grid.  at[j][t] is the set
+    {u : u_j >= t}; with s_j the product of the radices after j, it is the
+    block of s_j * rho_j bits whose upper (rho_j - t) * s_j bits are set,
+    repeated.  Generator g adds the intersection over j of at[j][g_j] to
+    inside, the grid points in I, and, for each i with g_i >= 1, the same
+    intersection with at[i][g_i - 1] in place of at[i][g_i] to shifted[i],
+    the u with g | u * x_i; prefix and suffix intersections over the
+    support of g give all of these in O(n) operations.  A g with g_i = 0
+    would add to shifted[i] only points of inside.  The socle monomials are
+    the points in every shifted[i] and not in inside.
+    """
+    rho = [max(col) for col in zip(*rows)]
+    size = math.prod(rho)
+    full = (1 << size) - 1
+    at = []
+    stride = size
+    for r in rho:
+        stride //= r
+        period = stride * r
+        repeat = full // ((1 << period) - 1)
+        at.append([((1 << period) - (1 << t * stride)) * repeat for t in range(r + 1)])
+    inside = 0
+    shifted = [0] * len(rho)
+    for g in rows:
+        support = [j for j, e in enumerate(g) if e]
+        sets = [at[j][g[j]] for j in support]
+        prefix = list(accumulate(sets, and_, initial=full))
+        suffix = list(accumulate(reversed(sets), and_, initial=full))[::-1]
+        inside |= prefix[-1]
+        for k, j in enumerate(support):
+            shifted[j] |= prefix[k] & suffix[k + 1] & at[j][g[j] - 1]
+    return reduce(and_, shifted, full ^ inside) != 0
 
 
 def _polarized_nonfaces(rows) -> list[int]:

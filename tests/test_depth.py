@@ -7,6 +7,7 @@ engine's bitset and sparse-integer paths.
 """
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -29,8 +30,15 @@ from eil.depth import (
     depth_ideal,
     depth_ideal_both,
 )
-from eil.graphs import complete_graph, cycle_graph, emit_graph6, path_graph, whiskered_triangle
-from eil.ideals import MonomialIdeal, edge_ideal, polarize, symbolic_square_edge_ideal
+from eil.graphs import (
+    complete_graph,
+    cycle_graph,
+    emit_graph6,
+    graph_from_edges,
+    path_graph,
+    whiskered_triangle,
+)
+from eil.ideals import MonomialIdeal, _guard, _pack, edge_ideal, polarize, symbolic_square_edge_ideal
 from eil.suite import CHECKS, run_suite
 from test_ideals import ideal
 
@@ -598,6 +606,14 @@ def _suite_ideals(catalog, checks=EDGE_SET_CHECKS, cross_check=False):
     return [MonomialIdeal(tuple(f"v{j}" for j in range(len(r[0]))), r) for r in rows]
 
 
+@pytest.fixture(scope="module")
+def suite6_ideals(catalog6):
+    # every distinct ideal that a cross-checked n <= 6 run of every check
+    # asks for: the checks registered with no depth ask for none, so they are
+    # left out
+    return _suite_ideals(catalog6, [c for c in CHECKS if CHECKS[c].depth], cross_check=True)
+
+
 def test_socle_test_matches_the_sweep_n5(catalog5):
     squares = [edge_ideal(G) ** 2 for G in catalog5 if G.edges()]
     assert (len(squares), _check_socle_test_is_exact(squares)) == (47, 23)
@@ -645,6 +661,61 @@ def test_socle_test_on_non_squarefree_ideals():
     assert wide == 8
 
 
+def _socle_by_candidates(rows) -> bool:
+    """The socle test by enumeration, the reference for the grid kernel:
+    each candidate u has u_j among the values g_j - 1 of column j with
+    g_j >= 1, and u and each u * x_i are tested against every generator on
+    packed words: h | w iff ((w | GUARD) - h) & GUARD == GUARD."""
+    n = len(rows[0])
+    b, words = _pack(rows, n)
+    guard = _guard(b, n)
+    units = [1 << b * (n - 1 - i) for i in range(n)]
+    cands = [0]
+    for unit, col in zip(units, zip(*rows)):
+        steps = [(e - 1) * unit for e in set(col) if e]
+        cands = [u + step for u in cands for step in steps]
+
+    def inside(u):
+        u |= guard
+        return any((u - g) & guard == guard for g in words)
+
+    return any(not inside(u) and all(inside(u + e) for e in units) for u in cands)
+
+
+def _check_socle_grid_matches_the_candidates(rows):
+    verdicts = [eil.depth._has_socle(r) for r in rows]
+    assert verdicts == [_socle_by_candidates(r) for r in rows]
+    return sum(verdicts)
+
+
+def test_socle_grid_matches_the_candidates_n6(suite6_ideals):
+    rows = [_used_columns(I) for I in suite6_ideals]
+    assert (len(rows), _check_socle_grid_matches_the_candidates(rows)) == (1529, 474)
+
+
+def test_socle_grid_matches_the_candidates_on_random_ideals():
+    # unranked rows on up to 7 variables with exponents up to 4: the grid
+    # prod_j [0, rho_j - 1] holds more than the candidates wherever a column
+    # skips a value, and the verdict must not change
+    rng = random.Random(32)
+    ideals = [random_monomial_ideal(rng, rng.randint(1, 7), 4, 6) for _ in range(10000)]
+    rows = [_used_columns(I) for I in ideals if not I.is_unit]
+    assert len(rows) == 10000
+    assert sum(any(max(col) > len(set(col) - {0}) for col in zip(*r)) for r in rows) == 8680
+    assert _check_socle_grid_matches_the_candidates(rows) == 3026
+
+
+def test_socle_grid_on_a_matching_and_the_whiskered_triangle():
+    # the square of the 5-edge matching a1 b1 ... a5 b5 has 10 columns of
+    # largest exponent 2 and no socle; the whiskered triangle's square has one
+    labels = [f"{c}{k}" for k in range(1, 6) for c in "ab"]
+    matching = graph_from_edges(labels, [(f"a{k}", f"b{k}") for k in range(1, 6)])
+    for G, grid, socle in ((matching, 1024, False), (whiskered_triangle(), 64, True)):
+        rows = _used_columns(edge_ideal(G) ** 2)
+        assert math.prod(max(col) for col in zip(*rows)) == grid
+        assert eil.depth._has_socle(rows) == _socle_by_candidates(rows) == socle
+
+
 def _degree_pd(I, characteristics):
     """pd of S/I from Takayama's degree complexes alone."""
     rows = _used_columns(I)
@@ -667,15 +738,12 @@ def _check_degree_complexes_match_the_sweep(ideals, single=False):
     return split
 
 
-def test_degree_complexes_match_the_sweep_n6(catalog6):
-    # every distinct ideal that a cross-checked n <= 6 run of every check
-    # asks for, socle or not, whichever path the dispatch picks: the checks
-    # registered with no depth ask for none, so they are left out.  The
-    # single fields, through the dispatch, are compared on n <= 5 in
+def test_degree_complexes_match_the_sweep_n6(suite6_ideals):
+    # socle or not, whichever path the dispatch picks.  The single fields,
+    # through the dispatch, are compared on n <= 5 in
     # test_bounded_sweep_is_exact_n5
-    ideals = _suite_ideals(catalog6, [c for c in CHECKS if CHECKS[c].depth], cross_check=True)
-    assert len(ideals) == 1529
-    assert _check_degree_complexes_match_the_sweep(ideals) == 0
+    assert len(suite6_ideals) == 1529
+    assert _check_degree_complexes_match_the_sweep(suite6_ideals) == 0
 
 
 @pytest.mark.slow
