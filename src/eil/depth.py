@@ -14,10 +14,12 @@ from that matrix alone:
   with g_i = u_i + 1, so u lies in the grid prod_j [0, rho_j - 1], rho_j
   the largest exponent of x_j.  The grid is indexed in mixed radix, and
   each set {u : u_j >= t} is one integer holding a repeated bit pattern.
-  The grid points in I, and for each i those that x_i takes into I, are
-  unions over the generators of intersections of such sets; the socle
-  monomials lie in all of the latter and not in the former.  That takes
-  O(m * n) big-integer operations for m generators.
+  The grid points in I are a union over the generators of intersections of
+  such sets.  Those that x_i takes into I are the same set shifted down by
+  the stride of i, except on the top layer u_i = rho_i - 1, where only
+  generators with g_i = rho_i and no other exponent at its column max add
+  points.  The socle monomials lie in each of those sets and not in I.
+  That takes one intersection per generator and n shifts.
   Associated primes do not depend on the field, so a socle gives
   pd = n_used in both.
 - Degree complexes (Takayama, Bull. Math. Soc. Sci. Math. Roumanie 48 (2005);
@@ -38,7 +40,8 @@ from that matrix alone:
   minimal nonface holds, and its s is taken once per nonface set.  Layers
   |G| = 0, 1, ... are walked until |G| reaches the best depth found, the
   rational one when both fields are asked for: it is never below the mod-2
-  one.  The walk visits at most prod_j (rho_j + 1) pairs (G, a).
+  one.  The walk visits at most prod_j (rho_j + 1) pairs (G, a), and packs
+  the N_u of a point into one integer.
 - Hochster sweep.  Polarize to a squarefree ideal, whose Stanley-Reisner
   complex has the generator supports as minimal nonfaces, and recover
   multigraded Betti numbers from reduced homology of induced subcomplexes,
@@ -59,10 +62,12 @@ from that matrix alone:
   field.  Homology is computed once per reduced mask.
 
 The degree complexes read depth from below, so their cost grows with the
-depth, and the sweep reads pd from above.  An ideal without a socle goes to
-the degree complexes when prod_j (rho_j + 1) <= 2^m, and to the sweep
-otherwise: an ideal with many variables and few generators has a small
-lattice and often a large depth.
+depth, and the sweep reads pd from above, on up to sum_j rho_j polarized
+vertices.  An ideal without a socle goes to the degree complexes when some
+ranked exponent exceeds 1 and n_used <= m or prod_j (rho_j + 1) <= 2^m, for
+m generators, and to the sweep otherwise: a squarefree ideal polarizes to
+itself, and one with many variables and few generators has a small lattice
+and often a large depth.
 
 Homology ranks come from boundary-matrix ranks: bit-packed elimination over
 F2 (the default fast path) or fraction-free integer elimination for exact
@@ -80,6 +85,7 @@ the zero and unit ideals have none.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, combinations, product
@@ -350,43 +356,52 @@ def clear_depth_cache():
 
 def _has_socle(rows) -> bool:
     """Whether S/I has a socle monomial over the used variables (module
-    docstring), as one pass of set operations over the grid
-    prod_j [0, rho_j - 1], rho_j = max of column j.
+    docstring), as set operations over the grid prod_j [0, rho_j - 1],
+    rho_j = max of column j.
 
     The test is exact for any rows, ranked or not: a socle monomial u has,
     for each i, a generator g with g <= u + x_i and g not <= u, so
     g_i = u_i + 1 <= rho_i and u is in the grid.  at[j][t] is the set
-    {u : u_j >= t}; with s_j the product of the radices after j, it is the
+    {u : u_j >= t}, and at[j][rho_j] is at[j][rho_j - 1], the top layer of
+    column j; with s_j the product of the radices after j, at[j][t] is the
     block of s_j * rho_j bits whose upper (rho_j - t) * s_j bits are set,
-    repeated.  Generator g adds the intersection over j of at[j][g_j] to
-    inside, the grid points in I, and, for each i with g_i >= 1, the same
-    intersection with at[i][g_i - 1] in place of at[i][g_i] to shifted[i],
-    the u with g | u * x_i; prefix and suffix intersections over the
-    support of g give all of these in O(n) operations.  A g with g_i = 0
-    would add to shifted[i] only points of inside.  The socle monomials are
-    the points in every shifted[i] and not in inside.
+    repeated.  A generator g with g_j = rho_j for no j adds the intersection
+    over j of at[j][g_j] to inside, the grid points in I.  Off the top layer
+    of i, u * x_i is a grid point, so {u : u * x_i in I} is inside shifted
+    down by s_i there.  On that layer, a u outside I has u * x_i in I only
+    through a generator g with g_i = rho_i and g_j <= u_j < rho_j for every
+    other j; such a g adds the same intersection, which at[i][rho_i] keeps
+    within that layer, to top[i].  A generator with two columns at their
+    max adds to neither set.  The socle monomials are the points outside
+    inside that, for every i, lie in its shift or in top[i].
     """
     rho = [max(col) for col in zip(*rows)]
     size = math.prod(rho)
     full = (1 << size) - 1
     at = []
+    strides = []
     stride = size
     for r in rho:
         stride //= r
         period = stride * r
         repeat = full // ((1 << period) - 1)
-        at.append([((1 << period) - (1 << t * stride)) * repeat for t in range(r + 1)])
+        layers = [((1 << period) - (1 << t * stride)) * repeat for t in range(r)]
+        at.append(layers + layers[-1:])
+        strides.append(stride)
     inside = 0
-    shifted = [0] * len(rho)
+    top = [0] * len(rho)
     for g in rows:
-        support = [j for j, e in enumerate(g) if e]
-        sets = [at[j][g[j]] for j in support]
-        prefix = list(accumulate(sets, and_, initial=full))
-        suffix = list(accumulate(reversed(sets), and_, initial=full))[::-1]
-        inside |= prefix[-1]
-        for k, j in enumerate(support):
-            shifted[j] |= prefix[k] & suffix[k + 1] & at[j][g[j] - 1]
-    return reduce(and_, shifted, full ^ inside) != 0
+        peaks = [j for j, e in enumerate(g) if e == rho[j]]
+        if len(peaks) < 2:
+            cell = reduce(and_, map(list.__getitem__, at, g))
+            if peaks:
+                top[peaks[0]] |= cell
+            else:
+                inside |= cell
+    socle = full ^ inside
+    for layers, s, extra in zip(at, strides, top):
+        socle &= inside >> s & ~layers[-1] | extra
+    return socle != 0
 
 
 def _polarized_nonfaces(rows) -> list[int]:
@@ -428,58 +443,77 @@ def _degree_depths(rows, characteristics: tuple[int, ...]) -> list[int]:
     socle; _pd asks only when there is none.
 
     Per G, the localization drops the columns of G from the packed rows and
-    keeps the divisibility antichain; above[t] lists {j : u_j > t} for its
-    generators u.  Per a, levels[t] = {j in V : a_j = t}, so N_u is the union
-    over t of levels[t] & above[t][u]: two mask operations per generator
-    when every exponent is at most 2.  A complex is read only when its
-    smallest nonface, of size q, leaves room below the best depth: faces
-    include every set of fewer than q vertices, so s >= q - 1.
+    keeps the divisibility antichain.  The N_u of a point a are the fields
+    of one integer N, each 8 << i bits wide for the least i that leaves its
+    top bit above vertex n - 1: above[t] packs {j : u_j > t} over the
+    generators u, and with levels[t] = {j in V : a_j = t} copied into every
+    field, N is the union over t of levels[t] & above[t].  Some N_u is empty
+    exactly when subtracting 1 from every field, its top bit set, clears a
+    top bit.  The distinct N_u are read off N's bytes as machine integers,
+    or by shifts past 64 bits.  A complex is read only when its smallest
+    nonface, of size q, leaves room below the best depth: faces include
+    every set of fewer than q vertices, so s >= q - 1.  The walk ends as
+    soon as |G| reaches the best depth, within a layer too.
     """
     n = len(rows[0])
     b, words = _pack(rows, n)
     field = (1 << b) - 1
+    width = 8 << (n // 8).bit_length()  # bits per field of N
+    read = {8: "B", 16: "H", 32: "I", 64: "Q"}.get(width)  # as a memoryview format
     depth = dict.fromkeys(characteristics, n - 1)  # pd >= 1 for a proper nonzero I
     memo = {}
-    for k in range(n):
+    for k, G in ((k, G) for k in range(n) for G in combinations(range(n), k)):
         if k >= max(depth.values()):
             break
-        for G in combinations(range(n), k):
-            V = (1 << n) - 1 ^ sum(1 << j for j in G)
-            keep = sum(field << b * (n - 1 - j) for j in _bits(V))
-            local = {w & keep for w in words}
-            if 0 in local:
-                continue  # a generator lives on G: every Delta_a is void
-            gens = _minimal(local, b, n)[0]
-            rho = [max(col) for col in zip(*gens)]
-            if sum(1 << j for j, r in enumerate(rho) if r) != V:
-                continue  # a vertex of V in no N_u: every Delta_a is a cone
-            above = [[sum(1 << j for j, e in enumerate(u) if e > t) for u in gens] for t in range(max(rho))]
-            wide = [j for j in _bits(V) if rho[j] > 1]
-            for a in product(*(range(rho[j]) for j in wide)):
-                levels = [V] + [0] * (len(above) - 1)
-                for j, t in zip(wide, a):
-                    if t:
-                        levels[0] ^= 1 << j
-                        levels[t] |= 1 << j
-                N = [0] * len(gens)
-                for level, masks in zip(levels, above):
-                    N = [x | level & m for x, m in zip(N, masks)]
-                if 0 in N:
-                    continue  # void
-                nonfaces = []  # the minimal N_u, smallest first
-                for x in sorted(set(N), key=int.bit_count):
-                    if all(m & ~x for m in nonfaces):
-                        nonfaces.append(x)
-                if reduce(or_, nonfaces) != V:
-                    continue  # a cone over a vertex in no minimal nonface
-                if k + nonfaces[0].bit_count() - 1 >= max(depth.values()):
-                    continue
-                key = frozenset(nonfaces)  # V is their union
-                if key not in memo:
-                    memo[key] = _first_alive_sizes(_faces_by_size(V, nonfaces), characteristics)
-                for c, s in zip(characteristics, memo[key]):
-                    if s is not None:
-                        depth[c] = min(depth[c], k + s)
+        V = (1 << n) - 1 ^ sum(1 << j for j in G)
+        keep = sum(field << b * (n - 1 - j) for j in _bits(V))
+        local = {w & keep for w in words}
+        if 0 in local:
+            continue  # a generator lives on G: every Delta_a is void
+        gens = _minimal(local, b, n)[0]
+        rho = [max(col) for col in zip(*gens)]
+        if sum(1 << j for j, r in enumerate(rho) if r) != V:
+            continue  # a vertex of V in no N_u: every Delta_a is a cone
+        ones = ((1 << width * len(gens)) - 1) // ((1 << width) - 1)
+        guard = ones << width - 1
+        above = [sum(sum(1 << j for j, e in enumerate(u) if e > t) << width * i for i, u in enumerate(gens))
+                 for t in range(max(rho))]
+        wide = [j for j in _bits(V) if rho[j] > 1]
+        nbytes = width // 8 * len(gens)
+        for a in product(*(range(rho[j]) for j in wide)):
+            levels = [V] + [0] * (len(above) - 1)
+            for j, t in zip(wide, a):
+                if t:
+                    levels[0] ^= 1 << j
+                    levels[t] |= 1 << j
+            N = 0
+            for level, packed in zip(levels, above):
+                N |= level * ones & packed
+            if (N | guard) - ones & guard != guard:
+                continue  # void
+            if read:
+                fields = set(memoryview(N.to_bytes(nbytes, sys.byteorder)).cast(read))
+            else:
+                fields = {N >> width * i & (1 << width) - 1 for i in range(len(gens))}
+            nonfaces = []  # the minimal N_u, smallest first
+            for x in sorted(fields, key=int.bit_count):
+                for m in nonfaces:
+                    if not m & ~x:
+                        break
+                else:
+                    nonfaces.append(x)
+            if reduce(or_, nonfaces) != V:
+                continue  # a cone over a vertex in no minimal nonface
+            if k + nonfaces[0].bit_count() - 1 >= max(depth.values()):
+                continue
+            key = frozenset(nonfaces)  # V is their union
+            if key not in memo:
+                memo[key] = _first_alive_sizes(_faces_by_size(V, nonfaces), characteristics)
+            for c, s in zip(characteristics, memo[key]):
+                if s is not None:
+                    depth[c] = min(depth[c], k + s)
+            if k >= max(depth.values()):
+                break
     return [depth[c] for c in characteristics]
 
 
@@ -489,10 +523,11 @@ def _pd(I: MonomialIdeal, characteristics: tuple[int, ...]) -> list[int]:
     The memo is read first, and one answer fills every missing
     characteristic.  On a miss, the exponents of the n_used columns that the
     generators use are ranked (module docstring).  Then a socle monomial
-    gives pd = n_used in every field.  Without one, an ideal with
-    prod_j (rho_j + 1) <= 2^m (rho_j the largest rank in column j, m the
-    number of generators) takes pd = n_used - depth from the degree
-    complexes, and any other goes to the sweep on _polarized_nonfaces with
+    gives pd = n_used in every field.  Without one, an ideal with some
+    rho_j > 1 (rho_j the largest rank in column j) and n_used <= m or
+    prod_j (rho_j + 1) <= 2^m (m the number of generators) takes
+    pd = n_used - depth from the degree complexes, and any other, every
+    squarefree one included, goes to the sweep on _polarized_nonfaces with
     top = n_used - 1.  The path is a function of the memo key alone, so no
     cache state can change which path answers.
     """
@@ -501,9 +536,11 @@ def _pd(I: MonomialIdeal, characteristics: tuple[int, ...]) -> list[int]:
     if missing:
         n_used = len(rows[0])
         ranked = tuple(zip(*(map(sorted({0, *col}).index, col) for col in zip(*rows))))
+        rho = [max(col) for col in zip(*ranked)]
+        m = len(ranked)
         if _has_socle(ranked):
             pd = [n_used] * len(missing)
-        elif math.prod(max(col) + 1 for col in zip(*ranked)) <= 1 << len(ranked):
+        elif max(rho) > 1 and (n_used <= m or math.prod(r + 1 for r in rho) <= 1 << m):
             pd = [n_used - d for d in _degree_depths(ranked, missing)]
         else:
             pd = _sweep_pd(_polarized_nonfaces(ranked), missing, n_used - 1)

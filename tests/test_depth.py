@@ -10,7 +10,9 @@ import hashlib
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import reduce
+from itertools import combinations, permutations, product
+from operator import or_
 
 import pytest
 
@@ -24,6 +26,7 @@ from eil.depth import (
     FieldChoice,
     _cone_reducer,
     _faces_by_size,
+    _first_alive_sizes,
     _rank_exact,
     _ranks_by_size,
     clear_depth_cache,
@@ -31,6 +34,7 @@ from eil.depth import (
     depth_ideal_both,
 )
 from eil.graphs import (
+    _bits,
     complete_graph,
     cycle_graph,
     emit_graph6,
@@ -38,7 +42,7 @@ from eil.graphs import (
     path_graph,
     whiskered_triangle,
 )
-from eil.ideals import MonomialIdeal, _guard, _pack, edge_ideal, polarize, symbolic_square_edge_ideal
+from eil.ideals import MonomialIdeal, _guard, _minimal, _pack, edge_ideal, polarize, symbolic_square_edge_ideal
 from eil.suite import CHECKS, run_suite
 from test_ideals import ideal
 
@@ -716,6 +720,117 @@ def test_socle_grid_on_a_matching_and_the_whiskered_triangle():
         assert eil.depth._has_socle(rows) == _socle_by_candidates(rows) == socle
 
 
+def test_socle_grid_top_layer_generators():
+    # a generator with two exponents at their column max adds nothing.  In
+    # (z^2, xz, xy^2), xy^2 is such (rho_x = 1, rho_y = 2), and taken as a
+    # grid point it would make a socle that is not there; so would yz in
+    # (x^2, xz, yz), taken into the top layer of y.  In (x^2, xy, y^2), x * x
+    # lies in I only through x^2, on the top layer of x, and x is a socle
+    # monomial
+    no_socle = [_used_columns(ideal(*texts, ambient=XYZ))
+                for texts in (("x*z", "x*y^2", "z^2"), ("x^2", "x*z", "y*z"))]
+    assert (1, 2, 0) in no_socle[0] and (0, 1, 1) in no_socle[1]
+    assert [[max(col) for col in zip(*rows)] for rows in no_socle] == [[1, 2, 2], [2, 1, 1]]
+    top_only = _used_columns(ideal("x^2", "x*y", "y^2", ambient=XY))
+    assert [g for g in top_only if g[0] <= 2 and not g[1]] == [(2, 0)]
+    for rows, socle in [(no_socle[0], False), (no_socle[1], False), (top_only, True)]:
+        assert eil.depth._has_socle(rows) == _socle_by_candidates(rows) == socle
+
+
+def _degree_depths_by_lists(rows, characteristics):
+    """Takayama's degree complexes with one N_u per generator in a list, the
+    reference for the packed walk of eil.depth._degree_depths: per G, the
+    localization's generators; per point a, levels[t] = {j in V : a_j = t}
+    and N_u the union over t of levels[t] & {j : u_j > t}.  It leaves a level
+    only when the next one starts."""
+    n = len(rows[0])
+    b, words = _pack(rows, n)
+    field = (1 << b) - 1
+    depth = dict.fromkeys(characteristics, n - 1)
+    memo = {}
+    for k in range(n):
+        if k >= max(depth.values()):
+            break
+        for G in combinations(range(n), k):
+            V = (1 << n) - 1 ^ sum(1 << j for j in G)
+            keep = sum(field << b * (n - 1 - j) for j in _bits(V))
+            local = {w & keep for w in words}
+            if 0 in local:
+                continue
+            gens = _minimal(local, b, n)[0]
+            rho = [max(col) for col in zip(*gens)]
+            if sum(1 << j for j, r in enumerate(rho) if r) != V:
+                continue
+            above = [[sum(1 << j for j, e in enumerate(u) if e > t) for u in gens] for t in range(max(rho))]
+            wide = [j for j in _bits(V) if rho[j] > 1]
+            for a in product(*(range(rho[j]) for j in wide)):
+                levels = [V] + [0] * (len(above) - 1)
+                for j, t in zip(wide, a):
+                    if t:
+                        levels[0] ^= 1 << j
+                        levels[t] |= 1 << j
+                N = [0] * len(gens)
+                for level, masks in zip(levels, above):
+                    N = [x | level & m for x, m in zip(N, masks)]
+                if 0 in N:
+                    continue
+                nonfaces = []
+                for x in sorted(set(N), key=int.bit_count):
+                    if all(m & ~x for m in nonfaces):
+                        nonfaces.append(x)
+                if reduce(or_, nonfaces) != V:
+                    continue
+                if k + nonfaces[0].bit_count() - 1 >= max(depth.values()):
+                    continue
+                key = frozenset(nonfaces)
+                if key not in memo:
+                    memo[key] = _first_alive_sizes(_faces_by_size(V, nonfaces), characteristics)
+                for c, s in zip(characteristics, memo[key]):
+                    if s is not None:
+                        depth[c] = min(depth[c], k + s)
+    return [depth[c] for c in characteristics]
+
+
+def _check_packed_walk_matches_the_lists(rows_list, fields=((2, 0),)):
+    """The depths of each rows in each tuple of characteristics, the packed
+    walk checked against the list walk."""
+    out = []
+    for rows in rows_list:
+        for characteristics in fields:
+            want = _degree_depths_by_lists(rows, characteristics)
+            assert eil.depth._degree_depths(rows, characteristics) == want, (rows, characteristics)
+            out.append(want)
+    return out
+
+
+def test_packed_degree_walk_matches_the_lists_n6(suite6_ideals):
+    # every distinct ideal without a socle that a cross-checked n <= 6 run
+    # of every check asks for, whichever path the dispatch gives it
+    rows = [r for r in map(_used_columns, suite6_ideals) if not eil.depth._has_socle(r)]
+    assert len(rows) == 1055
+    _check_packed_walk_matches_the_lists(rows, ((2, 0), (2,), (0,)))
+
+
+def test_packed_degree_walk_every_field_width():
+    # N_u fields of 8, 16, 32, 64 and 128 bits: the squares of the stars
+    # K_{1,7} and K_{1,15} (8 and 16 used variables, depth S/I = 1 found among
+    # the 2^n points of G = {}), and (x_0^2, x_1 x_2, x_3, ..., x_{n-1}),
+    # whose quotient is k[x_0]/(x_0^2) (x) k[x_1, x_2]/(x_1 x_2), of depth 1
+    # on every n.  There every point has the nonface {n - 1}, which for
+    # n = 7, 15, 31, 63 and 127 sits just below the top bit of its field;
+    # past 64 bits the fields are read by shifts
+    def star(r):
+        leaves = [f"l{i}" for i in range(r)]
+        return graph_from_edges(["c", *leaves], [("c", v) for v in leaves])
+
+    rows = [_used_columns(edge_ideal(star(r)) ** 2) for r in (7, 15)]
+    for n in (7, 15, 31, 63, 127):
+        unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        rows.append(tuple([tuple(2 * e for e in unit[0]), tuple(map(or_, unit[1], unit[2])), *unit[3:]]))
+    assert [8 << (len(r[0]) // 8).bit_length() for r in rows] == [16, 32, 8, 16, 32, 64, 128]
+    assert _check_packed_walk_matches_the_lists(rows) == [[1, 1]] * len(rows)
+
+
 def _degree_pd(I, characteristics):
     """pd of S/I from Takayama's degree complexes alone."""
     rows = _used_columns(I)
@@ -809,9 +924,11 @@ def test_wide_exponents_are_ranked_before_any_walk(monkeypatch):
             want = call(I)
             clear_depth_cache()
             assert call(wide) == want, I
-    # both walks are reached: the square of the 5-cycle goes to the degree
-    # complexes, the rest without a socle to the sweep
-    assert (walked.count("_degree_depths"), walked.count("_sweep_pd")) == (6, 144)
+    # both walks are reached: the ideals without a socle whose ranked
+    # exponents exceed 1 go to the degree complexes when n_used <= m or
+    # prod (rho_j + 1) <= 2^m, the rest to the sweep; the counts were
+    # (6, 144) when only prod (rho_j + 1) <= 2^m picked the degree complexes
+    assert (walked.count("_degree_depths"), walked.count("_sweep_pd")) == (60, 90)
 
 
 def test_sweep_nonfaces_are_the_polarized_supports():
@@ -837,22 +954,45 @@ def test_sweep_nonfaces_are_the_polarized_supports():
     assert compared == 123
 
 
-def test_dispatch_sends_few_generator_ideals_to_the_sweep(monkeypatch):
-    # without a socle, prod (rho_j + 1) <= 2^m picks the degree complexes and
-    # anything else the sweep: a squarefree ideal on 12 variables with 3
-    # generators (depth S/I = 9, about 17 ms on the sweep and 0.6 s on the degree
-    # complexes, which walk the sets G up to size 8) and the path P5 (4
-    # generators on 5 variables) go to the sweep, the square of the 5-cycle
-    # (15 generators, 3^5 pairs) to the degree complexes
+def _spy_paths(monkeypatch):
+    """The depth walks that _pd calls, in order, into the returned list."""
     paths = []
     for name in ("_degree_depths", "_sweep_pd"):
         def spy(*args, _real=getattr(eil.depth, name), _name=name):
             paths.append(_name)
             return _real(*args)
         monkeypatch.setattr(eil.depth, name, spy)
-    amb = tuple(f"v{j}" for j in range(12))
-    wide = MonomialIdeal(amb, tuple(tuple(int(j in S) for j in range(12))
-                                    for S in (range(0, 5), range(4, 9), range(7, 12))))
+    return paths
+
+
+def _matching(m):
+    labels = [f"{c}{k}" for k in range(1, m + 1) for c in "ab"]
+    return graph_from_edges(labels, [(f"a{k}", f"b{k}") for k in range(1, m + 1)])
+
+
+def test_dispatch_sends_few_generator_ideals_to_the_sweep(monkeypatch):
+    # without a socle, an ideal whose ranked exponents exceed 1 goes to the
+    # degree complexes when n_used <= m or prod (rho_j + 1) <= 2^m, and any
+    # other, every squarefree one included, to the sweep.  To the sweep: a
+    # squarefree ideal on 12 variables with 3 generators (depth S/I = 9,
+    # about 17 ms on the sweep and 0.6 s on the degree complexes, which walk
+    # the sets G up to size 8), the path P5 (4 generators on 5 variables),
+    # the complete intersection of 3 squarefree generators on 15 variables,
+    # and t^2 x1..x4, t x5..x9, x10..x14 (3 generators on 15 variables,
+    # about 3.5 s on the sweep and a minute on the degree complexes).  To
+    # the degree complexes: the square of the 5-cycle (15 generators, 3^5
+    # pairs); test_matching_powers_are_cohen_macaulay has another
+    paths = _spy_paths(monkeypatch)
+
+    def squarefree(width, supports):
+        amb = tuple(f"v{j}" for j in range(width))
+        return MonomialIdeal(amb, tuple(tuple(int(j in S) for j in range(width)) for S in supports))
+
+    wide = squarefree(12, (range(0, 5), range(4, 9), range(7, 12)))
+    ci = squarefree(15, (range(0, 5), range(5, 10), range(10, 15)))
+    t2 = MonomialIdeal(ci.ambient, ((2, 1, 1, 1, 1) + (0,) * 10,  # v0 is t
+                                    (1,) + (0,) * 4 + (1,) * 5 + (0,) * 5,
+                                    (0,) * 10 + (1,) * 5))
     cases = [(wide, "_sweep_pd", 10), (edge_ideal(path_graph(5)), "_sweep_pd", 3),
              (edge_ideal(cycle_graph(5)) ** 2, "_degree_depths", 3)]
     for I, path, depth in cases:
@@ -862,15 +1002,45 @@ def test_dispatch_sends_few_generator_ideals_to_the_sweep(monkeypatch):
             paths.clear()
             assert call(I) in (depth, (depth, depth))
             assert paths == [path]
+    for I, path, depth in [(ci, "_sweep_pd", 13), (t2, "_sweep_pd", 13)]:
+        assert not eil.depth._has_socle(_used_columns(I))
+        clear_depth_cache()
+        paths.clear()
+        assert depth_ideal_both(I) == (depth, depth)
+        assert paths == [path]
+
+
+def test_matching_powers_are_cohen_macaulay(monkeypatch):
+    # a matching of m edges is a complete intersection, so I^k is
+    # Cohen-Macaulay of dimension m: module depth m + 1.  The first powers
+    # and the square of one edge are squarefree once ranked, and go to the
+    # sweep, as does the square of 2 edges (4 variables, 3 generators,
+    # 3^4 > 2^3); the squares from 3 edges on have n_used <= m and go to the
+    # degree complexes.  The 5-edge square (15 generators on 10 variables,
+    # 3^10 > 2^15) ran past a minute on the sweep and takes about 0.4 s on
+    # the degree complexes
+    paths = _spy_paths(monkeypatch)
+    walked = {}
+    for m in range(1, 6):
+        for k in (1, 2):
+            clear_depth_cache()
+            paths.clear()
+            assert depth_ideal_both(edge_ideal(_matching(m)) ** k) == (m + 1, m + 1), (m, k)
+            walked[m, k] = paths[:]
+    sweep, degree = ["_sweep_pd"], ["_degree_depths"]
+    assert walked == {**{(m, 1): sweep for m in range(1, 6)}, (1, 2): sweep, (2, 2): sweep,
+                      (3, 2): degree, (4, 2): degree, (5, 2): degree}
 
 
 def test_bounded_sweep_work_counts(catalog5, monkeypatch):
-    # pinned so that a change to the bound, the walk order, the socle test or
-    # the degree-complex walk changes a count; the unbounded sweep enumerated
-    # faces 1441 and 53 times, and depth_ideal, when every depth without a
-    # socle went to the sweep, 85 times, and 86 times before exponents were
-    # ranked: the star K_{1,3} squared, with or without an isolated vertex,
-    # has only 2s in its centre's column, and now goes to the degree complexes
+    # pinned so that a change to the bound, the walk order, the socle test,
+    # the dispatch or the degree-complex walk changes a count; the unbounded
+    # sweep enumerated faces 1441 and 53 times, and depth_ideal, when every
+    # depth without a socle went to the sweep, 85 times, and 86 times before
+    # exponents were ranked: the star K_{1,3} squared, with or without an
+    # isolated vertex, has only 2s in its centre's column, and now goes to
+    # the degree complexes.  It was 82 while only prod (rho_j + 1) <= 2^m
+    # sent an ideal to the degree complexes
     calls = []
     faces = eil.depth._faces_by_size
 
@@ -887,7 +1057,7 @@ def test_bounded_sweep_work_counts(catalog5, monkeypatch):
     for I in squares:
         clear_depth_cache()
         depth_ideal(I, GF2)
-    assert len(calls) == 82
+    assert len(calls) == 78
     W3 = edge_ideal(whiskered_triangle()) ** 2
     calls.clear()
     _direct_sweep(W3, (2,))
