@@ -104,12 +104,13 @@ def _at_least(lowest: int):
 
 
 def _gate_polarized(checks, touched: int, cap: int, prefix: str = ""):
-    """Refuse before any ideal arithmetic when the checks' depths may need
-    more than cap polarized variables.  A depth needing k variables per vertex
-    (the check's registered CHECKS depth, at least 1) gives each of the
-    touched vertices, those on an edge, k of them; the depth engine drops
-    every other vertex, as no generator uses it.  Global checks run fixed
-    instances, whatever the input is, so they are not gated."""
+    """Refuse before any ideal arithmetic when the touched vertices, those
+    on an edge, times the checks' largest weight (the registered CHECKS
+    depth, at least 1) exceed cap.  That count is the size of the squares'
+    polarization, though the engine builds none: the cap is an input-size
+    guard until the depth engine has a work budget.  The depth engine drops
+    every untouched vertex, as no generator uses it.  Global checks run
+    fixed instances, whatever the input is, so they are not gated."""
     needs = [CHECKS[c].depth for c in checks if CHECKS[c].kind != "global"]
     if not needs:
         return

@@ -7,7 +7,8 @@ lattice stays the same up to isomorphism, and Betti numbers over any field,
 hence pd, depend on that lattice alone (Gasharov-Peeva-Welker, Math. Res.
 Lett. 6 (1999)).  So depth is found over the n_used variables that the
 generators use, with ranked exponents, in one of three exact ways, chosen
-from that matrix alone:
+from that matrix alone: a socle gives pd = n_used, a squarefree ideal goes
+to the Hochster sweep, and every other one to the degree complexes.
 
 - Socle test.  depth S/I = 0 exactly when S/I has a socle monomial u (u
   outside I, u * x_i in I for each i), and each x_i then needs a generator g
@@ -40,11 +41,14 @@ from that matrix alone:
   minimal nonface holds, and its s is taken once per nonface set.  Layers
   |G| = 0, 1, ... are walked until |G| reaches the best depth found, the
   rational one when both fields are asked for: it is never below the mod-2
-  one.  The walk visits at most prod_j (rho_j + 1) pairs (G, a), and packs
-  the N_u of a point into one integer.
-- Hochster sweep.  Polarize to a squarefree ideal, whose Stanley-Reisner
-  complex has the generator supports as minimal nonfaces, and recover
-  multigraded Betti numbers from reduced homology of induced subcomplexes,
+  one.  Taylor's resolution gives pd S/I <= m for m generators, so the walk
+  also stops once the best depth reaches n - m.  It visits at most
+  prod_j (rho_j + 1) pairs (G, a), and packs the N_u of a point into one
+  integer.
+- Hochster sweep.  A squarefree ideal is the Stanley-Reisner ideal of the
+  complex whose minimal nonfaces are the generator supports, and its
+  multigraded Betti numbers come from reduced homology of induced
+  subcomplexes,
 
       beta_{i,W}(S/I) = rank H~_{|W|-i-1}(Delta restricted to W).
 
@@ -61,13 +65,8 @@ from that matrix alone:
   acyclic, so Mayer-Vietoris gives H~(Delta_W) = H~(Delta_{W-v}) over any
   field.  Homology is computed once per reduced mask.
 
-The degree complexes read depth from below, so their cost grows with the
-depth, and the sweep reads pd from above, on up to sum_j rho_j polarized
-vertices.  An ideal without a socle goes to the degree complexes when some
-ranked exponent exceeds 1 and n_used <= m or prod_j (rho_j + 1) <= 2^m, for
-m generators, and to the sweep otherwise: a squarefree ideal polarizes to
-itself, and one with many variables and few generators has a small lattice
-and often a large depth.
+The degree complexes read depth from below and stop at Taylor's floor
+n - m; the sweep reads pd from above, over at most 2^m - 1 lattice masks.
 
 Homology ranks come from boundary-matrix ranks: bit-packed elimination over
 F2 (the default fast path) or fraction-free integer elimination for exact
@@ -88,7 +87,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, combinations, product
+from itertools import combinations, product
 from operator import and_, or_
 
 from .graphs import _bits
@@ -404,14 +403,6 @@ def _has_socle(rows) -> bool:
     return socle != 0
 
 
-def _polarized_nonfaces(rows) -> list[int]:
-    """Minimal nonfaces of the polarization of the minimal generators rows,
-    in the layout of ideals.polarize: column j owns max_j consecutive
-    vertices, and generator u's nonface holds the first u_j of them."""
-    offsets = [0, *accumulate(map(max, zip(*rows)))]
-    return [sum(((1 << e) - 1) << o for e, o in zip(u, offsets)) for u in rows]
-
-
 def _sweep_pd(nonfaces, characteristics: tuple[int, ...], top: int) -> list[int]:
     """pd of the squarefree quotient with these minimal nonfaces, in each
     characteristic, by the Hochster sweep (module docstring): lcm-lattice
@@ -453,7 +444,8 @@ def _degree_depths(rows, characteristics: tuple[int, ...]) -> list[int]:
     or by shifts past 64 bits.  A complex is read only when its smallest
     nonface, of size q, leaves room below the best depth: faces include
     every set of fewer than q vertices, so s >= q - 1.  The walk ends as
-    soon as |G| reaches the best depth, within a layer too.
+    soon as |G| or Taylor's floor n - len(rows) reaches the best depth,
+    within a layer too; rows that are not minimal only lower that floor.
     """
     n = len(rows[0])
     b, words = _pack(rows, n)
@@ -461,9 +453,10 @@ def _degree_depths(rows, characteristics: tuple[int, ...]) -> list[int]:
     width = 8 << (n // 8).bit_length()  # bits per field of N
     read = {8: "B", 16: "H", 32: "I", 64: "Q"}.get(width)  # as a memoryview format
     depth = dict.fromkeys(characteristics, n - 1)  # pd >= 1 for a proper nonzero I
+    floor = n - len(rows)  # pd <= m by Taylor's resolution
     memo = {}
     for k, G in ((k, G) for k in range(n) for G in combinations(range(n), k)):
-        if k >= max(depth.values()):
+        if max(depth.values()) <= max(k, floor):
             break
         V = (1 << n) - 1 ^ sum(1 << j for j in G)
         keep = sum(field << b * (n - 1 - j) for j in _bits(V))
@@ -512,7 +505,7 @@ def _degree_depths(rows, characteristics: tuple[int, ...]) -> list[int]:
             for c, s in zip(characteristics, memo[key]):
                 if s is not None:
                     depth[c] = min(depth[c], k + s)
-            if k >= max(depth.values()):
+            if max(depth.values()) <= max(k, floor):
                 break
     return [depth[c] for c in characteristics]
 
@@ -523,27 +516,23 @@ def _pd(I: MonomialIdeal, characteristics: tuple[int, ...]) -> list[int]:
     The memo is read first, and one answer fills every missing
     characteristic.  On a miss, the exponents of the n_used columns that the
     generators use are ranked (module docstring).  Then a socle monomial
-    gives pd = n_used in every field.  Without one, an ideal with some
-    rho_j > 1 (rho_j the largest rank in column j) and n_used <= m or
-    prod_j (rho_j + 1) <= 2^m (m the number of generators) takes
-    pd = n_used - depth from the degree complexes, and any other, every
-    squarefree one included, goes to the sweep on _polarized_nonfaces with
-    top = n_used - 1.  The path is a function of the memo key alone, so no
-    cache state can change which path answers.
+    gives pd = n_used in every field.  Without one, an ideal with a ranked
+    exponent above 1 takes pd = n_used - depth from the degree complexes,
+    and a squarefree one goes to the sweep, with its generator supports as
+    the nonfaces and top = n_used - 1.  The path is a function of the memo
+    key alone, so no cache state can change which path answers.
     """
     rows = tuple(zip(*(col for col in zip(*I.gens) if any(col))))
     missing = tuple(c for c in characteristics if (c, rows) not in _PD_CACHE)
     if missing:
         n_used = len(rows[0])
         ranked = tuple(zip(*(map(sorted({0, *col}).index, col) for col in zip(*rows))))
-        rho = [max(col) for col in zip(*ranked)]
-        m = len(ranked)
         if _has_socle(ranked):
             pd = [n_used] * len(missing)
-        elif max(rho) > 1 and (n_used <= m or math.prod(r + 1 for r in rho) <= 1 << m):
+        elif max(map(max, ranked)) > 1:
             pd = [n_used - d for d in _degree_depths(ranked, missing)]
         else:
-            pd = _sweep_pd(_polarized_nonfaces(ranked), missing, n_used - 1)
+            pd = _sweep_pd([sum(e << j for j, e in enumerate(u)) for u in ranked], missing, n_used - 1)
         _PD_CACHE.update(((c, rows), p) for c, p in zip(missing, pd))
     return [_PD_CACHE[(c, rows)] for c in characteristics]
 

@@ -66,7 +66,8 @@ class _Check(NamedTuple):
     kind: str     # graph: once per graph; edge: per edge; edge_set: per edge and
                   # admissible deletion set; global: once per run, corpus-free
     fn: str       # name of the check function in eil.checks
-    depth: int    # polarized variables per vertex its depths need; 0: no depth
+    depth: int    # weight per touched vertex in the input-size cap: 1 for squarefree
+                  # depths, 2 for depths of squares; 0: no depth
 
 
 CHECKS: dict[str, _Check] = {
@@ -173,12 +174,14 @@ def _bound_check(name: str, computer: DepthComputer):
 
 
 def _graph_task(G: Graph, checks, field, cross, seed) -> tuple[list[CheckOutcome], list[dict], int]:
-    """The outcomes, graph-tagged findings and depth comparisons of one graph.
-    An edge-set check sweeps one edge's deletion sets per call.  An edge or
-    edge-set check computes the first edge of each Aut(G) orbit and maps its
-    rows to the other edges of the orbit, unless that edge's pool is sampled
-    or its rows hold a fail or raised a finding: then every edge of the orbit
-    is computed."""
+    """The outcomes, distinct graph-tagged findings and depth comparisons of
+    one graph: a field disagreement is one finding however often the checks
+    ask for its ideal, and each ask is one comparison.  An edge-set check
+    sweeps one edge's deletion sets per call.  An edge or edge-set check
+    computes the first edge of each Aut(G) orbit and maps its rows to the
+    other edges of the orbit, unless that edge's pool is sampled or its rows
+    hold a fail or raised a finding: then every edge of the orbit is
+    computed."""
     computer = DepthComputer(field, cross_check=cross)
     gid = emit_graph6(G)
     out: list[CheckOutcome] = []
@@ -219,9 +222,10 @@ def _graph_task(G: Graph, checks, field, cross, seed) -> tuple[list[CheckOutcome
             if r == k and sets is None and len(computer.findings) == findings and all(
                     oc.status != FAILS for oc in rows):
                 computed[k] = _orbits._Computed(i, j, rows, computer.comparisons - comparisons)
-    for finding in computer.findings:
+    distinct = list({tuple(f.items()): f for f in computer.findings}.values())
+    for finding in distinct:
         finding["graph_id"] = gid
-    return out, computer.findings, computer.comparisons
+    return out, distinct, computer.comparisons
 
 
 # ---------------------------------------------------------------------------

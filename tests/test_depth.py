@@ -891,11 +891,9 @@ def test_wide_exponents_are_ranked_before_any_walk(monkeypatch):
     # lattice, and so pd, as it is: every nonzero exponent e moved to 120 + 7e
     # gives the same depths, and neither walk is fed an exponent above the
     # number of distinct values in its column, so neither grows with the
-    # exponents' size: the sweep's nonfaces span at most sum_j (distinct
-    # nonzero values of column j) vertices (unranked, the polarization would
-    # have hundreds of variables here)
+    # exponents' size: the sweep's nonfaces span at most the used variables
     walked = []
-    span = []  # that vertex bound for the ideal in hand
+    span = []  # the used variables of the ideal in hand
 
     def spy(name, within):
         real = getattr(eil.depth, name)
@@ -917,41 +915,17 @@ def test_wide_exponents_are_ranked_before_any_walk(monkeypatch):
     for I in ideals:
         if I.is_unit:
             continue
-        span.append(sum(len(set(col) - {0}) for col in zip(*I.gens)))
+        span.append(len(_used_columns(I)[0]))
         wide = MonomialIdeal(I.ambient, tuple(tuple(e and 120 + 7 * e for e in g) for g in I.gens))
         for call in (depth_ideal_both, lambda J: depth_ideal(J, GF2), lambda J: depth_ideal(J, QQ)):
             clear_depth_cache()
             want = call(I)
             clear_depth_cache()
             assert call(wide) == want, I
-    # both walks are reached: the ideals without a socle whose ranked
-    # exponents exceed 1 go to the degree complexes when n_used <= m or
-    # prod (rho_j + 1) <= 2^m, the rest to the sweep; the counts were
-    # (6, 144) when only prod (rho_j + 1) <= 2^m picked the degree complexes
-    assert (walked.count("_degree_depths"), walked.count("_sweep_pd")) == (60, 90)
-
-
-def test_sweep_nonfaces_are_the_polarized_supports():
-    # _pd writes the sweep's nonfaces straight from the ranked rows; polarize,
-    # through a MonomialIdeal and ComplexView.from_ideal, is the reference
-    # for that vertex layout
-    rng = random.Random(4243)
-    ideals = [random_monomial_ideal(rng, rng.randint(1, 5), 3, 6) for _ in range(60)]
-    ideals += [ideal(*texts, ambient=ambient) for texts, ambient, _ in SOCLE_TABLE]
-    ideals.append(edge_ideal(cycle_graph(5)) ** 2)
-    compared = 0
-    for I in ideals:
-        if I.is_unit:
-            continue
-        rows = _used_columns(I)
-        ranked = tuple(zip(*(map(sorted({0, *col}).index, col) for col in zip(*rows))))
-        for R in {rows, ranked}:
-            J = MonomialIdeal(tuple(f"x{j}" for j in range(len(R[0]))), R)
-            want = ComplexView.from_ideal(polarize(J).ideal).nonfaces
-            got = eil.depth._polarized_nonfaces(R)
-            assert len(got) == len(set(got)) and set(got) == set(want), R
-            compared += 1
-    assert compared == 123
+    # both walks are reached: of the ideals without a socle, those with a
+    # ranked exponent above 1 go to the degree complexes, the squarefree
+    # ones to the sweep
+    assert (walked.count("_degree_depths"), walked.count("_sweep_pd")) == (102, 48)
 
 
 def _spy_paths(monkeypatch):
@@ -970,29 +944,29 @@ def _matching(m):
     return graph_from_edges(labels, [(f"a{k}", f"b{k}") for k in range(1, m + 1)])
 
 
-def test_dispatch_sends_few_generator_ideals_to_the_sweep(monkeypatch):
-    # without a socle, an ideal whose ranked exponents exceed 1 goes to the
-    # degree complexes when n_used <= m or prod (rho_j + 1) <= 2^m, and any
-    # other, every squarefree one included, to the sweep.  To the sweep: a
-    # squarefree ideal on 12 variables with 3 generators (depth S/I = 9,
-    # about 17 ms on the sweep and 0.6 s on the degree complexes, which walk
-    # the sets G up to size 8), the path P5 (4 generators on 5 variables),
-    # the complete intersection of 3 squarefree generators on 15 variables,
-    # and t^2 x1..x4, t x5..x9, x10..x14 (3 generators on 15 variables,
-    # about 3.5 s on the sweep and a minute on the degree complexes).  To
-    # the degree complexes: the square of the 5-cycle (15 generators, 3^5
-    # pairs); test_matching_powers_are_cohen_macaulay has another
+def _squarefree(width, supports):
+    amb = tuple(f"v{j}" for j in range(width))
+    return MonomialIdeal(amb, tuple(tuple(int(j in S) for j in range(width)) for S in supports))
+
+
+# t^2 x1..x4, t x5..x9, x10..x14 (v0 is t): 3 generators on 15 variables,
+# depth S/I = 12 = n_used - m, Taylor's floor
+T2 = MonomialIdeal(tuple(f"v{j}" for j in range(15)),
+                   ((2, 1, 1, 1, 1) + (0,) * 10, (1,) + (0,) * 4 + (1,) * 5 + (0,) * 5, (0,) * 10 + (1,) * 5))
+
+
+def test_dispatch_sends_only_squarefree_ideals_to_the_sweep(monkeypatch):
+    # without a socle, an ideal with a ranked exponent above 1 goes to the
+    # degree complexes and a squarefree one to the sweep, whatever its
+    # numbers of variables and generators.  To the sweep: a squarefree ideal
+    # on 12 variables with 3 generators (depth S/I = 9), the path P5 (4
+    # generators on 5 variables) and the complete intersection of 3
+    # squarefree generators on 15 variables.  To the degree complexes: the
+    # square of the 5-cycle (15 generators, 3^5 pairs) and T2 (3 generators
+    # on 15 variables); test_matching_powers_are_cohen_macaulay has more
     paths = _spy_paths(monkeypatch)
-
-    def squarefree(width, supports):
-        amb = tuple(f"v{j}" for j in range(width))
-        return MonomialIdeal(amb, tuple(tuple(int(j in S) for j in range(width)) for S in supports))
-
-    wide = squarefree(12, (range(0, 5), range(4, 9), range(7, 12)))
-    ci = squarefree(15, (range(0, 5), range(5, 10), range(10, 15)))
-    t2 = MonomialIdeal(ci.ambient, ((2, 1, 1, 1, 1) + (0,) * 10,  # v0 is t
-                                    (1,) + (0,) * 4 + (1,) * 5 + (0,) * 5,
-                                    (0,) * 10 + (1,) * 5))
+    wide = _squarefree(12, (range(0, 5), range(4, 9), range(7, 12)))
+    ci = _squarefree(15, (range(0, 5), range(5, 10), range(10, 15)))
     cases = [(wide, "_sweep_pd", 10), (edge_ideal(path_graph(5)), "_sweep_pd", 3),
              (edge_ideal(cycle_graph(5)) ** 2, "_degree_depths", 3)]
     for I, path, depth in cases:
@@ -1002,7 +976,7 @@ def test_dispatch_sends_few_generator_ideals_to_the_sweep(monkeypatch):
             paths.clear()
             assert call(I) in (depth, (depth, depth))
             assert paths == [path]
-    for I, path, depth in [(ci, "_sweep_pd", 13), (t2, "_sweep_pd", 13)]:
+    for I, path, depth in [(ci, "_sweep_pd", 13), (T2, "_degree_depths", 13)]:
         assert not eil.depth._has_socle(_used_columns(I))
         clear_depth_cache()
         paths.clear()
@@ -1010,15 +984,65 @@ def test_dispatch_sends_few_generator_ideals_to_the_sweep(monkeypatch):
         assert paths == [path]
 
 
+def test_degree_walk_stops_at_taylors_floor(monkeypatch):
+    # T2 has depth S/I = 12 = n_used - m, found on the first complex the walk
+    # reads (G = {}); the floor ends the walk there.  Without it the walk
+    # goes on through the layers |G| = 1, ..., 11 and lists more faces:
+    # the second listing fails here, long before that walk would end
+    calls = []
+    faces = eil.depth._faces_by_size
+
+    def counting(W, nonfaces):
+        calls.append(W)
+        assert len(calls) == 1, "the degree walk went past Taylor's floor"
+        return faces(W, nonfaces)
+
+    monkeypatch.setattr(eil.depth, "_faces_by_size", counting)
+    rows = _used_columns(T2)
+    assert len(rows[0]) - len(rows) == 12
+    for characteristics in ((2, 0), (2,), (0,)):
+        calls.clear()
+        assert eil.depth._degree_depths(rows, characteristics) == [12] * len(characteristics)
+        assert len(calls) == 1
+
+
+def test_degree_walk_on_few_generator_ideals(monkeypatch):
+    # seeded ideals with a ranked exponent above 1, no socle and more used
+    # variables than generators, drawn on 5 to 9 variables with 2 to 6
+    # generators and exponents up to 3, and kept ranked.  The reference
+    # sweep lists faces on sum_j rho_j polarized vertices, so that sum is
+    # held to 14.  _pd sends each to the degree complexes, and its answer,
+    # per field and fused, is the direct sweep's
+    paths = _spy_paths(monkeypatch)
+    rng = random.Random(34)
+    ideals = []
+    while len(ideals) < 40:
+        n = rng.randint(5, 9)
+        gens = [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n)) for _ in range(rng.randint(2, 6))]
+        if not all(map(any, gens)):
+            continue
+        rows = _used_columns(MonomialIdeal(tuple(f"v{j}" for j in range(n)), tuple(gens)))
+        ranked = tuple(zip(*(map(sorted({0, *col}).index, col) for col in zip(*rows))))
+        rho = [max(col) for col in zip(*ranked)]
+        if max(rho) > 1 and len(rho) > len(ranked) and sum(rho) <= 14 and not eil.depth._has_socle(ranked):
+            ideals.append(MonomialIdeal(tuple(f"v{j}" for j in range(len(rho))), ranked))
+    for I in ideals:
+        for characteristics in ((2, 0), (2,), (0,)):
+            want = _direct_sweep(I, characteristics)
+            clear_depth_cache()
+            paths.clear()
+            assert eil.depth._pd(I, characteristics) == want, I
+            assert paths == ["_degree_depths"], I
+
+
 def test_matching_powers_are_cohen_macaulay(monkeypatch):
     # a matching of m edges is a complete intersection, so I^k is
     # Cohen-Macaulay of dimension m: module depth m + 1.  The first powers
-    # and the square of one edge are squarefree once ranked, and go to the
-    # sweep, as does the square of 2 edges (4 variables, 3 generators,
-    # 3^4 > 2^3); the squares from 3 edges on have n_used <= m and go to the
-    # degree complexes.  The 5-edge square (15 generators on 10 variables,
-    # 3^10 > 2^15) ran past a minute on the sweep and takes about 0.4 s on
-    # the degree complexes
+    # and the square of one edge are squarefree once ranked and go to the
+    # sweep; the squares from 2 edges on have a ranked exponent 2 and go to
+    # the degree complexes.  The 5-edge square (15 generators on 10
+    # variables) ran past a minute on the sweep and takes about 0.4 s on the
+    # degree complexes
     paths = _spy_paths(monkeypatch)
     walked = {}
     for m in range(1, 6):
@@ -1028,19 +1052,16 @@ def test_matching_powers_are_cohen_macaulay(monkeypatch):
             assert depth_ideal_both(edge_ideal(_matching(m)) ** k) == (m + 1, m + 1), (m, k)
             walked[m, k] = paths[:]
     sweep, degree = ["_sweep_pd"], ["_degree_depths"]
-    assert walked == {**{(m, 1): sweep for m in range(1, 6)}, (1, 2): sweep, (2, 2): sweep,
-                      (3, 2): degree, (4, 2): degree, (5, 2): degree}
+    assert walked == {**{(m, 1): sweep for m in range(1, 6)}, (1, 2): sweep,
+                      **{(m, 2): degree for m in range(2, 6)}}
 
 
 def test_bounded_sweep_work_counts(catalog5, monkeypatch):
     # pinned so that a change to the bound, the walk order, the socle test,
-    # the dispatch or the degree-complex walk changes a count; the unbounded
-    # sweep enumerated faces 1441 and 53 times, and depth_ideal, when every
-    # depth without a socle went to the sweep, 85 times, and 86 times before
-    # exponents were ranked: the star K_{1,3} squared, with or without an
-    # isolated vertex, has only 2s in its centre's column, and now goes to
-    # the degree complexes.  It was 82 while only prod (rho_j + 1) <= 2^m
-    # sent an ideal to the degree complexes
+    # the dispatch or the degree-complex walk changes a count: the direct
+    # sweep on the polarized squares, then depth_ideal, where a square
+    # without a socle goes to the degree complexes unless its ranked
+    # exponents are squarefree, as for a single edge
     calls = []
     faces = eil.depth._faces_by_size
 
@@ -1057,7 +1078,7 @@ def test_bounded_sweep_work_counts(catalog5, monkeypatch):
     for I in squares:
         clear_depth_cache()
         depth_ideal(I, GF2)
-    assert len(calls) == 78
+    assert len(calls) == 90
     W3 = edge_ideal(whiskered_triangle()) ** 2
     calls.clear()
     _direct_sweep(W3, (2,))

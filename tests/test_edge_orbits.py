@@ -141,12 +141,14 @@ def test_failing_representative_sends_its_orbit_to_the_direct_path(monkeypatch):
 
 def test_finding_sends_its_orbit_to_the_direct_path(catalog5, monkeypatch):
     # every depth disagrees between the fields, so every representative
-    # raises a finding and no row is mapped: each finding is a computed one
+    # raises a finding and no row is mapped: each finding is a computed one.
+    # A graph's checks ask for some ideals more than once, and each ideal is
+    # one finding of its graph, so 2 * 1094 comparisons give 1281 findings
     monkeypatch.setattr(eil.checks, "depth_ideal_both", lambda I: (1, 2))
     checks = ["even_connection_depth", "square_colon_depth"]
     made = _count_mapped(monkeypatch)
     mapped = _run(catalog5, checks)
-    assert not made and len(mapped.findings) == 2 * 1094
+    assert not made and (len(mapped.findings), mapped.depth_comparisons) == (1281, 2 * 1094)
     _assert_same(mapped, _run(catalog5, checks, direct=True))
 
 

@@ -3,9 +3,9 @@
     depth k[Delta] = min over faces F of |F| + 1 + min{j : H~_j(lk F) != 0}
 
 (Hochster 1977; Bruns-Herzog, Thm 5.3.8).  The engine reads depth off
-Takayama's degree complexes on the variables the ideal uses, or off the
-projective dimension, from reduced homology of induced subcomplexes on the
-lcm lattice of the polarized ideal; both walks share the engine's face lists
+Takayama's degree complexes on the variables the ideal uses, or, for a
+squarefree ideal, off the projective dimension, from reduced homology of
+induced subcomplexes on its lcm lattice; both walks share the engine's face lists
 and ranks, and so does the F2-vs-Q cross-check.  This oracle shares none of
 that code: it polarizes on its own, lists every face of the complex, builds
 each link from that list and takes dense ranks, mod 2 with the textbook
@@ -200,8 +200,8 @@ def test_rp2_torsion_splits_the_fields():
     assert {d: r for d, r in mod2.items() if r} == {1: 1, 2: 1}
     assert set(reduced_homology_dims(C, 0b111111, QQ).values()) == {0}
     assert (hochster_depth(I, 2), hochster_depth(I, 0)) == (3, 4)
-    # 10 generators on 6 variables: the dispatch takes the degree complexes,
-    # and both paths must see the torsion on their own
+    # a squarefree ideal, so the dispatch takes the sweep; the degree
+    # complexes and the sweep must each see the torsion on their own
     assert _degree_module_depths(I) == (3, 4)
     assert eil.depth._sweep_pd(C.nonfaces, (2, 0), 6) == [4, 3]  # pd = 6 - depth S/I
     calls = {

@@ -426,6 +426,16 @@ def test_findings_carry_the_outcomes_graph_id(monkeypatch):
     assert [f["graph_id"] for f in report.findings] == ["Bw"]
 
 
+def test_one_finding_per_field_disagreement(monkeypatch):
+    # main runs the three square checks, which each ask for the depth of the
+    # same I(P4)^2: three comparisons, one disagreement, one finding
+    monkeypatch.setattr(eil.checks, "depth_ideal_both", lambda I: (1, 2))
+    for checks, comparisons in ((["main"], 3), (["square_general"], 1)):
+        report = run_suite([path_graph(4)], checks, cross_check=True)
+        assert (len(report.findings), report.depth_comparisons) == (1, comparisons), checks
+        assert report.findings[0]["graph_id"] == emit_graph6(path_graph(4))
+
+
 def test_run_suite_accepts_graph6_lines():
     report = run_suite(["Bw", "A_"], ["first_power"])
     assert [oc.graph_id for oc in report.outcomes] == ["Bw", "A_"]
