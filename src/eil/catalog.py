@@ -1,17 +1,17 @@
 """Exhaustive catalogs of small graphs, one representative per isomorphism class.
 
-Enumeration is incremental: every class on n vertices arises from a class on
-n-1 vertices by attaching one new vertex, so level n is built from level n-1
-candidates deduplicated by an exact canonical form: individualization-
-refinement (McKay & Piperno, *Practical graph isomorphism, II*, 2014).  The
-vertex partition is refined to an equitable one, then each vertex of the first
-smallest non-singleton cell is individualized in turn, down to discrete
-partitions; the key is the least relabeled edge bit string over these leaves.
-A twin of a vertex already tried is skipped: swapping the two is an
-automorphism fixing the partition, so its subtree holds the same leaves.
-Skipped twins and leaves with equal bit strings give automorphisms; each
-representative is extended only by the least new-vertex neighbour mask of each
-orbit under them, so the first candidate of every class is still the one kept.
+Level n attaches a new vertex to each class of level n-1 in every way,
+deduplicated by an exact canonical form: individualization-refinement (McKay &
+Piperno, *Practical graph isomorphism, II*, 2014).  Partitions are refined to
+equitable ones by nauty's splitter rule; each vertex of the first smallest
+non-singleton cell is individualized in turn, and the key is the least
+relabeled edge bit string over the discrete leaves.  Swapped twins and leaves
+equal to earlier ones give automorphisms.  A node that individualized F skips a
+vertex that those fixing F pointwise map into the orbit of a vertex tried
+there; an equal leaf ends the search below the two leaves' common ancestor.  So
+_level keeps generators of Aut, not every automorphism, and extends each class
+only by the least new-vertex neighbour mask of each orbit under them: the first
+candidate of every class is still the one kept.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import Graph, _bits, default_labels
+from .graphs import Graph, default_labels
 
 __all__ = ["canonical_key", "graph_classes", "all_graphs", "CLASS_COUNTS"]
 
@@ -31,77 +31,105 @@ CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 def _equitable(adj: tuple[int, ...], cells: list[int], stack: list[int]) -> list[int]:
     """Refine an ordered partition of vertex masks until it is equitable.
 
-    Each splitter popped from ``stack`` splits every cell by its vertices'
-    neighbour counts in the splitter, parts in increasing count order; every
-    new part is pushed as a splitter.  A single-vertex splitter splits a cell
-    into its non-neighbours and neighbours."""
-    while stack and len(cells) < len(adj):
+    Each splitter popped from ``stack`` splits every cell by neighbour counts in
+    it, parts in increasing count order.  A split cell's parts replace it on the
+    stack, or else all but its first largest part, fixed by the others, go on."""
+    n = len(adj)
+    while stack and len(cells) < n:
         w = stack.pop()
         refined: list[int] = []
         if not w & (w - 1):
             nb = adj[w.bit_length() - 1]
             for cell in cells:
-                lo, hi = cell & ~nb, cell & nb
-                if lo and hi:
-                    refined += (lo, hi)
+                hi = cell & nb
+                if not hi or hi == cell:
+                    refined.append(cell)
+                    continue
+                lo = cell ^ hi
+                refined += (lo, hi)
+                if cell in stack:
+                    stack.remove(cell)
                     stack += (lo, hi)
                 else:
+                    stack.append(hi if lo.bit_count() >= hi.bit_count() else lo)
+        else:
+            for cell in cells:
+                parts = [0] * n
+                rest = cell if cell & (cell - 1) else 0
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    parts[(adj[b.bit_length() - 1] & w).bit_count()] |= b
+                split = [p for p in parts if p]
+                if len(split) < 2:
                     refined.append(cell)
-            cells = refined
-            continue
-        for cell in cells:
-            if not cell & (cell - 1):
-                refined.append(cell)
-                continue
-            parts: dict[int, int] = {}
-            for v in _bits(cell):
-                c = (adj[v] & w).bit_count()
-                parts[c] = parts.get(c, 0) | 1 << v
-            split = [parts[c] for c in sorted(parts)]
-            refined += split
-            if len(split) > 1:
+                    continue
+                refined += split
+                if cell in stack:
+                    stack.remove(cell)
+                else:
+                    split.remove(max(split, key=int.bit_count))
                 stack += split
         cells = refined
     return cells
 
 
-def _visit(n: int, adj: tuple[int, ...], cells: list[int], stack: list[int],
-           leaves: dict[int, list[int]], auts: list[tuple[int, ...]]) -> None:
-    """Search below an ordered partition: record each leaf's key in leaves and
-    each automorphism found in auts."""
+def _visit(n: int, adj: tuple[int, ...], cells: list[int], stack: list[int], fixed: tuple[int, ...],
+           leaves: dict[int, tuple[list[int], tuple[int, ...]]], auts: list[tuple[int, ...]]) -> int:
+    """Search below the partition that individualized fixed; record new leaf
+    keys' cells and paths in leaves, automorphisms in auts.  Returns the depth
+    to resume at: for a leaf equal to an earlier one, their common ancestor's."""
     cells = _equitable(adj, cells, stack)
-    _, k = min(
-        ((c.bit_count(), i) for i, c in enumerate(cells) if c & (c - 1)),
-        default=(1, -1),
-    )
-    if k < 0:
-        order = [c.bit_length() - 1 for c in cells]
-        key = 0
-        for i, v in enumerate(order):
-            row = adj[v]
+    if len(cells) == n:
+        key = base = 0
+        for i, c in enumerate(cells):
+            row = adj[c.bit_length() - 1]
             for j in range(i):
-                if row >> order[j] & 1:
-                    key |= 1 << (i * (i - 1) // 2 + j)
-        first = leaves.setdefault(key, order)
-        if first is not order:  # v -> the vertex at v's position in the first leaf
-            auts.append(tuple(w for _, w in sorted(zip(order, first))))
-        return
-    cell = cells[k]
-    tried: list[int] = []
-    for v in _bits(cell):
-        u = next((u for u in tried if adj[v] & ~(1 << u) == adj[u] & ~(1 << v)), -1)
-        if u >= 0:
-            auts.append(tuple(v if x == u else u if x == v else x for x in range(n)))
+                if row & cells[j]:
+                    key |= 1 << base + j
+            base += i
+        first, path = leaves.setdefault(key, (cells, fixed))
+        if first is cells:
+            return len(fixed)
+        auts.append(tuple(w.bit_length() - 1 for _, w in sorted(zip(cells, first))))  # v -> v's place in first
+        return next(d for d, (u, w) in enumerate(zip(fixed, path)) if u != w)
+    cell = min((c for c in cells if c & (c - 1)), key=int.bit_count)
+    k = cells.index(cell)
+    tried: list[tuple[int, int]] = []  # (vertex, its row) for each vertex searched below
+    orbit, known = 0, -1  # the orbits of tried under stab, the automorphisms in auts[:known] fixing fixed
+    rest = cell
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        if orbit & b:
             continue
-        tried.append(v)
-        _visit(n, adj, cells[:k] + [1 << v, cell ^ 1 << v] + cells[k + 1:], [1 << v], leaves, auts)
+        v, row = b.bit_length() - 1, adj[b.bit_length() - 1]
+        for u, r in tried:
+            if not (row ^ r) & ~(b | 1 << u):  # twins: swapping them fixes the partition
+                auts.append(tuple(v if x == u else u if x == v else x for x in range(n)))
+                break
+        else:
+            back = _visit(n, adj, cells[:k] + [b, cell ^ b] + cells[k + 1:], [b], fixed + (v,), leaves, auts)
+            if back < len(fixed):
+                return back
+            tried.append((v, row))
+        orbit |= b
+        if rest and known < len(auts):
+            known, stab = len(auts), [g for g in auts if all(g[f] == f for f in fixed)]
+        todo = [x for x in range(n) if orbit >> x & 1] if rest and stab else []
+        for x in todo:
+            for g in stab:
+                if not orbit >> g[x] & 1:
+                    orbit |= 1 << g[x]
+                    todo.append(g[x])
+    return len(fixed)
 
 
 def _search(n: int, adj: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
-    """Canonical key of a trusted adjacency tuple, and automorphisms found."""
-    leaves: dict[int, list[int]] = {}
+    """Canonical key of a trusted adjacency tuple, and generators of its automorphisms."""
+    leaves: dict[int, tuple[list[int], tuple[int, ...]]] = {}
     auts: list[tuple[int, ...]] = []
-    _visit(n, adj, [(1 << n) - 1] if n else [], [(1 << n) - 1], leaves, auts)
+    _visit(n, adj, [(1 << n) - 1] if n else [], [(1 << n) - 1], (), leaves, auts)
     return min(leaves), auts
 
 
@@ -122,12 +150,11 @@ def _level(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]],
     seen: dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
     for base, gens in _level(n - 1):
         # images[g][m]: mask m moved by generator g, built from m minus its low bit
-        images = []
+        images: list[list[int]] = []
         for g in gens:
-            image = [0]
+            images.append(image := [0])
             for m in range(1, 1 << (n - 1)):
                 image.append(image[m & (m - 1)] | 1 << g[(m & -m).bit_length() - 1])
-            images.append(image)
         reached = 0
         for mask in range(1 << (n - 1)):
             if reached >> mask & 1:
@@ -139,9 +166,7 @@ def _level(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]],
                     if not reached >> image[m] & 1:
                         reached |= 1 << image[m]
                         orbit.append(image[m])
-            adj = tuple(
-                base[i] | (((mask >> i) & 1) << (n - 1)) for i in range(n - 1)
-            ) + (mask,)
+            adj = tuple(base[i] | (mask >> i & 1) << (n - 1) for i in range(n - 1)) + (mask,)
             key, auts = _search(n, adj)
             if key not in seen:
                 seen[key] = (adj, tuple(dict.fromkeys(auts)))

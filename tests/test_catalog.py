@@ -14,6 +14,7 @@ import eil.catalog as catalog
 from eil.catalog import CLASS_COUNTS, all_graphs, canonical_key, graph_classes
 from eil.graphs import (
     Graph,
+    _bits,
     complete_graph,
     cycle_graph,
     emit_graph6,
@@ -162,6 +163,161 @@ def test_orbit_pruning_work_count_n7(monkeypatch):
     monkeypatch.setattr(catalog, "_search", lambda n, adj: calls.append(n) or search(n, adj))
     catalog._level.__wrapped__(7)
     assert len(calls) == 5096
+
+
+def test_refinement_work_count_n7(monkeypatch):
+    # splitters popped and search nodes while level 7 is built: 43264 and
+    # 15024 when every part of a split cell was pushed and every vertex of a
+    # target cell but twins was searched; 31343 and 14506 with nauty's rule (a
+    # stacked cell's parts replace it, any other pushes all but its first
+    # largest part) and the automorphism pruning
+    catalog._level(6)
+    popped = []
+    nodes = []
+
+    class Stack(list):
+        def pop(self):
+            popped.append(1)
+            return super().pop()
+
+    equitable, visit = catalog._equitable, catalog._visit
+    monkeypatch.setattr(catalog, "_equitable", lambda adj, cells, stack: equitable(adj, cells, Stack(stack)))
+    monkeypatch.setattr(catalog, "_visit", lambda *args: nodes.append(1) or visit(*args))
+    catalog._level.__wrapped__(7)
+    assert (len(popped), len(nodes)) == (31343, 14506)
+
+
+def full_queue_equitable(adj, cells, stack):
+    """Refinement that pushes every part of a split cell as a splitter and
+    has no shortcut for single vertices."""
+    while stack:
+        w = stack.pop()
+        refined = []
+        for cell in cells:
+            parts = {}
+            for v in _bits(cell):
+                c = (adj[v] & w).bit_count()
+                parts[c] = parts.get(c, 0) | 1 << v
+            split = [parts[c] for c in sorted(parts)]
+            refined += split
+            if len(split) > 1:
+                stack += split
+        cells = refined
+    return cells
+
+
+def test_refinement_reaches_the_full_queue_cells_n_le_6():
+    rng = random.Random(3)
+    for n in range(1, 7):
+        for adj in graph_classes(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for adj in (adj, relabel(adj, perm)):
+                full = (1 << n) - 1
+                root = catalog._equitable(adj, [full], [full])
+                assert set(root) == set(full_queue_equitable(adj, [full], [full])), adj
+                for k, cell in enumerate(root):
+                    for v in _bits(cell) if cell & (cell - 1) else ():
+                        cells = root[:k] + [1 << v, cell ^ 1 << v] + root[k + 1:]
+                        assert (set(catalog._equitable(adj, cells, [1 << v]))
+                                == set(full_queue_equitable(adj, cells, [1 << v]))), (adj, v)
+
+
+def _group_order(n, gens):
+    group = [tuple(range(n))]
+    seen = set(group)
+    for p in group:
+        for g in gens:
+            q = tuple(g[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                group.append(q)
+    return len(group)
+
+
+def test_level_generators_generate_the_whole_group_n_le_6():
+    for n in range(7):
+        for adj, gens in catalog._level(n):
+            brute = sum(_is_automorphism(adj, p) for p in permutations(range(n)))
+            assert _group_order(n, gens) == brute, adj
+
+
+def _copies(k, adj):
+    m = len(adj)
+    return tuple(row << t * m for t in range(k) for row in adj)
+
+
+def large_symmetric_graphs():
+    """Vertex-transitive graphs with far more automorphisms than vertices:
+    k disjoint 5-cycles (10^k k! automorphisms), three disjoint Petersen
+    graphs and the 5-cube."""
+    c5 = cycle_graph(5).adj
+    for k in range(1, 7):
+        yield f"{k}xC5", _copies(k, c5)
+    petersen = _from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                           + [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)])
+    yield "3xPetersen", _copies(3, petersen)
+    yield "Q5", _from_edges(32, [(i, i | 1 << b) for i in range(32) for b in range(5) if not i >> b & 1])
+
+
+def _bounded_search(n, adj):
+    """catalog._search(n, adj) and its number of search nodes, failing as
+    soon as that passes n^2 / 2."""
+    calls = []
+    visit = catalog._visit
+
+    def counted(*args):
+        calls.append(1)
+        assert len(calls) <= n * n // 2, f"more than {n * n // 2} search nodes"
+        return visit(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog, "_visit", counted)
+        key, gens = catalog._search(n, adj)
+    return key, gens, len(calls)
+
+
+def test_search_on_large_symmetric_graphs_is_polynomial():
+    # without automorphism pruning the search visits every leaf: 397861
+    # nodes and 239999 stored permutations on 4xC5
+    for name, adj in large_symmetric_graphs():
+        n = len(adj)
+        _, gens, _ = _bounded_search(n, adj)
+        assert len(gens) <= n, (name, len(gens))
+        assert all(_is_automorphism(adj, g) for g in gens), name
+        orbit = [0]
+        for v in orbit:
+            orbit += sorted({g[v] for g in gens} - set(orbit))
+        assert sorted(orbit) == list(range(n)), name
+
+
+def test_keys_of_large_symmetric_graphs_survive_relabeling():
+    rng = random.Random(11)
+    for name, adj in large_symmetric_graphs():
+        n = len(adj)
+        key = _bounded_search(n, adj)[0]
+        for _ in range(10):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert _bounded_search(n, relabel(adj, perm))[0] == key, name
+
+
+def test_rook_and_shrikhande_graphs_get_different_keys():
+    # both are strongly regular with parameters (16, 6, 2, 2), so refinement
+    # alone splits neither; the rook's graph is K4 x K4
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    pairs = [(i, j) for i in range(16) for j in range(i + 1, 16)]
+    rook = _from_edges(16, [(i, j) for i, j in pairs if cells[i][0] == cells[j][0] or cells[i][1] == cells[j][1]])
+    shrikhande = _from_edges(16, [(i, j) for i, j in pairs if tuple(
+        (y - x) % 4 for x, y in zip(cells[i], cells[j])) in steps])
+    keys = [canonical_key(16, adj) for adj in (rook, shrikhande)]
+    assert keys[0] != keys[1]
+    rng = random.Random(5)
+    for key, adj in zip(keys, (rook, shrikhande)):
+        perm = list(range(16))
+        rng.shuffle(perm)
+        assert canonical_key(16, relabel(adj, perm)) == key
 
 
 def test_canonical_key_rejects_malformed_adjacency():

@@ -788,6 +788,24 @@ def test_cli_verify_budget_stops_the_catalog(monkeypatch, capsys):
     assert "outcomes=3 " in capsys.readouterr().out
 
 
+def test_cli_verify_corpus_of_five_disjoint_5_cycles(tmp_path, capsys, monkeypatch):
+    # 10^5 5! automorphisms and one edge orbit; a search that visited every
+    # leaf never finished the edge orbits, so search nodes are capped at n^2 / 2
+    calls = []
+    visit = eil.catalog._visit
+
+    def counted(*args):
+        calls.append(1)
+        assert len(calls) <= 25 * 25 // 2, "search nodes past n^2 / 2"
+        return visit(*args)
+
+    monkeypatch.setattr(eil.catalog, "_visit", counted)
+    corpus = tmp_path / "c5x5.g6"
+    corpus.write_text("Xhc?GC@@G??@?@??_@G????C??G??G??c??????G???_??@???H\n")
+    assert main(["verify", "--corpus", str(corpus), "--suite", "colon_intersection"]) == 0
+    assert "summary outcomes=25 holds=25 fails=0 " in capsys.readouterr().out
+
+
 def test_cli_verify_corpus_file(tmp_path, capsys):
     lines = ["A_", "Bw", emit_graph6(path_graph(4))]
     corpus = tmp_path / "corpus.g6"
