@@ -11,7 +11,8 @@ vertex that those fixing F pointwise map into the orbit of a vertex tried
 there; an equal leaf ends the search below the two leaves' common ancestor.  So
 _level keeps generators of Aut, not every automorphism, and extends each class
 only by the least new-vertex neighbour mask of each orbit under them: the first
-candidate of every class is still the one kept.
+candidate of every class is still the one kept.  _edge_orbits walks the same
+generators to the edge orbits along which the suite maps rows.
 """
 
 from __future__ import annotations
@@ -131,6 +132,32 @@ def _search(n: int, adj: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
     auts: list[tuple[int, ...]] = []
     _visit(n, adj, [(1 << n) - 1] if n else [], [(1 << n) - 1], (), leaves, auts)
     return min(leaves), auts
+
+
+def _edge_orbits(G: Graph) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """Every edge of G but the first of each orbit under Aut(G), by its index
+    in G.edges(): (k, sigma), where edge k is the first of its orbit and the
+    vertex permutation sigma takes edge k to it.  sigma is a product of the
+    generators _search finds, along a breadth-first walk.  The suite maps
+    rows along these orbits (see suite._graph_task)."""
+    edges = G.edges()
+    if not edges:
+        return {}
+    at = {e: k for k, e in enumerate(edges)}
+    gens = _search(G.n, G.adj)[1]
+    out: dict[int, tuple[int, tuple[int, ...]]] = {}
+    for k, edge in enumerate(edges):
+        if k in out:
+            continue
+        walk = [(edge, tuple(range(G.n)))]
+        for (i, j), sigma in walk:
+            for g in gens:
+                t = at[min(g[i], g[j]), max(g[i], g[j])]
+                if t != k and t not in out:
+                    tau = tuple(g[s] for s in sigma)
+                    out[t] = k, tau
+                    walk.append((edges[t], tau))
+    return out
 
 
 def canonical_key(n: int, adj: tuple[int, ...]) -> int:

@@ -25,9 +25,9 @@ The pieces of G itself (graph6 id, alpha2, wk3-freeness) are read once per
 call.
 
 Each statement here is invariant under the automorphisms of G, so the suite
-calls an edge or edge-set check only on the first edge of each Aut(G) orbit
-and maps its rows to the others.  The ideal of a digest row is read back
-through _DIGESTED, to be digested again with its columns permuted.
+calls an edge or edge-set check only on the first edge of each Aut(G) orbit,
+and _mapped_rows maps its rows to the others: see _mapped_rows for what a
+mapping changes, and suite._graph_task for when rows are mapped.
 
 Checks compute verdicts only; the suite times each check call and fills in
 elapsed_ms, which stays 0.0 when a check is called directly.
@@ -41,8 +41,11 @@ from .depth import GF2, FieldChoice, depth_ideal, depth_ideal_both
 from .graphs import (
     Graph,
     _admissible_pool,
+    _bits,
     _contract,
     _labels,
+    _mask,
+    _pool,
     delete_vertices,
     emit_graph6,
     is_wk3_free,
@@ -227,6 +230,55 @@ _DIGESTED = {
     "colon_intersection": lambda GA, u, v: _memo(GA, _colon_intersection_pair, u, v)[0],
     "square_colon_formula": lambda GA, u, v: _memo(GA, _square_colon, u, v),
 }
+
+
+def _mapped_rows(G: Graph, name: str, rows: list[CheckOutcome], i: int, j: int, sigma,
+                 p: int, q: int) -> list[CheckOutcome]:
+    """The rows of the check name at the edge pq of G, mapped from rows, those
+    at the edge ij, by sigma, an automorphism of G taking ij to pq.  Every
+    statement an edge or edge-set check verifies is invariant under Aut(G),
+    so a mapped row equals the row computing would give, byte for byte: the
+    edge is pq's own label pair, A is sigma(A) sorted as strings, L is
+    sigma(L) in vertex order, the deletion bound's endpoint values swap when
+    sigma turns the edge around, and a digest of a check in _DIGESTED is made
+    again from ij's ideal with its columns permuted.  The rows come in pq's
+    own deletion-set order (by mask over its pool).  When the suite maps
+    rows is told in suite._graph_task."""
+    labels, n = G.labels, G.n
+    to = {x: sigma[k] for k, x in enumerate(labels)}  # a label to its image's index
+    inverse = sorted(range(n), key=sigma.__getitem__)
+    rank = {w: 1 << t for t, w in enumerate(_bits(_pool(G, p, q)))}
+    edge = [labels[p], labels[q]]  # one list for all the edge's rows, which stay as made
+    flip = sigma[i] == q
+    digested = _DIGESTED.get(name)
+    out: list = [None] * len(rows)
+    for oc in rows:
+        witness = dict(oc.witness)
+        witness["edge"] = edge
+        A = [to[x] for x in witness.get("A", ())]
+        # sorted() of a list is a list of its exact size, as the report holds
+        # a row per instance
+        if "A" in witness:
+            witness["A"] = sorted([labels[k] for k in A])
+        if "L" in witness:
+            witness["L"] = sorted([labels[to[x]] for x in witness["L"]], key=labels.index)
+        if "values" in witness:
+            values = dict(witness["values"])
+            if flip:
+                values["A_plus_closed_u"], values["A_plus_closed_v"] = (
+                    values["A_plus_closed_v"], values["A_plus_closed_u"])
+            witness["values"] = values
+        lhs, rhs = oc.lhs, oc.rhs
+        if digested:
+            a = _mask(G, oc.witness.get("A", ()))
+            column = {w: c for c, w in enumerate(k for k in range(n) if not a >> k & 1)}
+            ring = [k for k in range(n) if k not in A]
+            ideal = digested(_memo(G, _without, a), labels[i], labels[j])
+            lhs = rhs = ideal_digest(ideal._permuted(
+                tuple(labels[k] for k in ring), [column[inverse[k]] for k in ring]))
+        out[sum(rank[k] for k in A)] = CheckOutcome(
+            oc.check_id, oc.graph_id, oc.status, lhs, rhs, witness, oc.field_char)
+    return out
 
 
 # ---------------------------------------------------------------------------

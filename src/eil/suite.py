@@ -9,8 +9,8 @@ seed and field always produce an identical report body (timings excluded),
 whatever the worker count; workers take one graph at a time, as a Graph.
 
 An edge or edge-set check computes one edge of each Aut(G) orbit of edges
-and maps its rows to the other edges of the orbit (see _graph_task and
-eil.orbits).
+and maps its rows to the other edges of the orbit: _graph_task says when,
+and checks._mapped_rows what a mapping changes.
 
 Timing happens here, once per check call: each outcome a call keeps gets an
 equal share of the call's wall time, and each mapped row an equal share of
@@ -39,7 +39,7 @@ from multiprocessing import Pool
 from time import perf_counter
 from typing import NamedTuple
 
-from . import checks as _checks
+from . import catalog as _catalog, checks as _checks
 from .checks import FAILS, HOLDS, NOT_APPLICABLE, CheckOutcome, DepthComputer
 from .depth import GF2, FieldChoice
 from .graphs import (Graph, Graph6Error, _bits, _labels, _pool, default_labels, emit_graph6,
@@ -177,11 +177,17 @@ def _graph_task(G: Graph, checks, field, cross, seed) -> tuple[list[CheckOutcome
     """The outcomes, distinct graph-tagged findings and depth comparisons of
     one graph: a field disagreement is one finding however often the checks
     ask for its ideal, and each ask is one comparison.  An edge-set check
-    sweeps one edge's deletion sets per call.  An edge or edge-set check
-    computes the first edge of each Aut(G) orbit and maps its rows to the
-    other edges of the orbit, unless that edge's pool is sampled or its rows
-    hold a fail or raised a finding: then every edge of the orbit is
-    computed."""
+    sweeps one edge's deletion sets per call.
+
+    Every statement an edge or edge-set check verifies is invariant under
+    Aut(G).  So such a check computes the first edge, in G.edges() order, of
+    each orbit of edges (catalog._edge_orbits, made at the graph's first
+    edge or edge-set check), and checks._mapped_rows maps its rows to each
+    other edge of the orbit.  The first edge's depth comparisons are counted
+    again for each mapped edge.  Every edge of an orbit is computed when the
+    first edge's pool is sampled (each edge draws its own sample), or its
+    rows hold a fail or raised a finding: so no witness or finding comes
+    from a mapping."""
     computer = DepthComputer(field, cross_check=cross)
     gid = emit_graph6(G)
     out: list[CheckOutcome] = []
@@ -193,19 +199,19 @@ def _graph_task(G: Graph, checks, field, cross, seed) -> tuple[list[CheckOutcome
             out.extend(check(G))
             continue
         if orbits is None:
-            from . import orbits as _orbits  # only edge checks load it
-            orbits = _orbits._edge_orbits(G)
-        computed: dict[int, _orbits._Computed] = {}
+            orbits = _catalog._edge_orbits(G)
+        computed = {}  # the first edge's index -> (i, j, its rows, their comparisons)
         for k, (i, j) in enumerate(G.edges()):
             r, sigma = orbits.get(k, (k, None))
-            if computed.get(r):
+            if r in computed:
+                ri, rj, first, spent = computed[r]
                 t0 = perf_counter()
-                rows = _orbits._mapped_rows(G, name, computed[r], sigma, i, j)
+                rows = _checks._mapped_rows(G, name, first, ri, rj, sigma, i, j)
                 ms = (perf_counter() - t0) * 1000
                 for oc in rows:
                     oc.elapsed_ms = round(ms / len(rows), 3)
                 out.extend(rows)
-                computer.comparisons += computed[r].comparisons
+                computer.comparisons += spent
                 continue
             u, v = G.labels[i], G.labels[j]
             findings, comparisons = len(computer.findings), computer.comparisons
@@ -221,7 +227,7 @@ def _graph_task(G: Graph, checks, field, cross, seed) -> tuple[list[CheckOutcome
             out.extend(rows)
             if r == k and sets is None and len(computer.findings) == findings and all(
                     oc.status != FAILS for oc in rows):
-                computed[k] = _orbits._Computed(i, j, rows, computer.comparisons - comparisons)
+                computed[k] = i, j, rows, computer.comparisons - comparisons
     distinct = list({tuple(f.items()): f for f in computer.findings}.values())
     for finding in distinct:
         finding["graph_id"] = gid

@@ -302,6 +302,24 @@ def test_keys_of_large_symmetric_graphs_survive_relabeling():
             assert _bounded_search(n, relabel(adj, perm))[0] == key, name
 
 
+def test_pruning_reads_only_automorphisms_fixing_the_individualized_vertices(monkeypatch):
+    # the node of C5 that individualized vertex 0 has the target cell {2, 3}.
+    # The rotation by one, already found, takes 2 to 3 but moves 0, so it
+    # must not prune 3: the node searches both, and the leaf below 3 gives
+    # the reflection fixing 0.  An automorphism that moves an individualized
+    # vertex can take the vertices tried to a vertex of another orbit of the
+    # node's stabilizer, and pruning with it can skip the least leaf
+    adj = cycle_graph(5).adj
+    rotation = tuple((x + 1) % 5 for x in range(5))
+    auts = [rotation]
+    nodes = []
+    visit = catalog._visit
+    monkeypatch.setattr(catalog, "_visit", lambda *args: nodes.append(args[4]) or visit(*args))
+    catalog._visit(5, adj, [0b00001, 0b11110], [0b00001], (0,), {}, auts)
+    assert nodes == [(0,), (0, 2), (0, 3)]
+    assert auts == [rotation, (0, 4, 3, 2, 1)]
+
+
 def test_rook_and_shrikhande_graphs_get_different_keys():
     # both are strongly regular with parameters (16, 6, 2, 2), so refinement
     # alone splits neither; the rook's graph is K4 x K4

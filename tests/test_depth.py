@@ -16,9 +16,9 @@ from operator import or_
 
 import pytest
 
+import eil.catalog
 import eil.checks
 import eil.depth
-import eil.orbits
 from eil.depth import (
     GF2,
     QQ,
@@ -429,6 +429,25 @@ def test_cone_reduction_is_lossless_on_squares(catalog5):
             assert sweep_blind_spots(C) is None, emit_graph6(G)
 
 
+def test_cone_reduction_keeps_the_path_sweep_small(monkeypatch):
+    # I(P18) goes to the sweep, which lists the faces of 137 reduced masks,
+    # 35729 faces in all.  With no cone reduction it lists those of 1596
+    # masks, 2870403 faces, about 100 times the time (0.1 s against 12 s on
+    # a 2-vCPU VM, Python 3.11.7); P20 takes 0.36 s against 157 s
+    listed = []
+    faces = eil.depth._faces_by_size
+
+    def counting(W, nonfaces):
+        layers = faces(W, nonfaces)
+        listed.append(sum(map(len, layers)))
+        return layers
+
+    monkeypatch.setattr(eil.depth, "_faces_by_size", counting)
+    clear_depth_cache()
+    assert depth_ideal(edge_ideal(path_graph(18)), GF2) == 7
+    assert (len(listed), sum(listed)) == (137, 35729)
+
+
 # ---------------------------------------------------------------------------
 # depth of quotients and ideals
 
@@ -542,9 +561,18 @@ def test_rational_ranks_only_where_mod2_is_alive_in_adjacent_sizes(catalog5, mon
 
 
 def _direct_sweep(I, characteristics):
-    """pd of S/I from the Hochster sweep alone, bounded only by n_used."""
-    nonfaces = ComplexView.from_ideal(polarize(I).ideal).nonfaces
-    return eil.depth._sweep_pd(nonfaces, characteristics, len(_used_columns(I)[0]))
+    """pd of S/I from the Hochster sweep alone, bounded only by n_used.  The
+    exponents of each used column are ranked here first (0 stays 0, the
+    others go to 1, 2, ... in order), which keeps pd, so the polarization
+    has as many vertices as the ranks add up to, however large the
+    exponents are."""
+    columns = []
+    for col in zip(*_used_columns(I)):
+        rank = {e: r for r, e in enumerate(sorted(set(col) | {0}))}
+        columns.append([rank[e] for e in col])
+    ranked = MonomialIdeal(tuple(f"v{j}" for j in range(len(columns))), tuple(zip(*columns)))
+    nonfaces = ComplexView.from_ideal(polarize(ranked).ideal).nonfaces
+    return eil.depth._sweep_pd(nonfaces, characteristics, len(columns))
 
 
 def _check_bounded_sweep_is_exact(catalog):
@@ -604,7 +632,7 @@ def _suite_ideals(catalog, checks=EDGE_SET_CHECKS, cross_check=False):
     depth, so the ideals of mapped rows alone would be missing."""
     clear_depth_cache()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eil.orbits, "_edge_orbits", lambda G: {})
+        mp.setattr(eil.catalog, "_edge_orbits", lambda G: {})
         run_suite(catalog, checks, GF2, cross_check=cross_check)
     rows = sorted({key for _, key in eil.depth._PD_CACHE})
     return [MonomialIdeal(tuple(f"v{j}" for j in range(len(r[0]))), r) for r in rows]
@@ -1009,23 +1037,35 @@ def test_degree_walk_stops_at_taylors_floor(monkeypatch):
 def test_degree_walk_on_few_generator_ideals(monkeypatch):
     # seeded ideals with a ranked exponent above 1, no socle and more used
     # variables than generators, drawn on 5 to 9 variables with 2 to 6
-    # generators and exponents up to 3, and kept ranked.  The reference
-    # sweep lists faces on sum_j rho_j polarized vertices, so that sum is
-    # held to 14.  _pd sends each to the degree complexes, and its answer,
-    # per field and fused, is the direct sweep's
+    # generators and exponents up to 3, and kept as drawn.  The reference
+    # sweep ranks before it polarizes and lists faces on sum_j rho_j
+    # polarized vertices, so that sum of the ranks is held to 14; the
+    # exponents as drawn add up to more than 14 in 17 of the 40.  _pd sends
+    # each to the degree complexes, and its answer, per field and fused, is
+    # the direct sweep's
     paths = _spy_paths(monkeypatch)
     rng = random.Random(34)
     ideals = []
+    wide = 0
     while len(ideals) < 40:
         n = rng.randint(5, 9)
         gens = [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n)) for _ in range(rng.randint(2, 6))]
         if not all(map(any, gens)):
             continue
-        rows = _used_columns(MonomialIdeal(tuple(f"v{j}" for j in range(n)), tuple(gens)))
+        I = MonomialIdeal(tuple(f"v{j}" for j in range(n)), tuple(gens))
+        rows = _used_columns(I)
         ranked = tuple(zip(*(map(sorted({0, *col}).index, col) for col in zip(*rows))))
         rho = [max(col) for col in zip(*ranked)]
         if max(rho) > 1 and len(rho) > len(ranked) and sum(rho) <= 14 and not eil.depth._has_socle(ranked):
-            ideals.append(MonomialIdeal(tuple(f"v{j}" for j in range(len(rho))), ranked))
+            ideals.append(I)
+            wide += sum(map(max, zip(*rows))) > 14
+    assert wide == 17
+    # 6 variables, 3 generators, exponents up to 3: 18 polarized vertices as
+    # drawn, 12 ranked, and pd 3
+    I = MonomialIdeal(tuple(f"v{j}" for j in range(6)),
+                      ((3, 2, 0, 1, 0, 3), (1, 3, 3, 0, 2, 0), (0, 0, 1, 3, 3, 2)))
+    assert _direct_sweep(I, (2, 0)) == [3, 3]
+    ideals.append(I)
     for I in ideals:
         for characteristics in ((2, 0), (2,), (0,)):
             want = _direct_sweep(I, characteristics)

@@ -1,7 +1,7 @@
 """Edge orbits under Aut(G) in the edge-set sweep.
 
 run_suite computes the rows of the first edge of each orbit and maps them to
-the other edges of the orbit by an automorphism.  With orbits._edge_orbits
+the other edges of the orbit by an automorphism.  With catalog._edge_orbits
 giving no orbits, every edge is computed directly; these tests hold the
 mapped rows to the computed ones, row by row, with the findings and the
 depth comparisons.
@@ -12,13 +12,12 @@ from collections import Counter
 
 import pytest
 
+import eil.catalog
 import eil.checks
-import eil.orbits
-from eil.catalog import all_graphs
+from eil.catalog import _edge_orbits, all_graphs
 from eil.checks import FAILS
 from eil.depth import GF2, QQ
 from eil.graphs import cycle_graph, default_labels, graph_from_edges
-from eil.orbits import _edge_orbits
 from eil.suite import CHECKS, _canonical_row, run_suite
 
 EDGE_SET_IDS = ["colon_intersection", "even_connection_depth", "square_colon_depth",
@@ -28,7 +27,7 @@ EDGE_SET_IDS = ["colon_intersection", "even_connection_depth", "square_colon_dep
 def _run(corpus, checks=EDGE_SET_IDS, field=GF2, direct=False, jobs=1, seed=0):
     with pytest.MonkeyPatch.context() as mp:
         if direct:
-            mp.setattr(eil.orbits, "_edge_orbits", lambda G: {})
+            mp.setattr(eil.catalog, "_edge_orbits", lambda G: {})
         return run_suite(corpus, checks, field, cross_check=True, jobs=jobs, seed=seed)
 
 
@@ -41,16 +40,16 @@ def _assert_same(mapped, direct):
 
 
 def _count_mapped(monkeypatch) -> Counter:
-    """Rows that orbits._mapped_rows makes, by check id."""
+    """Rows that checks._mapped_rows makes, by check id."""
     made = Counter()
-    real = eil.orbits._mapped_rows
+    real = eil.checks._mapped_rows
 
     def counting(*args):
         rows = real(*args)
         made.update(oc.check_id for oc in rows)
         return rows
 
-    monkeypatch.setattr(eil.orbits, "_mapped_rows", counting)
+    monkeypatch.setattr(eil.checks, "_mapped_rows", counting)
     return made
 
 
@@ -172,7 +171,7 @@ def test_graph_level_checks_compute_no_orbits(catalog5, monkeypatch):
     def unexpected(G):
         raise AssertionError(f"orbits of {G}")
 
-    monkeypatch.setattr(eil.orbits, "_edge_orbits", unexpected)
+    monkeypatch.setattr(eil.catalog, "_edge_orbits", unexpected)
     graph_level = [name for name, spec in CHECKS.items() if spec.kind == "graph"]
     report = run_suite(catalog5, graph_level)
     assert report.outcomes and not report.failures

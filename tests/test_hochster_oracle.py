@@ -19,9 +19,9 @@ from itertools import combinations, permutations
 import pytest
 from test_depth import _degree_pd, _dense_rank_f2, reduced_homology_dims
 
+import eil.catalog
 import eil.checks
 import eil.depth
-import eil.orbits
 from eil.catalog import all_graphs
 from eil.checks import sharp_example_graphs
 from eil.depth import GF2, QQ, ComplexView, clear_depth_cache, depth_ideal, depth_ideal_both
@@ -229,7 +229,7 @@ def test_oracle_matches_every_ideal_of_the_n5_suite(monkeypatch):
         return seen[I]
 
     monkeypatch.setattr(eil.checks, "depth_ideal_both", record)
-    monkeypatch.setattr(eil.orbits, "_edge_orbits", lambda G: {})
+    monkeypatch.setattr(eil.catalog, "_edge_orbits", lambda G: {})
     run_suite(all_graphs(5), ["all"], GF2, cross_check=True)
     assert len(seen) == 535
     for I, depths in seen.items():
